@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -131,48 +132,61 @@ def dumps_report(obj) -> str:
     return render(obj) + "\n"
 
 
+def _parse_row(row) -> list:
+    return [float(cell.strip()) for cell in row]
+
+
 def ingest_csv(path: str) -> SampleBatch:
     """Read a UTF-8 CSV of observations, one row per observation.
 
-    A single non-numeric first row is treated as a header.  Ragged rows,
-    non-numeric (or non-finite) cells, and inputs without data rows are
-    rejected with distinct exit codes.
+    A leading byte-order mark is dropped.  A single non-numeric first row is
+    treated as a header.  Ragged rows, non-numeric (or non-finite) cells, and
+    inputs without data rows are rejected with distinct exit codes.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle)]
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
 
-    rows = [[cell.strip() for cell in row] for row in rows]
-    rows = [row for row in rows if any(cell != "" for cell in row)]
+    # Drop blank rows: those whose joined cells are all whitespace.
+    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
     if not rows:
         raise IngestError(EXIT_EMPTY, f"{path} contains no data rows")
 
-    def parse_row(row):
-        return [float(cell) for cell in row]
-
     start = 0
     try:
-        parse_row(rows[0])
+        _parse_row(rows[0])
     except ValueError:
         start = 1
     if start == len(rows):
         raise IngestError(EXIT_EMPTY, f"{path} contains a header but no data rows")
 
-    width = len(rows[start])
-    data = []
-    for idx, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise IngestError(EXIT_RAGGED, f"{path}: row {idx} has {len(row)} cells, expected {width}")
+    body = rows[start:]
+    width = len(body[0])
+    if set(map(len, body)) == {width}:
+        cells = map(str.strip, itertools.chain.from_iterable(body))
         try:
-            values = parse_row(row)
+            data = np.fromiter(map(float, cells), dtype=float, count=len(body) * width)
+        except ValueError:
+            data = None
+        if data is not None and np.isfinite(data).all():
+            return SampleBatch(data.reshape(len(body), width))
+    raise _row_error(path, body, start, width)
+
+
+def _row_error(path: str, body: list, start: int, width: int) -> IngestError:
+    """The error for the first bad row of ``body``, numbered among the non-blank rows."""
+    for idx, row in enumerate(body, start=start + 1):
+        if len(row) != width:
+            return IngestError(EXIT_RAGGED, f"{path}: row {idx} has {len(row)} cells, expected {width}")
+        try:
+            values = _parse_row(row)
         except ValueError as exc:
-            raise IngestError(EXIT_NON_NUMERIC, f"{path}: row {idx}: {exc}") from exc
+            return IngestError(EXIT_NON_NUMERIC, f"{path}: row {idx}: {exc}")
         if not all(math.isfinite(v) for v in values):
-            raise IngestError(EXIT_NON_NUMERIC, f"{path}: row {idx} has a non-finite value")
-        data.append(values)
-    return SampleBatch(np.asarray(data, dtype=float))
+            return IngestError(EXIT_NON_NUMERIC, f"{path}: row {idx} has a non-finite value")
+    raise AssertionError("bulk parse rejected rows that parse one by one")
 
 
 def _emit(text: str, output_path: str):
@@ -347,8 +361,10 @@ def _cmd_simulate(config: RunConfig) -> int:
     batch = studentt.sample(params, config.n, config.seed)
     digits = _float_digits()
     if config.format == "csv":
-        lines = [",".join(_format_float(v, digits) for v in row) for row in batch.data]
-        _emit("\n".join(lines) + "\n", config.output_path)
+        # One %-format over all draws; SampleBatch guarantees they are finite,
+        # where "%g" and _format_float agree.
+        row = ",".join([f"%.{digits}g"] * batch.dim) + "\n"
+        _emit(row * batch.n % tuple(batch.data.ravel().tolist()), config.output_path)
     else:
         report = {
             "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "AlphaFamilyError",
@@ -33,6 +32,7 @@ __all__ = [
     "degrees_of_freedom",
     "log_norm_const",
     "make_student_t",
+    "moment_statistic",
     "pack_theta",
     "unpack_theta",
     "reconstruct_density",
@@ -145,15 +145,15 @@ def _log_norm_const_shape(alpha: float, dim: int) -> float:
         z = 1.0 / (1.0 - alpha)
         return (
             0.5 * dim * math.log(b)
-            + gammaln(z)
-            - gammaln(z - 0.5 * dim)
+            + math.lgamma(z)
+            - math.lgamma(z - 0.5 * dim)
             - 0.5 * dim * math.log(math.pi)
         )
     z = alpha / (alpha - 1.0)
     return (
         0.5 * dim * math.log(-b)
-        + gammaln(z + 0.5 * dim)
-        - gammaln(z)
+        + math.lgamma(z + 0.5 * dim)
+        - math.lgamma(z)
         - 0.5 * dim * math.log(math.pi)
     )
 
@@ -162,7 +162,7 @@ def log_norm_const(alpha: float, sigma_logdet: float, dim: int) -> float:
     """log N for the Student-t density, computed in log space.
 
     Gamma arguments grow like 1/|1-alpha|, so the two Gamma factors are
-    combined via gammaln before exponentiation.
+    combined via lgamma before exponentiation.
     """
     return _log_norm_const_shape(alpha, dim) - 0.5 * sigma_logdet
 
@@ -389,6 +389,17 @@ class SufficientStats:
     mean_xxT: np.ndarray
     mean_f: np.ndarray
     mean_q_pow: float
+
+
+def moment_statistic(x) -> np.ndarray:
+    """The statistic f(x) = (x, Vec(x x^T)) shared by the Student-t and Gaussian.
+
+    Takes one point, shape ``(d,)`` (a scalar counts as d = 1), or a batch,
+    shape ``(n, d)``, and returns shape ``(d + d^2,)`` or ``(n, d + d^2)``.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    outer = x[..., :, None] * x[..., None, :]
+    return np.concatenate([x, outer.reshape(x.shape[:-1] + (x.shape[-1] ** 2,))], axis=-1)
 
 
 def pack_theta(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:

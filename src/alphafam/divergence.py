@@ -3,7 +3,8 @@
 Distributions enter through lightweight handles: a probability vector over
 finitely many atoms, or a 1-D density with an interval support.  Continuous
 integrals use adaptive quadrature (QUADPACK via scipy), which transforms
-infinite tails internally.
+infinite tails internally.  scipy is imported on the first quadrature, so
+commands that integrate nothing never load it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .core import (
     ALPHA_EQUALS_ONE,
@@ -117,8 +117,17 @@ def student_t_1d(params: StudentTParams) -> ContinuousDistribution1D:
     return ContinuousDistribution1D(pdf=lambda x: studentt.density(params, [x]), support=support)
 
 
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on first use."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def _quad(fn, lo, hi, epsabs: float, epsrel: float) -> float:
     """Adaptive quadrature; divergence and failure are reported distinctly."""
+    from scipy.integrate import IntegrationWarning
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     ALPHA_BELOW_THRESHOLD,
@@ -28,6 +27,7 @@ from .core import (
     StudentTParams,
     SufficientStats,
     SupportDescriptor,
+    moment_statistic,
 )
 from . import studentt
 
@@ -79,7 +79,10 @@ def sufficient_stats(batch: SampleBatch, desc, alpha: float) -> SufficientStats:
     mean_x = data.mean(axis=0)
     mean_xxT = np.einsum("ni,nj->ij", data, data) / batch.n
     mean_xxT = 0.5 * (mean_xxT + mean_xxT.T)
-    mean_f = np.mean([np.atleast_1d(desc.f_fn(row)) for row in data], axis=0)
+    if desc.f_fn is moment_statistic:
+        mean_f = moment_statistic(data).mean(axis=0)
+    else:
+        mean_f = np.mean([np.atleast_1d(desc.f_fn(row)) for row in data], axis=0)
     q_vals = np.array([desc.q_fn(row) for row in data], dtype=float)
     with np.errstate(divide="ignore"):
         mean_q_pow = float(np.mean(q_vals ** (alpha - 1.0)))
@@ -210,6 +213,8 @@ def student_t_population_moments_quadrature(
         radius = math.sqrt(params.support.radius_sq * params.sigma[0, 0])
         lo, hi = params.mu[0] - radius, params.mu[0] + radius
 
+    from scipy.integrate import quad
+
     def pdf(x: float) -> float:
         return studentt.density(params, [x])
 
@@ -255,16 +260,12 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
         sign, logdet = np.linalg.slogdet(l)
         return -0.5 * (d * math.log(2.0 * math.pi) - logdet + float(m @ l @ m))
 
-    def f_fn(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.concatenate([x, np.outer(x, x).ravel()])
-
     return ExpFamilyDescriptor(
         k=k,
         s=k,
         q_fn=lambda x: 0.0,
         w_fn=w_fn,
-        f_fn=f_fn,
+        f_fn=moment_statistic,
         z_fn=z_fn,
         support=SupportDescriptor(kind="all-space"),
         w_jacobian=w_jacobian,

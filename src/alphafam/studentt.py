@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     DimensionMismatchError,
@@ -26,6 +25,7 @@ from .core import (
     UnsupportedConfigError,
     b_alpha,
     _log_norm_const_shape,
+    moment_statistic,
     pack_theta,
     unpack_theta,
 )
@@ -127,11 +127,6 @@ class StudentTDecomposition:
         )
 
 
-def _student_t_f(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.concatenate([x, np.outer(x, x).ravel()])
-
-
 def decompose(params: StudentTParams):
     """Decompose the density into its weight blocks and a family descriptor.
 
@@ -196,7 +191,7 @@ def decompose(params: StudentTParams):
         alpha=alpha,
         q_fn=StudentTDecomposition.q,
         w_fn=w_fn,
-        f_fn=_student_t_f,
+        f_fn=moment_statistic,
         z_fn=z_fn,
         support=params.support,
         w_jacobian=w_jacobian,
@@ -222,8 +217,8 @@ def density_power_integral(params: StudentTParams) -> float:
             alpha * params.log_norm_const
             + 0.5 * logdet
             + 0.5 * d * math.log(math.pi / b)
-            + gammaln(beta - 0.5 * d)
-            - gammaln(beta)
+            + math.lgamma(beta - 0.5 * d)
+            - math.lgamma(beta)
         )
     else:
         gamma = alpha / (alpha - 1.0)
@@ -231,8 +226,8 @@ def density_power_integral(params: StudentTParams) -> float:
             alpha * params.log_norm_const
             + 0.5 * logdet
             + 0.5 * d * math.log(math.pi / (-b))
-            + gammaln(gamma + 1.0)
-            - gammaln(gamma + 1.0 + 0.5 * d)
+            + math.lgamma(gamma + 1.0)
+            - math.lgamma(gamma + 1.0 + 0.5 * d)
         )
     return math.exp(log_val)
 

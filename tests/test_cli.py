@@ -1,9 +1,15 @@
+import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import alphafam as af
 from alphafam import cli, compact
@@ -20,7 +26,109 @@ def reference_csv(tmp_path):
     return write(tmp_path, "ref.csv", rows)
 
 
+def per_cell_ingest_csv(path: str) -> af.SampleBatch:
+    """Reference for ``cli.ingest_csv``: the same rules, applied one cell at a time in row order."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = [row for row in csv.reader(handle)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.IngestError(cli.EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
+
+    rows = [[cell.strip() for cell in row] for row in rows]
+    rows = [row for row in rows if any(cell != "" for cell in row)]
+    if not rows:
+        raise cli.IngestError(cli.EXIT_EMPTY, f"{path} contains no data rows")
+
+    def parse_row(row):
+        return [float(cell) for cell in row]
+
+    start = 0
+    try:
+        parse_row(rows[0])
+    except ValueError:
+        start = 1
+    if start == len(rows):
+        raise cli.IngestError(cli.EXIT_EMPTY, f"{path} contains a header but no data rows")
+
+    width = len(rows[start])
+    data = []
+    for idx, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise cli.IngestError(cli.EXIT_RAGGED, f"{path}: row {idx} has {len(row)} cells, expected {width}")
+        try:
+            values = parse_row(row)
+        except ValueError as exc:
+            raise cli.IngestError(cli.EXIT_NON_NUMERIC, f"{path}: row {idx}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise cli.IngestError(cli.EXIT_NON_NUMERIC, f"{path}: row {idx} has a non-finite value")
+        data.append(values)
+    return af.SampleBatch(np.asarray(data, dtype=float))
+
+
+def parse_outcome(parser, path):
+    try:
+        data = parser(path).data
+    except cli.IngestError as exc:
+        return ("error", exc.exit_code, str(exc))
+    return ("ok", data.shape, data.tobytes())
+
+
+_SPACES = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\x0b", "\x1c"])
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "-0", "+.5", "1e308", "1e309", "4.9e-324", "\uff11\uff12", "\u0663.5"]),
+)
+_OTHERS = st.sampled_from(["nan", "-inf", "Infinity", "x", "1,5", "1__0", "_1", "", "1.2.3", "0x10", "\ufeff1"])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    cell = st.tuples(_SPACES, st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _OTHERS), _SPACES).map("".join)
+
+    def render(text):
+        quote = draw(st.booleans()) or "," in text or '"' in text
+        return '"' + text.replace('"', '""') + '"' if quote else text
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(render(h) for h in draw(st.lists(st.sampled_from(["x", "y", " z "]), min_size=1, max_size=3))))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",", " , ", '""'])))
+            continue
+        n_cells = width if kind == "row" else draw(st.integers(1, 4))
+        lines.append(",".join(render(draw(cell)) for _ in range(n_cells)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
 class TestIngest:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_matches_the_per_cell_parser(self, tmp_path, text):
+        path = tmp_path / "gen.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(cli.ingest_csv, str(path)) == parse_outcome(per_cell_ingest_csv, str(path))
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path, capsys):
+        path = write(tmp_path, "bom.csv", "\ufeff1.5\n2.5\n3.5\n")
+        batch = cli.ingest_csv(path)
+        assert batch.n == 3 and batch.scalars().tolist() == [1.5, 2.5, 3.5]
+        assert cli.main(["estimate", "--alpha", "0.5", "--input", path]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 3 and report["mu_hat"] == [2.5]
+        assert cli.ingest_csv(write(tmp_path, "bomh.csv", "\ufeffx,y\n1,2\n")).data.tolist() == [[1.0, 2.0]]
+
+    def test_error_names_the_first_bad_row(self, tmp_path):
+        path = write(tmp_path, "bad.csv", "x\n1\n\n2\n oops \n3\n")
+        with pytest.raises(cli.IngestError) as err:
+            cli.ingest_csv(path)
+        assert err.value.exit_code == cli.EXIT_NON_NUMERIC
+        assert str(err.value) == f"{path}: row 4: could not convert string to float: 'oops'"
+
     def test_one_column_reference_file(self, tmp_path):
         batch = cli.ingest_csv(reference_csv(tmp_path))
         assert batch.n == 10 and batch.dim == 1
@@ -175,6 +283,20 @@ class TestDeterminism:
         assert cli.main(args + ["--output", out2]) == cli.EXIT_OK
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    @pytest.mark.parametrize("digits", [None, "6"])
+    @pytest.mark.parametrize("alpha,mu,sigma", [(0.7, "1,-2", "2,0.6;0.6,1"), (2.0, "0.5", "3")])
+    def test_draws_match_per_value_formatting(self, tmp_path, monkeypatch, digits, alpha, mu, sigma):
+        if digits is not None:
+            monkeypatch.setenv("ALPHAFAM_FLOAT_DIGITS", digits)
+        out = tmp_path / "draws.csv"
+        args = ["simulate", "--alpha", str(alpha), "--mu", mu, "--sigma", sigma, "--n", "300", "--seed", "4"]
+        assert cli.main(args + ["--output", str(out)]) == cli.EXIT_OK
+        params = af.make_student_t(alpha, cli._parse_vector(mu), cli._parse_matrix(sigma))
+        draws = af.sample(params, 300, 4).data
+        n_digits = cli._float_digits()
+        want = "".join(",".join(cli._format_float(v, n_digits) for v in row) + "\n" for row in draws)
+        assert out.read_text(encoding="utf-8") == want
+
     def test_keys_sorted_and_17_digits(self, tmp_path, capsys):
         assert cli.main(["divergence", "--alpha", "2", "--p", "bernoulli:0.3", "--q", "bernoulli:0.5"]) == cli.EXIT_OK
         text = capsys.readouterr().out
@@ -209,3 +331,62 @@ class TestVerifyCommand:
         result = compact.maximize_l2(np.array(compact.REFERENCE_SAMPLE))
         assert abs(result.mu_hat - 8.46) <= 0.01
         assert abs(result.objective_over_n2 - 6.42) <= 0.05
+
+
+class TestScipyOffTheColdPath:
+    """Only quadrature needs scipy, so no other command may import it."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    PROBE = (
+        "import sys\n"
+        "import alphafam.cli as cli\n"
+        "argv = sys.argv[1:]\n"
+        "code = cli.main(argv) if argv else 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.stderr.write('LOADED ' + ' '.join(loaded) + '\\n')\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded_scipy(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env, cwd=str(tmp_path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        line = [ln for ln in proc.stderr.splitlines() if ln.startswith("LOADED")][-1]
+        return line.split()[1:]
+
+    @pytest.mark.parametrize("command", ["import", "estimate", "simulate", "loglik", "compact-fit",
+                                         "verify-paper-example"])
+    def test_command_never_imports_scipy(self, tmp_path, command):
+        data = reference_csv(tmp_path)
+        argv = {
+            "import": [],
+            "estimate": ["estimate", "--alpha", "0.5", "--input", data],
+            "simulate": ["simulate", "--alpha", "0.7", "--mu", "0,1", "--sigma", "1,0;0,1", "--n", "50",
+                         "--output", str(tmp_path / "d.csv")],
+            "loglik": ["loglik", "--alpha", "0.7", "--mu", "7", "--sigma", "2", "--input", data],
+            "compact-fit": ["compact-fit", "--input", data],
+            "verify-paper-example": ["verify-paper-example"],
+        }[command]
+        assert self.loaded_scipy(tmp_path, argv) == []
+
+    def test_divergence_still_integrates_through_a_hookable_quad(self, tmp_path, monkeypatch):
+        from scipy.integrate import quad as scipy_quad
+
+        assert "scipy.integrate" in self.loaded_scipy(
+            tmp_path, ["divergence", "--alpha", "0.999", "--p", "normal:0,1", "--q", "normal:0.5,1"])
+        def bell(x):
+            return math.exp(-x * x)
+
+        assert af.divergence.quad(bell, -math.inf, math.inf) == scipy_quad(bell, -math.inf, math.inf)
+        p, q = af.gaussian(0.0, 1.0), af.gaussian(0.5, 2.0)
+        plain = af.i_alpha(p, q, 1.5)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return scipy_quad(*args, **kwargs)
+
+        monkeypatch.setattr(af.divergence, "quad", counted)
+        assert af.i_alpha(p, q, 1.5) == plain
+        assert len(calls) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,23 @@ class TestSufficientStats:
         _, desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, alpha)
         assert stats.mean_q_pow == 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mean_f_bit_identical_to_per_row_reference(self, d):
+        batch = random_batch(d, 257, 30 + d)
+        _, t_desc = studentt.decompose(af.make_student_t(0.9, np.zeros(d), np.eye(d)))
+        for desc in (t_desc, est.gaussian_exp_family(d)):
+            reference = np.mean([np.atleast_1d(desc.f_fn(row)) for row in batch.data], axis=0)
+            stats = est.sufficient_stats(batch, desc, 0.9)
+            assert stats.mean_f.tobytes() == reference.tobytes()
+
+    def test_per_point_custom_statistic_matches_the_shared_kernel(self):
+        batch = random_batch(2, 100, 5)
+        _, desc = studentt.decompose(af.make_student_t(0.9, np.zeros(2), np.eye(2)))
+        custom = dataclasses.replace(desc, f_fn=lambda x: core.moment_statistic(x))
+        fast = est.sufficient_stats(batch, desc, 0.9)
+        per_point = est.sufficient_stats(batch, custom, 0.9)
+        assert per_point.mean_f.tobytes() == fast.mean_f.tobytes()
 
     def test_second_moment_psd(self):
         batch = random_batch(3, 12, 2)

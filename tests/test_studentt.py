@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 import alphafam as af
 from alphafam import core, studentt
@@ -214,3 +215,54 @@ class TestExpectationIdentity:
         )
         se = y.std(ddof=1) / math.sqrt(y.size)
         assert abs(y.mean() - (1.0 + d * p.b_alpha)) <= 3.0 * se
+
+
+def _gammaln_log_norm_const_shape(alpha, d):
+    """log N without the |Sigma| factor, written with scipy's gammaln."""
+    b = core.b_alpha(alpha, d)
+    if alpha < 1.0:
+        z = 1.0 / (1.0 - alpha)
+        return 0.5 * d * math.log(b) + gammaln(z) - gammaln(z - 0.5 * d) - 0.5 * d * math.log(math.pi)
+    z = alpha / (alpha - 1.0)
+    return 0.5 * d * math.log(-b) + gammaln(z + 0.5 * d) - gammaln(z) - 0.5 * d * math.log(math.pi)
+
+
+def _gammaln_log_power_integral(alpha, d, logdet):
+    b = core.b_alpha(alpha, d)
+    log_n = _gammaln_log_norm_const_shape(alpha, d) - 0.5 * logdet
+    if alpha < 1.0:
+        beta = alpha / (1.0 - alpha)
+        tail = 0.5 * d * math.log(math.pi / b) + gammaln(beta - 0.5 * d) - gammaln(beta)
+    else:
+        gamma = alpha / (alpha - 1.0)
+        tail = 0.5 * d * math.log(math.pi / (-b)) + gammaln(gamma + 1.0) - gammaln(gamma + 1.0 + 0.5 * d)
+    return alpha * log_n + 0.5 * logdet + tail
+
+
+class TestLgammaMatchesGammaln:
+    """math.lgamma replaced scipy.special.gammaln in the normalizer and power integral."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agree_to_1e13_relative(self, d):
+        threshold = d / (d + 2.0)
+        grid = [threshold + 0.01, (threshold + 1.0) / 2.0, 0.9, 0.95, 0.99,
+                1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 50.0]
+        sigma = 1.7 * np.eye(d)
+        logdet = d * math.log(1.7)
+        for alpha in grid:
+            want = _gammaln_log_norm_const_shape(alpha, d) - 0.5 * logdet
+            assert core.log_norm_const(alpha, logdet, d) == pytest.approx(want, rel=1e-13, abs=0.0)
+            p = af.make_student_t(alpha, np.zeros(d), sigma)
+            want_power = math.exp(_gammaln_log_power_integral(alpha, d, logdet))
+            assert studentt.density_power_integral(p) == pytest.approx(want_power, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.995, 0.999, 1.001, 1.005])
+    def test_agree_to_rounding_of_the_gamma_terms_near_one(self, d, alpha):
+        # Gamma arguments grow like 1/|1-alpha|: the two log-Gamma terms
+        # (about 1e4 each at 0.999) cancel, so each implementation's last-ulp
+        # rounding is all that separates them.
+        z = 1.0 / abs(1.0 - alpha)
+        scale = 2.0 * abs(math.lgamma(z + 0.5 * d))
+        got = core.log_norm_const(alpha, 0.0, d)
+        assert abs(got - _gammaln_log_norm_const_shape(alpha, d)) <= 4.0 * np.finfo(float).eps * scale
