@@ -23,7 +23,7 @@ def main(n=5000, seed=0):
     for alpha in (0.7, 0.8, 0.9):
         fit = est.estimate_student_t(batch, alpha)
         params = af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat)
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, alpha)
         pop = est.student_t_population_moments(params)
         theta = af.pack_theta(params.mu, params.sigma_inv)

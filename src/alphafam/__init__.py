@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     AlphaFamilyError,
-    AlphaOrder,
     DegenerateStatisticsError,
     DimensionMismatchError,
     ExpFamilyDescriptor,
@@ -26,6 +25,7 @@ from .core import (
     UndefinedScoreError,
     UnsupportedConfigError,
     b_alpha,
+    check_alpha,
     degrees_of_freedom,
     make_student_t,
     pack_theta,
@@ -34,7 +34,6 @@ from .core import (
     validate_regular,
 )
 from .studentt import (
-    StudentTDecomposition,
     decompose,
     density,
     density_power_integral,

@@ -253,7 +253,7 @@ def _cmd_estimate(config: RunConfig) -> int:
     residual_norm = None
     if not est.singular:
         params = make_student_t(config.alpha, est.mu_hat, est.sigma_hat)
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats = estimators.sufficient_stats(batch, desc, config.alpha)
         pop = estimators.student_t_population_moments(params)
         theta = pack_theta(est.mu_hat, params.sigma_inv)

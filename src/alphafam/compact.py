@@ -106,7 +106,7 @@ def enumerate_segments(batch) -> list:
     """
     xs = _as_scalars(batch)
     r5 = ROOT5
-    breakpoints = np.unique(np.concatenate([xs - r5, xs + r5]))
+    breakpoints = np.sort(np.concatenate([xs - r5, xs + r5]))
     candidates = []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         if hi - lo <= _slack(0.5 * (abs(lo) + abs(hi))):
@@ -116,7 +116,7 @@ def enumerate_segments(batch) -> list:
         if active.size == 0:
             continue
         mean_active = float(xs[active].mean())
-        maximizer = float(np.median([lo, mean_active, hi]))
+        maximizer = float(min(max(mean_active, lo), hi))
         terms = 1.0 - (xs[active] - maximizer) ** 2 / (r5 * r5)
         objective = float(np.clip(terms, 0.0, None).sum())
         candidates.append(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "UndefinedScoreError",
     "DegenerateStatisticsError",
     "NumericalError",
-    "AlphaOrder",
     "SupportDescriptor",
     "StudentTParams",
     "MAlphaDescriptor",
@@ -29,6 +28,7 @@ __all__ = [
     "SufficientStats",
     "RegularityReport",
     "b_alpha",
+    "check_alpha",
     "degrees_of_freedom",
     "log_norm_const",
     "make_student_t",
@@ -62,6 +62,7 @@ ALPHA_NOT_POSITIVE = "alpha_not_positive"
 ALPHA_EQUALS_ONE = "alpha_equals_one"
 ALPHA_BELOW_THRESHOLD = "alpha_below_threshold"
 ALPHA_NOT_BELOW_ONE = "alpha_not_below_one"
+ALPHA_NOT_FINITE = "alpha_not_finite"
 SIGMA_NOT_SYMMETRIC = "sigma_not_symmetric"
 SIGMA_NOT_POSITIVE_DEFINITE = "sigma_not_positive_definite"
 
@@ -90,33 +91,32 @@ class NumericalError(AlphaFamilyError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass(frozen=True)
-class AlphaOrder:
-    """Order of the divergence / power-law family together with the dimension.
+def check_alpha(alpha: float, dim: Optional[int] = None) -> None:
+    """Validate an order alpha: finite, not 1, and above its lower bound.
 
-    Attributes
-    ----------
-    alpha : float
-        Order parameter; must be positive and different from 1.
-    dim : int
-        Dimension d of the sample space.
+    The lower bound is 0 for a divergence order, and d/(d+2), the end of the
+    Student-t family's valid range, when the dimension ``dim`` is given.
+
+    Raises
+    ------
+    ParameterError
+        With code ``alpha_not_finite``, ``alpha_equals_one``, and
+        ``alpha_not_positive`` (no ``dim``) or ``alpha_below_threshold``.
     """
-
-    alpha: float
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatchError(f"dim must be >= 1, got {self.dim}")
-        if not (self.alpha > 0.0):
-            raise ParameterError(ALPHA_NOT_POSITIVE, f"alpha must be > 0, got {self.alpha}")
-        if self.alpha == 1.0:
-            raise ParameterError(ALPHA_EQUALS_ONE, "alpha = 1 is excluded")
-
-    @property
-    def student_t_threshold(self) -> float:
-        """Lower bound d/(d+2) of the valid alpha range for the Student-t family."""
-        return self.dim / (self.dim + 2.0)
+    if not math.isfinite(alpha):
+        raise ParameterError(ALPHA_NOT_FINITE, f"alpha must be finite, got {alpha}")
+    if alpha == 1.0:
+        raise ParameterError(ALPHA_EQUALS_ONE, "alpha = 1 is excluded")
+    if dim is None:
+        if not alpha > 0.0:
+            raise ParameterError(ALPHA_NOT_POSITIVE, f"alpha must be > 0, got {alpha}")
+        return
+    threshold = dim / (dim + 2.0)
+    if alpha <= threshold:
+        raise ParameterError(
+            ALPHA_BELOW_THRESHOLD,
+            f"alpha must exceed d/(d+2) = {threshold} for d = {dim}, got {alpha}",
+        )
 
 
 def b_alpha(alpha: float, dim: int) -> float:
@@ -193,8 +193,8 @@ class StudentTParams:
 
     Attributes
     ----------
-    order : AlphaOrder
-        Family order and dimension.
+    alpha : float
+        Family order.
     mu : np.ndarray
         Location vector, shape ``(d,)``.
     sigma : np.ndarray
@@ -213,7 +213,7 @@ class StudentTParams:
         All-space for alpha < 1, bounded ellipsoid for alpha > 1.
     """
 
-    order: AlphaOrder
+    alpha: float
     mu: np.ndarray
     sigma: np.ndarray
     b_alpha: float
@@ -225,11 +225,20 @@ class StudentTParams:
 
     @property
     def dim(self) -> int:
-        return self.order.dim
+        return self.mu.shape[0]
 
     @property
-    def alpha(self) -> float:
-        return self.order.alpha
+    def support_interval(self) -> tuple:
+        """The d = 1 support as ``(lo, hi)``.
+
+        The real line for alpha < 1, mu +- sqrt(radius_sq * sigma) for alpha > 1.
+        """
+        if self.dim != 1:
+            raise DimensionMismatchError("a support interval requires d = 1")
+        if self.alpha < 1.0:
+            return (-math.inf, math.inf)
+        radius = math.sqrt(self.support.radius_sq * self.sigma[0, 0])
+        return (self.mu[0] - radius, self.mu[0] + radius)
 
 
 def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
@@ -248,8 +257,8 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     Raises
     ------
     ParameterError
-        With distinct codes for alpha <= d/(d+2), alpha = 1, non-symmetric
-        sigma, and non-positive-definite sigma.
+        With distinct codes for non-finite alpha, alpha <= d/(d+2),
+        alpha = 1, non-symmetric sigma, and non-positive-definite sigma.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.ndim != 1:
@@ -259,14 +268,7 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     if sigma.shape != (d, d):
         raise DimensionMismatchError(f"sigma must be {d}x{d}, got {sigma.shape}")
 
-    if alpha == 1.0:
-        raise ParameterError(ALPHA_EQUALS_ONE, "alpha = 1 is excluded")
-    threshold = d / (d + 2.0)
-    if alpha <= threshold:
-        raise ParameterError(
-            ALPHA_BELOW_THRESHOLD,
-            f"alpha must exceed d/(d+2) = {threshold} for d = {d}, got {alpha}",
-        )
+    check_alpha(alpha, d)
 
     scale = np.linalg.norm(sigma)
     if np.linalg.norm(sigma - sigma.T) > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -276,7 +278,6 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     if eigvals[-1] <= 0.0 or eigvals[0] <= EIGENVALUE_RTOL * eigvals[-1]:
         raise ParameterError(SIGMA_NOT_POSITIVE_DEFINITE, "sigma is not positive definite")
 
-    order = AlphaOrder(alpha, d)
     b = b_alpha(alpha, d)
     nu = degrees_of_freedom(alpha, d)
     sign, logdet = np.linalg.slogdet(sigma)
@@ -292,7 +293,7 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
         )
 
     return StudentTParams(
-        order=order,
+        alpha=alpha,
         mu=mu,
         sigma=sigma,
         b_alpha=b,
@@ -317,6 +318,10 @@ class MAlphaDescriptor:
 
     ``w_jacobian(theta)`` returns the s x k matrix of partial derivatives
     dw_i/dtheta_r; ``w0_grad(theta)`` the length-k gradient of the offset.
+
+    ``f_fn`` and ``q_fn`` take one point, shape ``(d,)``, or a batch, shape
+    ``(n, d)``.  ``f_fn`` returns shape ``(s,)`` or ``(n, s)``; ``q_fn``
+    returns a scalar or shape ``(n,)``, and a scalar stands for every row.
     """
 
     k: int
@@ -337,7 +342,8 @@ class ExpFamilyDescriptor:
     """Record of a k-parameter exponential family.
 
     Realizes the density exp[q(x) + Z(theta) + w(theta)^T f(x)] on the
-    support, with the same Jacobian convention as MAlphaDescriptor.
+    support, with the same Jacobian convention and the same point-or-batch
+    contract for ``f_fn`` and ``q_fn`` as MAlphaDescriptor.
     """
 
     k: int
@@ -444,7 +450,7 @@ class RegularityReport:
     determinants: tuple = ()
 
 
-def validate_regular(desc, probe_thetas: Sequence[np.ndarray], tol: float = 1e-10) -> RegularityReport:
+def validate_regular(desc, probe_thetas: Iterable[np.ndarray], tol: float = 1e-10) -> RegularityReport:
     """Check that the weight Jacobian is nonsingular at every probe theta.
 
     Nonsingularity is judged by the smallest singular value exceeding
@@ -459,10 +465,11 @@ def validate_regular(desc, probe_thetas: Sequence[np.ndarray], tol: float = 1e-1
     """
     if desc.s != desc.k:
         raise DimensionMismatchError(f"regularity requires s = k, got s={desc.s}, k={desc.k}")
+    thetas = [np.asarray(theta, dtype=float) for theta in probe_thetas]
     failures = []
     dets = []
-    for theta in probe_thetas:
-        jac = np.asarray(desc.w_jacobian(np.asarray(theta, dtype=float)), dtype=float)
+    for theta in thetas:
+        jac = np.asarray(desc.w_jacobian(theta), dtype=float)
         if jac.shape != (desc.s, desc.k):
             raise DimensionMismatchError(
                 f"w_jacobian must be {desc.s}x{desc.k}, got {jac.shape}"
@@ -471,10 +478,10 @@ def validate_regular(desc, probe_thetas: Sequence[np.ndarray], tol: float = 1e-1
         dets.append(float(sign * np.exp(logabsdet)) if np.isfinite(logabsdet) else 0.0)
         svals = np.linalg.svd(jac, compute_uv=False)
         if not np.all(np.isfinite(jac)) or svals[-1] <= tol * max(1.0, svals[0]):
-            failures.append((np.asarray(theta, dtype=float), float(svals[-1])))
+            failures.append((theta, float(svals[-1])))
     return RegularityReport(
         regular=not failures,
-        probes=len(list(probe_thetas)),
+        probes=len(thetas),
         failures=tuple(failures),
         determinants=tuple(dets),
     )

@@ -17,14 +17,13 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import (
-    ALPHA_EQUALS_ONE,
-    ALPHA_NOT_POSITIVE,
     AlphaFamilyError,
     DimensionMismatchError,
     NumericalError,
     ParameterError,
     SampleBatch,
     StudentTParams,
+    check_alpha,
 )
 from . import studentt
 
@@ -107,14 +106,9 @@ def bernoulli(p: float) -> DiscreteDistribution:
 
 def student_t_1d(params: StudentTParams) -> ContinuousDistribution1D:
     """Handle wrapping a d = 1 Student-t density with its exact support."""
-    if params.dim != 1:
-        raise DimensionMismatchError("handle requires d = 1")
-    if params.alpha < 1.0:
-        support = (-math.inf, math.inf)
-    else:
-        radius = math.sqrt(params.support.radius_sq * params.sigma[0, 0])
-        support = (params.mu[0] - radius, params.mu[0] + radius)
-    return ContinuousDistribution1D(pdf=lambda x: studentt.density(params, [x]), support=support)
+    return ContinuousDistribution1D(
+        pdf=lambda x: studentt.density(params, [x]), support=params.support_interval
+    )
 
 
 def quad(func, a, b, **kwargs):
@@ -143,13 +137,6 @@ def _quad(fn, lo, hi, epsabs: float, epsrel: float) -> float:
     return value
 
 
-def _check_alpha(alpha: float):
-    if not alpha > 0.0:
-        raise ParameterError(ALPHA_NOT_POSITIVE, f"alpha must be > 0, got {alpha}")
-    if alpha == 1.0:
-        raise ParameterError(ALPHA_EQUALS_ONE, "alpha = 1 is excluded; use kl()")
-
-
 def _discrete_integrals(p: np.ndarray, q: np.ndarray, alpha: float):
     p_mass = p > 0.0
     if alpha < 1.0 and np.any(q[p_mass] == 0.0):
@@ -173,7 +160,7 @@ def i_alpha(
     +inf when the cross term degenerates (reported distinctly from
     quadrature failure, which raises NumericalError).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
         if p.probs.shape != q.probs.shape:
             raise DimensionMismatchError("handles must share one atom set")
@@ -278,7 +265,7 @@ def generalized_log_likelihood(
     alpha < 1 (infinite weight) and for alpha > 1 with every point
     off-support (empty overlap).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if isinstance(model, StudentTParams):
         if batch.dim != model.dim:
             raise DimensionMismatchError("batch dimension must match the model")

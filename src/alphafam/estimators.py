@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ALPHA_BELOW_THRESHOLD,
     ALPHA_NOT_BELOW_ONE,
     DegenerateStatisticsError,
     DimensionMismatchError,
@@ -27,7 +26,9 @@ from .core import (
     StudentTParams,
     SufficientStats,
     SupportDescriptor,
+    check_alpha,
     moment_statistic,
+    unpack_theta,
 )
 from . import studentt
 
@@ -74,21 +75,18 @@ def _report(residuals: np.ndarray, equation: str) -> ResidualReport:
 
 
 def sufficient_stats(batch: SampleBatch, desc, alpha: float) -> SufficientStats:
-    """Arithmetic means X-bar, XX^T-bar, f-bar, and q^(alpha-1)-bar."""
+    """Arithmetic means X-bar, XX^T-bar, f-bar, and q^(alpha-1)-bar.
+
+    ``desc.f_fn`` and ``desc.q_fn`` are each called once, on the whole batch.
+    """
     data = batch.data
     mean_x = data.mean(axis=0)
     mean_xxT = np.einsum("ni,nj->ij", data, data) / batch.n
     mean_xxT = 0.5 * (mean_xxT + mean_xxT.T)
-    if desc.f_fn is moment_statistic:
-        mean_f = moment_statistic(data).mean(axis=0)
-    else:
-        mean_f = np.mean([np.atleast_1d(desc.f_fn(row)) for row in data], axis=0)
-    q_vals = np.array([desc.q_fn(row) for row in data], dtype=float)
+    mean_f = np.asarray(desc.f_fn(data), dtype=float).mean(axis=0)
     with np.errstate(divide="ignore"):
-        mean_q_pow = float(np.mean(q_vals ** (alpha - 1.0)))
-    return SufficientStats(
-        mean_x=mean_x, mean_xxT=mean_xxT, mean_f=np.asarray(mean_f, dtype=float), mean_q_pow=mean_q_pow
-    )
+        mean_q_pow = float(np.mean(np.asarray(desc.q_fn(data), dtype=float) ** (alpha - 1.0)))
+    return SufficientStats(mean_x=mean_x, mean_xxT=mean_xxT, mean_f=mean_f, mean_q_pow=mean_q_pow)
 
 
 def residual_regular_malpha(desc, theta, stats: SufficientStats, pop: PopulationMoments) -> ResidualReport:
@@ -172,14 +170,9 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
     The covariance divisor is 1/n.
     """
     d = batch.dim
-    threshold = d / (d + 2.0)
     if alpha >= 1.0:
         raise ParameterError(ALPHA_NOT_BELOW_ONE, f"estimator requires alpha < 1, got {alpha}")
-    if alpha <= threshold:
-        raise ParameterError(
-            ALPHA_BELOW_THRESHOLD,
-            f"alpha must exceed d/(d+2) = {threshold} for d = {d}, got {alpha}",
-        )
+    check_alpha(alpha, d)
     mu_hat = batch.data.mean(axis=0)
     centered = batch.data - mu_hat
     sigma_hat = (centered.T @ centered) / batch.n
@@ -194,25 +187,15 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
 
 
 def student_t_population_moments(params: StudentTParams) -> PopulationMoments:
-    """Analytic E[f] for f = (x, Vec(xx^T)): E[X] = mu, E[XX^T] = Sigma + mu mu^T."""
-    second = params.sigma + np.outer(params.mu, params.mu)
-    return PopulationMoments(
-        mean_f=np.concatenate([params.mu, second.ravel()]), mean_q_pow=1.0
-    )
+    """Analytic E[f] for f = (x, Vec(xx^T)): the Gaussian's, since Sigma is the covariance."""
+    return gaussian_population_moments(params.mu, params.sigma)
 
 
 def student_t_population_moments_quadrature(
     params: StudentTParams, epsabs: float = 1e-10, epsrel: float = 1e-8
 ) -> PopulationMoments:
     """Quadrature cross-check of the analytic moments (d = 1 only)."""
-    if params.dim != 1:
-        raise DimensionMismatchError("quadrature moments are implemented for d = 1 only")
-    if params.alpha < 1.0:
-        lo, hi = -np.inf, np.inf
-    else:
-        radius = math.sqrt(params.support.radius_sq * params.sigma[0, 0])
-        lo, hi = params.mu[0] - radius, params.mu[0] + radius
-
+    lo, hi = params.support_interval
     from scipy.integrate import quad
 
     def pdf(x: float) -> float:
@@ -237,14 +220,10 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
     k = d + d * d
 
     def w_fn(theta: np.ndarray) -> np.ndarray:
-        from .core import unpack_theta
-
         m, l = unpack_theta(theta, d)
         return np.concatenate([l @ m, -0.5 * l.ravel()])
 
     def w_jacobian(theta: np.ndarray) -> np.ndarray:
-        from .core import unpack_theta
-
         m, l = unpack_theta(theta, d)
         jac = np.zeros((k, k))
         jac[:d, :d] = l
@@ -254,8 +233,6 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
         return jac
 
     def z_fn(theta: np.ndarray) -> float:
-        from .core import unpack_theta
-
         m, l = unpack_theta(theta, d)
         sign, logdet = np.linalg.slogdet(l)
         return -0.5 * (d * math.log(2.0 * math.pi) - logdet + float(m @ l @ m))

@@ -12,7 +12,6 @@ Sigma*(nu-2)/nu; for alpha > 1 the support is a bounded ellipsoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +25,10 @@ from .core import (
     b_alpha,
     _log_norm_const_shape,
     moment_statistic,
-    pack_theta,
     unpack_theta,
 )
 
 __all__ = [
-    "StudentTDecomposition",
     "density",
     "log_density",
     "decompose",
@@ -50,110 +47,54 @@ def _check_point(params: StudentTParams, x) -> np.ndarray:
     return x
 
 
-def _bracket(params: StudentTParams, x: np.ndarray) -> float:
-    r = x - params.mu
-    return 1.0 + params.b_alpha * float(r @ params.sigma_inv @ r)
+def _brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
+    """Residuals r = x - mu and brackets 1 + b r^T lam r for the rows of ``points``."""
+    r = np.atleast_2d(np.asarray(points, dtype=float)) - mu
+    return r, 1.0 + b * np.einsum("ni,ij,nj->n", r, lam, r)
 
 
 def density(params: StudentTParams, x) -> float:
     """Density at a single point; exactly 0 outside an alpha > 1 support."""
-    x = _check_point(params, x)
-    bracket = _bracket(params, x)
+    return float(density_batch(params, _check_point(params, x))[0])
+
+
+def _log_density(x: np.ndarray, mu, lam, b: float, alpha: float, log_n: float) -> float:
+    """log N + log(bracket)/(alpha - 1) at one point; -inf off the support."""
+    bracket = _brackets(x, mu, lam, b)[1][0]
     if bracket <= 0.0:
-        return 0.0
-    return params.norm_const * bracket ** (1.0 / (params.alpha - 1.0))
+        return -math.inf
+    return log_n + math.log(bracket) / (alpha - 1.0)
 
 
 def log_density(params: StudentTParams, x) -> float:
     """log density at a single point; -inf outside the support."""
     x = _check_point(params, x)
-    bracket = _bracket(params, x)
-    if bracket <= 0.0:
-        return -math.inf
-    return params.log_norm_const + math.log(bracket) / (params.alpha - 1.0)
+    return _log_density(x, params.mu, params.sigma_inv, params.b_alpha, params.alpha, params.log_norm_const)
 
 
 def density_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
     """Vectorized density over rows of an (n, d) array."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = pts - params.mu
-    quad = np.einsum("ni,ij,nj->n", r, params.sigma_inv, r)
-    bracket = np.maximum(1.0 + params.b_alpha * quad, 0.0)
-    out = np.zeros(len(pts))
+    _, bracket = _brackets(points, params.mu, params.sigma_inv, params.b_alpha)
+    out = np.zeros(len(bracket))
     pos = bracket > 0.0
     out[pos] = params.norm_const * bracket[pos] ** (1.0 / (params.alpha - 1.0))
     return out
 
 
-@dataclass(frozen=True)
-class StudentTDecomposition:
-    """Weight blocks of the Student-t written as a power-law family.
+def decompose(params: StudentTParams) -> MAlphaDescriptor:
+    """The density as a power-law family descriptor.
 
-    w1 = b_alpha mu^T Sigma^{-1} mu pairs with the constant statistic
-    f1(x) = 1; w2 = -2 b_alpha Sigma^{-1} mu with f2(x) = x; and
-    w3 = b_alpha Vec(Sigma^{-1}) with f3(x) = Vec(x x^T).  q is
-    identically 1.
-    """
-
-    w1: float
-    w2: np.ndarray
-    w3: np.ndarray
-    b_alpha: float
-
-    @staticmethod
-    def q(x) -> float:
-        return 1.0
-
-    @staticmethod
-    def f1(x) -> float:
-        return 1.0
-
-    @staticmethod
-    def f2(x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(x, dtype=float))
-
-    @staticmethod
-    def f3(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.outer(x, x).ravel()
-
-    def bracket(self, x) -> float:
-        """1 + w1 + w2^T f2(x) + w3^T f3(x); feeds the 1/(alpha-1) power."""
-        return (
-            1.0
-            + self.w1
-            + float(self.w2 @ self.f2(x))
-            + float(self.w3 @ self.f3(x))
-        )
-
-
-def decompose(params: StudentTParams):
-    """Decompose the density into its weight blocks and a family descriptor.
-
-    Returns
-    -------
-    (StudentTDecomposition, MAlphaDescriptor)
-        The raw weight blocks, and a descriptor over the canonical packing
-        theta = (mu, Vec(Sigma^{-1})) with s = k = d^2 + d statistics
-        f = (x, Vec(x x^T)).  The constant block w1 rides along as the
-        descriptor's offset so the reconstruction matches the density
-        exactly; its Jacobian treats the d^2 entries of Sigma^{-1} as free
-        coordinates, which keeps the square Jacobian nonsingular at every
-        valid theta.
+    With q = 1, the bracket 1 + b (x-mu)^T Sigma^{-1} (x-mu) splits into the
+    offset w0 = b mu^T Sigma^{-1} mu and the weights w = (-2 b Sigma^{-1} mu,
+    b Vec(Sigma^{-1})) of the s = k = d^2 + d statistics f = (x, Vec(x x^T)),
+    over the canonical packing theta = (mu, Vec(Sigma^{-1})).  The
+    reconstruction therefore matches the density exactly.  The Jacobian
+    treats the d^2 entries of Sigma^{-1} as free coordinates, which keeps the
+    square Jacobian nonsingular at every valid theta.
     """
     d = params.dim
     alpha = params.alpha
     b = params.b_alpha
-    lam = params.sigma_inv
-    mu = params.mu
-
-    dec = StudentTDecomposition(
-        w1=b * float(mu @ lam @ mu),
-        w2=-2.0 * b * (lam @ mu),
-        w3=b * lam.ravel(),
-        b_alpha=b,
-    )
-
     k = d + d * d
     shape_log_n = _log_norm_const_shape(alpha, d)
 
@@ -185,11 +126,11 @@ def decompose(params: StudentTParams):
             raise ValueError("Sigma^{-1} block must have positive determinant")
         return math.exp(-(shape_log_n + 0.5 * logdet))
 
-    desc = MAlphaDescriptor(
+    return MAlphaDescriptor(
         k=k,
         s=k,
         alpha=alpha,
-        q_fn=StudentTDecomposition.q,
+        q_fn=lambda x: 1.0,
         w_fn=w_fn,
         f_fn=moment_statistic,
         z_fn=z_fn,
@@ -198,7 +139,6 @@ def decompose(params: StudentTParams):
         w0_fn=w0_fn,
         w0_grad=w0_grad,
     )
-    return dec, desc
 
 
 def density_power_integral(params: StudentTParams) -> float:
@@ -265,13 +205,13 @@ def sample(params: StudentTParams, n: int, seed: int) -> SampleBatch:
             "sampling for alpha > 1 is implemented only for d = 1"
         )
     mu = params.mu[0]
-    radius = math.sqrt(params.support.radius_sq * params.sigma[0, 0])
+    lo, hi = params.support_interval
     exponent = 1.0 / (params.alpha - 1.0)
     inv_var = params.sigma_inv[0, 0]
     accepted = np.empty(0)
     while accepted.size < n:
         m = max(2 * (n - accepted.size), 64)
-        x = rng.uniform(mu - radius, mu + radius, size=m)
+        x = rng.uniform(lo, hi, size=m)
         u = rng.uniform(size=m)
         bracket = 1.0 + params.b_alpha * (x - mu) ** 2 * inv_var
         ratio = np.where(bracket > 0.0, np.maximum(bracket, 0.0) ** exponent, 0.0)
@@ -287,24 +227,16 @@ def score(params: StudentTParams, x) -> np.ndarray:
     UndefinedScoreError
         If x lies on or outside the support boundary (density 0).
     """
-    x = _check_point(params, x)
-    bracket = _bracket(params, x)
-    if bracket <= 0.0:
+    row = score_batch(params, _check_point(params, x))[0]
+    if np.isnan(row).any():
         raise UndefinedScoreError("score is undefined on or outside the support boundary")
-    r = x - params.mu
-    c = params.b_alpha / ((params.alpha - 1.0) * bracket)
-    g_mu = -2.0 * c * (params.sigma_inv @ r)
-    g_lam = 0.5 * params.sigma + c * np.outer(r, r)
-    return np.concatenate([g_mu, g_lam.ravel()])
+    return row
 
 
 def score_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
     """Scores for all rows of an (n, d) array; rows off support get NaN."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
-    r = pts - params.mu
-    quad = np.einsum("ni,ij,nj->n", r, params.sigma_inv, r)
-    bracket = 1.0 + params.b_alpha * quad
+    r, bracket = _brackets(points, params.mu, params.sigma_inv, params.b_alpha)
+    n, d = r.shape
     out = np.full((n, d + d * d), np.nan)
     ok = bracket > 0.0
     c = params.b_alpha / ((params.alpha - 1.0) * bracket[ok])
@@ -320,21 +252,11 @@ def log_density_given_theta(theta: np.ndarray, alpha: float, x) -> float:
     Treats all d + d^2 entries of theta as free coordinates (the
     Sigma^{-1} block need not be symmetric), which is what central finite
     differences of the score require.  No domain validation beyond a
-    positive determinant.
+    positive determinant: NaN when it fails, unless x is off the support.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
     mu, lam = unpack_theta(np.asarray(theta, dtype=float), d)
-    b = b_alpha(alpha, d)
-    r = x - mu
-    bracket = 1.0 + b * float(r @ lam @ r)
-    if bracket <= 0.0:
-        return -math.inf
     sign, logdet = np.linalg.slogdet(lam)
-    if sign <= 0:
-        return math.nan
-    return (
-        _log_norm_const_shape(alpha, d)
-        + 0.5 * logdet
-        + math.log(bracket) / (alpha - 1.0)
-    )
+    log_n = _log_norm_const_shape(alpha, d) + 0.5 * logdet if sign > 0 else math.nan
+    return _log_density(x, mu, lam, b_alpha(alpha, d), alpha, log_n)

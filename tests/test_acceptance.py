@@ -100,7 +100,7 @@ def test_criterion_4_plugin_residual():
         fit = est.estimate_student_t(batch, alpha)
         assert not fit.singular
         params = af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat)
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats_b = est.sufficient_stats(batch, desc, alpha)
         pop = est.student_t_population_moments(params)
         theta = af.pack_theta(params.mu, params.sigma_inv)

@@ -258,6 +258,20 @@ class TestCommands:
         se = math.sqrt(report["sigma_hat"][0][0] / report["n"])
         assert abs(report["mu_hat"][0] - 0.0) <= 3.0 * se
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--alpha", "nan", "--input", "CONST"],
+        ["loglik", "--alpha", "inf", "--mu", "0", "--sigma", "1", "--input", "CONST"],
+        ["divergence", "--alpha", "inf", "--p", "normal:0,1", "--q", "normal:0,2"],
+        ["simulate", "--alpha", "inf", "--mu", "0", "--sigma", "1", "--n", "3"],
+    ], ids=["estimate-nan", "loglik-inf", "divergence-inf", "simulate-inf"])
+    def test_non_finite_alpha_is_invalid_config(self, tmp_path, capsys, argv):
+        data = write(tmp_path, "c.csv", "2.0\n2.0\n2.0\n")
+        code = cli.main([data if arg == "CONST" else arg for arg in argv])
+        assert code == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha must be finite" in captured.err
+
     def test_simulate_validates_n(self):
         assert cli.main(["simulate", "--alpha", "0.5", "--mu", "0", "--sigma", "1"]) == cli.EXIT_INVALID_CONFIG
 
@@ -334,7 +348,11 @@ class TestVerifyCommand:
 
 
 class TestScipyOffTheColdPath:
-    """Only quadrature needs scipy, so no other command may import it."""
+    """Only quadrature needs scipy, so no other command may import it.
+
+    Nor may any command import ``numpy.ma``, which numpy loads lazily from
+    helpers such as ``np.median`` and ``np.unique``.
+    """
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     PROBE = (
@@ -342,12 +360,13 @@ class TestScipyOffTheColdPath:
         "import alphafam.cli as cli\n"
         "argv = sys.argv[1:]\n"
         "code = cli.main(argv) if argv else 0\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "roots = ('scipy', 'numpy.ma')\n"
+        "loaded = sorted(m for m in sys.modules if any(m == r or m.startswith(r + '.') for r in roots))\n"
         "sys.stderr.write('LOADED ' + ' '.join(loaded) + '\\n')\n"
         "sys.exit(code)\n"
     )
 
-    def loaded_scipy(self, tmp_path, argv):
+    def loaded_modules(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=self.SRC)
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env, cwd=str(tmp_path),
                               capture_output=True, text=True, timeout=120)
@@ -368,12 +387,12 @@ class TestScipyOffTheColdPath:
             "compact-fit": ["compact-fit", "--input", data],
             "verify-paper-example": ["verify-paper-example"],
         }[command]
-        assert self.loaded_scipy(tmp_path, argv) == []
+        assert self.loaded_modules(tmp_path, argv) == []
 
     def test_divergence_still_integrates_through_a_hookable_quad(self, tmp_path, monkeypatch):
         from scipy.integrate import quad as scipy_quad
 
-        assert "scipy.integrate" in self.loaded_scipy(
+        assert "scipy.integrate" in self.loaded_modules(
             tmp_path, ["divergence", "--alpha", "0.999", "--p", "normal:0,1", "--q", "normal:0.5,1"])
         def bell(x):
             return math.exp(-x * x)

@@ -19,6 +19,13 @@ class TestMakeStudentT:
         assert p.support.radius_sq == pytest.approx(5.0, rel=1e-14)
         assert p.support.contains([math.sqrt(5.0) - 1e-9])
         assert not p.support.contains([math.sqrt(5.0) + 1e-9])
+        assert p.support_interval == pytest.approx((-math.sqrt(5.0), math.sqrt(5.0)), rel=1e-15)
+        shifted = af.make_student_t(3.0, [0.4], [[1.3]])
+        r = math.sqrt(shifted.support.radius_sq * 1.3)
+        assert shifted.support_interval == pytest.approx((0.4 - r, 0.4 + r), rel=1e-15)
+        assert af.make_student_t(0.5, [0.4], [[1.3]]).support_interval == (-math.inf, math.inf)
+        with pytest.raises(core.DimensionMismatchError):
+            af.make_student_t(2.0, [0.0, 0.0], np.eye(2)).support_interval
 
     def test_alpha_half_d1_matches_t3(self):
         p = af.make_student_t(0.5, [0.0], [[1.0]])
@@ -48,6 +55,15 @@ class TestMakeStudentT:
             af.make_student_t(0.5, [0.0, 0.0], np.eye(2))
         assert err.value.code == core.ALPHA_BELOW_THRESHOLD
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(core.ParameterError) as err:
+            af.make_student_t(alpha, [0.0], [[1.0]])
+        assert err.value.code == core.ALPHA_NOT_FINITE
+        with pytest.raises(core.ParameterError) as err:
+            core.check_alpha(alpha)
+        assert err.value.code == core.ALPHA_NOT_FINITE
+
     def test_rejects_alpha_one(self):
         with pytest.raises(core.ParameterError) as err:
             af.make_student_t(1.0, [0.0], [[1.0]])
@@ -67,12 +83,13 @@ class TestMakeStudentT:
 
     def test_error_codes_are_distinct(self):
         codes = {
+            core.ALPHA_NOT_FINITE,
             core.ALPHA_BELOW_THRESHOLD,
             core.ALPHA_EQUALS_ONE,
             core.SIGMA_NOT_SYMMETRIC,
             core.SIGMA_NOT_POSITIVE_DEFINITE,
         }
-        assert len(codes) == 4
+        assert len(codes) == 5
 
     def test_tolerates_serialization_noise(self):
         sig = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -127,7 +144,7 @@ class TestValidateRegular:
         rng = np.random.default_rng(d)
         a_mat = rng.normal(size=(d, d))
         p = af.make_student_t(alpha, rng.normal(size=d), a_mat @ a_mat.T + d * np.eye(d))
-        _, desc = studentt.decompose(p)
+        desc = studentt.decompose(p)
         return p, desc
 
     @pytest.mark.parametrize("d,alpha", [(1, 0.5), (2, 0.8), (3, 0.9), (1, 2.0)])
@@ -141,10 +158,11 @@ class TestValidateRegular:
             a_mat = rng.normal(size=(d, d))
             lam = np.linalg.inv(a_mat @ a_mat.T + d * np.eye(d))
             thetas.append(af.pack_theta(m, lam))
-        report = af.validate_regular(desc, thetas)
-        assert report.regular
-        assert report.probes == len(thetas)
-        assert not report.failures
+        for probes in (thetas, (theta for theta in thetas)):
+            report = af.validate_regular(desc, probes)
+            assert report.regular
+            assert report.probes == len(thetas)
+            assert not report.failures
 
     def test_dependent_weights_fail(self):
         desc = core.MAlphaDescriptor(

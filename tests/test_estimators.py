@@ -22,7 +22,7 @@ def random_batch(d, n, seed):
 def student_t_setup(batch, alpha):
     fit = est.estimate_student_t(batch, alpha)
     params = af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat)
-    _, desc = studentt.decompose(params)
+    desc = studentt.decompose(params)
     stats = est.sufficient_stats(batch, desc, alpha)
     theta = af.pack_theta(params.mu, params.sigma_inv)
     return fit, params, desc, stats, theta
@@ -32,7 +32,7 @@ class TestSufficientStats:
     def test_reference_sample_mean(self):
         batch = af.SampleBatch(REFERENCE_SAMPLE)
         params = af.make_student_t(0.7, [7.0], [[1.0]])
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, 0.7)
         assert stats.mean_x[0] == pytest.approx(7.45, abs=1e-14)
         assert stats.mean_f[0] == pytest.approx(7.45, abs=1e-14)
@@ -40,7 +40,7 @@ class TestSufficientStats:
     def test_constant_batch(self):
         batch = af.SampleBatch(np.full((5, 2), 3.0))
         params = af.make_student_t(0.8, [0.0, 0.0], np.eye(2))
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, 0.8)
         assert np.allclose(stats.mean_x, [3.0, 3.0])
         assert np.allclose(stats.mean_xxT, 9.0 * np.ones((2, 2)))
@@ -49,31 +49,41 @@ class TestSufficientStats:
     def test_unit_q_gives_unit_power_mean(self, alpha):
         batch = random_batch(1, 8, 1)
         params = af.make_student_t(alpha, [0.0], [[1.0]])
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, alpha)
         assert stats.mean_q_pow == 1.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mean_f_bit_identical_to_per_row_reference(self, d):
         batch = random_batch(d, 257, 30 + d)
-        _, t_desc = studentt.decompose(af.make_student_t(0.9, np.zeros(d), np.eye(d)))
+        t_desc = studentt.decompose(af.make_student_t(0.9, np.zeros(d), np.eye(d)))
         for desc in (t_desc, est.gaussian_exp_family(d)):
             reference = np.mean([np.atleast_1d(desc.f_fn(row)) for row in batch.data], axis=0)
             stats = est.sufficient_stats(batch, desc, 0.9)
             assert stats.mean_f.tobytes() == reference.tobytes()
 
-    def test_per_point_custom_statistic_matches_the_shared_kernel(self):
+    def test_custom_descriptor_is_called_once_on_the_batch(self):
         batch = random_batch(2, 100, 5)
-        _, desc = studentt.decompose(af.make_student_t(0.9, np.zeros(2), np.eye(2)))
-        custom = dataclasses.replace(desc, f_fn=lambda x: core.moment_statistic(x))
+        desc = studentt.decompose(af.make_student_t(0.9, np.zeros(2), np.eye(2)))
+        calls = []
+
+        def counted(fn):
+            def wrapper(x):
+                calls.append(np.shape(x))
+                return fn(x)
+            return wrapper
+
+        custom = dataclasses.replace(desc, f_fn=counted(core.moment_statistic), q_fn=counted(desc.q_fn))
         fast = est.sufficient_stats(batch, desc, 0.9)
-        per_point = est.sufficient_stats(batch, custom, 0.9)
-        assert per_point.mean_f.tobytes() == fast.mean_f.tobytes()
+        once = est.sufficient_stats(batch, custom, 0.9)
+        assert calls == [(100, 2), (100, 2)]
+        assert once.mean_f.tobytes() == fast.mean_f.tobytes()
+        assert once.mean_q_pow == fast.mean_q_pow == 1.0
 
     def test_second_moment_psd(self):
         batch = random_batch(3, 12, 2)
         params = af.make_student_t(0.9, np.zeros(3), np.eye(3))
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, 0.9)
         centered = stats.mean_xxT - np.outer(stats.mean_x, stats.mean_x)
         assert np.all(np.linalg.eigvalsh(centered) > -1e-12)
@@ -163,7 +173,7 @@ class TestResidualsAtClosedForm:
 
     def test_population_stats_as_sample_stats(self):
         params = af.make_student_t(0.7, [1.0], [[2.0]])
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         pop = est.student_t_population_moments(params)
         theta = af.pack_theta(params.mu, params.sigma_inv)
         fake_stats = core.SufficientStats(
@@ -191,7 +201,7 @@ class TestResidualsOffTruth:
         batch = random_batch(1, 12, 21)
         fit = est.estimate_student_t(batch, alpha)
         shifted = af.make_student_t(alpha, fit.mu_hat + 0.1, fit.sigma_hat)
-        _, desc = studentt.decompose(shifted)
+        desc = studentt.decompose(shifted)
         stats = est.sufficient_stats(batch, desc, alpha)
         theta = af.pack_theta(shifted.mu, shifted.sigma_inv)
         report = est.residual_regular_malpha(
@@ -208,7 +218,7 @@ class TestResidualsOffTruth:
         batch = random_batch(1, 12, 22)
         fit = est.estimate_student_t(batch, alpha)
         shifted = af.make_student_t(alpha, fit.mu_hat + 0.1, fit.sigma_hat)
-        _, desc = studentt.decompose(shifted)
+        desc = studentt.decompose(shifted)
         stats = est.sufficient_stats(batch, desc, alpha)
         theta = af.pack_theta(shifted.mu, shifted.sigma_inv)
         report = est.residual_general_malpha(
@@ -245,7 +255,7 @@ class TestResidualsOffTruth:
         assert (at_truth_reg.norm <= 1e-10) and (at_truth_gen.norm <= 1e-10)
         rng = np.random.default_rng(seed)
         shifted = af.make_student_t(alpha, fit.mu_hat + rng.normal(scale=0.2, size=2), fit.sigma_hat)
-        _, desc_s = studentt.decompose(shifted)
+        desc_s = studentt.decompose(shifted)
         theta_s = af.pack_theta(shifted.mu, shifted.sigma_inv)
         stats_s = est.sufficient_stats(batch, desc_s, alpha)
         pop_s = est.student_t_population_moments(shifted)
@@ -256,7 +266,7 @@ class TestResidualsOffTruth:
 
     def test_zero_denominator_raises(self):
         params = af.make_student_t(0.7, [0.0], [[1.0]])
-        _, desc = studentt.decompose(params)
+        desc = studentt.decompose(params)
         theta = af.pack_theta(params.mu, params.sigma_inv)
         stats = core.SufficientStats(
             mean_x=np.zeros(1), mean_xxT=np.zeros((1, 1)), mean_f=np.zeros(2), mean_q_pow=0.0

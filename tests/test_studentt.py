@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
@@ -39,37 +41,77 @@ class TestDensity:
             assert studentt.density(heavy, [x]) > 0.0
         assert studentt.density(compactly, [7.0]) == 0.0
 
-    def test_density_batch_matches_pointwise(self):
-        p = random_params(2, 0.8, 7)
-        pts = np.random.default_rng(8).normal(size=(20, 2))
-        batch_vals = studentt.density_batch(p, pts)
-        single = [studentt.density(p, x) for x in pts]
-        assert np.allclose(batch_vals, single, rtol=1e-14)
+
+@st.composite
+def params_and_points(draw):
+    """A Student-t of d in {1, 2, 3} with alpha on either side of 1, and rows
+    at Mahalanobis radii up to twice the alpha > 1 support radius."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    lo = d / (d + 2.0)
+    if draw(st.booleans()):
+        alpha = draw(st.floats(lo + 0.02, 0.98))
+    else:
+        alpha = draw(st.floats(1.02, 5.0))
+    p = random_params(d, alpha, draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = draw(st.integers(1, 8))
+    directions = rng.normal(size=(m, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    reach = math.sqrt(p.support.radius_sq) if alpha > 1.0 else 4.0
+    radii = rng.uniform(0.0, 2.0 * reach, size=m)
+    return p, p.mu + (directions * radii[:, None]) @ np.linalg.cholesky(p.sigma).T
+
+
+class TestPointWrappersMatchBatchKernels:
+    @given(params_and_points())
+    @settings(max_examples=60, deadline=None)
+    def test_density_log_density_and_score_equal_the_batch_rows(self, case):
+        p, pts = case
+        densities = studentt.density_batch(p, pts)
+        scores = studentt.score_batch(p, pts)
+        assert np.all(np.isnan(scores[densities == 0.0]))
+        for x, dens, row in zip(pts, densities, scores):
+            assert studentt.density(p, x) == pytest.approx(dens, rel=1e-13, abs=0.0)
+            if dens == 0.0:
+                assert studentt.log_density(p, x) == -math.inf
+                with pytest.raises(core.UndefinedScoreError):
+                    studentt.score(p, x)
+                continue
+            assert studentt.log_density(p, x) == pytest.approx(math.log(dens), rel=1e-12, abs=1e-12)
+            assert np.allclose(studentt.score(p, x), row, rtol=1e-13, atol=1e-13)
 
 
 class TestDecompose:
+    @staticmethod
+    def weight_blocks(p):
+        """The offset w0 and the weights of x and of Vec(x x^T) at the params' own theta."""
+        desc = studentt.decompose(p)
+        theta = af.pack_theta(p.mu, p.sigma_inv)
+        w = desc.w_fn(theta)
+        return desc.w0_fn(theta), w[: p.dim], w[p.dim :]
+
     def test_centered_unit_weights(self):
         p = af.make_student_t(0.5, [0.0], [[1.0]])
-        dec, _ = studentt.decompose(p)
-        assert dec.w1 == 0.0
-        assert np.array_equal(dec.w2, [0.0])
-        assert dec.w3 == pytest.approx([1.0], abs=1e-15)
+        w0, w_x, w_xx = self.weight_blocks(p)
+        assert w0 == 0.0
+        assert np.array_equal(w_x, [0.0])
+        assert w_xx == pytest.approx([1.0], abs=1e-15)
 
     def test_d2_weight_blocks_match_matrix_arithmetic(self):
         # direct matrix arithmetic oracle at a valid order for d = 2
         alpha = 0.7
         mu = np.array([1.0, 0.0])
         p = af.make_student_t(alpha, mu, np.eye(2))
-        dec, _ = studentt.decompose(p)
+        w0, w_x, w_xx = self.weight_blocks(p)
         b = (1.0 - alpha) / (2.0 * alpha - 2.0 * (1.0 - alpha))
-        assert np.allclose(dec.w2, -2.0 * b * mu, rtol=1e-14)
-        assert np.allclose(dec.w3, b * np.eye(2).ravel(), rtol=1e-14)
-        assert dec.w1 == pytest.approx(b, rel=1e-14)
+        assert np.allclose(w_x, -2.0 * b * mu, rtol=1e-14)
+        assert np.allclose(w_xx, b * np.eye(2).ravel(), rtol=1e-14)
+        assert w0 == pytest.approx(b, rel=1e-14)
 
     @pytest.mark.parametrize("d,alpha,seed", [(1, 0.6, 1), (2, 0.8, 2), (3, 0.9, 3), (1, 2.0, 4), (2, 3.0, 5)])
     def test_reconstruction_matches_density(self, d, alpha, seed):
         p = random_params(d, alpha, seed)
-        dec, desc = studentt.decompose(p)
+        desc = studentt.decompose(p)
         theta = af.pack_theta(p.mu, p.sigma_inv)
         rng = np.random.default_rng(seed + 100)
         if alpha < 1.0:
@@ -83,13 +125,10 @@ class TestDecompose:
             assert dv > 0.0
             rv = af.reconstruct_density(desc, theta, x)
             assert abs(rv - dv) / dv < 1e-12
-            # the raw weight blocks rebuild the same bracket
-            bracket = dec.bracket(x)
-            assert p.norm_const * bracket ** (1.0 / (alpha - 1.0)) == pytest.approx(dv, rel=1e-12)
 
     def test_jacobian_blocks(self):
         p = random_params(2, 0.8, 11)
-        _, desc = studentt.decompose(p)
+        desc = studentt.decompose(p)
         theta = af.pack_theta(p.mu, p.sigma_inv)
         jac = desc.w_jacobian(theta)
         b = p.b_alpha
@@ -103,7 +142,7 @@ class TestDecompose:
 
     def test_jacobian_matches_finite_differences(self):
         p = random_params(2, 0.8, 12)
-        _, desc = studentt.decompose(p)
+        desc = studentt.decompose(p)
         theta = af.pack_theta(p.mu, p.sigma_inv)
         h = 1e-7
         jac = desc.w_jacobian(theta)
@@ -194,13 +233,6 @@ class TestScore:
         means = scores.mean(axis=0)
         ses = scores.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(means) <= 3.0 * ses)
-
-    def test_batch_agrees_with_single_point(self):
-        p = random_params(2, 0.8, 41)
-        pts = studentt.sample(p, 5, 2).data
-        batch = studentt.score_batch(p, pts)
-        for row, x in zip(batch, pts):
-            assert np.allclose(row, studentt.score(p, x), rtol=1e-13)
 
 
 class TestExpectationIdentity:
