@@ -36,7 +36,7 @@ from .core import (
 )
 from . import compact, divergence, estimators, studentt
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -278,7 +278,7 @@ def _candidate_dict(cand: compact.SegmentCandidate) -> dict:
     return {
         "lo": cand.lo,
         "hi": cand.hi,
-        "active_set": list(cand.active_set),
+        "active_set": [cand.active_set.start, cand.active_set.stop],
         "unconstrained_max": cand.unconstrained_max,
         "maximizer": cand.maximizer,
         "objective_over_n2": cand.objective,

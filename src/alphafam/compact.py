@@ -7,11 +7,16 @@ and the sample objective
     ell(mu) = sum_i [1 - (X_i - mu)^2/5]_+        (reported in units of N2)
 
 is piecewise a downward parabola between consecutive breakpoints
-{X_i - sqrt(5), X_i + sqrt(5)}.  A single sweep over the sorted breakpoints
-recomputes the active set per segment, so joint layouts (one overlapping
-window, clusters separated by gaps, or all points mutually far apart) need
-no case analysis; on each segment the constrained maximizer is
-median{lo, mean(active), hi}.
+{X_i - sqrt(5), X_i + sqrt(5)}.  One vectorized sweep handles every segment
+at once, so joint layouts (one overlapping window, clusters separated by
+gaps, or all points mutually far apart) need no case analysis.  On each
+segment the active set is a contiguous run [start, stop) of the sorted
+sample, found with ``searchsorted``; its count, mean, constrained maximizer
+median{lo, mean(active), hi} and objective follow in O(1) from prefix sums,
+so the sweep is O(n log n) for the sort and O(n) after it.  The prefix sums
+are kept in double-double arithmetic, relative to the first point of each
+cell of width just over 2 sqrt(5), which keeps means and objectives within
+about an ulp of their exact values at any offset of the sample.
 
 General (alpha > 1, sigma) fitting is a documented extension point, not
 implemented.
@@ -43,12 +48,11 @@ N2 = 3.0 / (4.0 * math.sqrt(5.0))
 # Built-in reference dataset for the end-to-end verification command.
 REFERENCE_SAMPLE = (4.6, 4.7, 6.0, 7.0, 8.2, 8.6, 8.7, 8.8, 8.9, 9.0)
 
-# Comparison tolerances: absolute slack for segment membership scales with
-# |mu|; objective ties are broken below this gap.
-_TIE_TOL = 1e-12
+_EPS = math.ulp(1.0)
 
 
-def _slack(value: float) -> float:
+def _slack(value):
+    """Absolute slack for segment membership; scales with |value|."""
     return 1e-12 * (1.0 + abs(value))
 
 
@@ -61,13 +65,14 @@ def pdf_alpha2(mu: float, x: float) -> float:
 class SegmentCandidate:
     """One interval of constancy of the active set, with its maximizer.
 
-    ``active_set`` holds 0-based indices into the sorted sample;
+    ``active_set`` is the ``range`` of 0-based indices into the sorted sample
+    of the points within reach of the segment (always a contiguous run);
     ``objective`` is ell at the maximizer in units of N2.
     """
 
     lo: float
     hi: float
-    active_set: tuple
+    active_set: range
     unconstrained_max: float
     maximizer: float
     objective: float
@@ -96,51 +101,192 @@ def _as_scalars(batch) -> np.ndarray:
     return np.sort(xs)
 
 
+# Double-double arithmetic: a value is an unevaluated sum (hi, lo) of two
+# float arrays, good to about eps^2 relative.  Error-free transformations
+# after Knuth (sum) and Dekker (product, without FMA).
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_div(x, b):
+    """Double-double x over the float b."""
+    q = x[0] / b
+    p, e = _two_prod(q, b)
+    return _two_sum(q, ((x[0] - p) - e + x[1]) / b)
+
+
+def _prefix(h, l):
+    """Running double-double sums of h + l, starting from 0."""
+    total = np.concatenate(([0.0], np.cumsum(h)))
+    _, err = _two_sum(total[:-1], h)  # the exact rounding error of each cumsum step
+    return total, np.concatenate(([0.0], np.cumsum(err + l)))
+
+
+def _run_sum(prefix, first, last):
+    total, low = prefix
+    s, e = _two_sum(total[last], -total[first])
+    return _two_sum(s, e + (low[last] - low[first]))
+
+
+def _shrink(xs, inside, first, last):
+    """Narrow each index range [first, last) of the sorted ``xs`` to where ``inside`` holds.
+
+    ``inside`` maps one x per range to a bool.  Within each range it must
+    hold on one contiguous run, as a test of distance from a point does on
+    sorted data.  Runs of duplicates are stepped over at once.
+    """
+    while True:
+        x = xs.take(first, mode="clip")
+        out = (first < last) & ~inside(x)
+        if not out.any():
+            break
+        first = np.where(out, np.minimum(np.searchsorted(xs, x, "right"), last), first)
+    while True:
+        x = xs.take(last - 1, mode="clip")
+        out = (first < last) & ~inside(x)
+        if not out.any():
+            break
+        last = np.where(out, np.maximum(np.searchsorted(xs, x, "left"), first), last)
+    return first, last
+
+
+def _parts(xs, cell_start, sums, first, last):
+    """Split each range [first, last) at the one cell boundary it may cross.
+
+    Returns two parts, each (anchor, count, sum of x - anchor, sum of
+    (x - anchor)^2) per range, the sums in double-double; the first part
+    is empty when the range lies in one cell.
+    """
+    top = xs.size - 1
+    split = np.maximum(first, cell_start[np.clip(last - 1, 0, top)])
+    parts = []
+    for a, b in ((first, split), (split, last)):
+        anchor = xs[cell_start[np.minimum(a, top)]]
+        parts.append((anchor, (b - a).astype(float), _run_sum(sums[0], a, b), _run_sum(sums[1], a, b)))
+    return parts
+
+
+def _sweep(xs: np.ndarray) -> list:
+    """Segment candidates of the sorted sample ``xs`` in one vectorized pass."""
+    r5 = ROOT5
+    r2 = r5 * r5
+    breakpoints = np.sort(np.concatenate([xs - r5, xs + r5]))
+    lo, hi = breakpoints[:-1], breakpoints[1:]
+    keep = hi - lo > _slack(0.5 * (np.abs(lo) + np.abs(hi)))
+    lo, hi = lo[keep], hi[keep]
+
+    # Active set: the run of points with |x - mid| <= reach, computed as that
+    # very test; the searchsorted guesses are padded to contain the run.
+    mid = 0.5 * (lo + hi)
+    reach = r5 + _slack(mid)
+    pad = 4.0 * _EPS * (np.abs(mid) + reach)
+    start, stop = _shrink(
+        xs,
+        lambda x: np.abs(x - mid) <= reach,
+        np.searchsorted(xs, mid - reach - pad, "left"),
+        np.searchsorted(xs, mid + reach + pad, "right"),
+    )
+    nonempty = start < stop
+    lo, hi, start, stop = lo[nonempty], hi[nonempty], start[nonempty], stop[nonempty]
+
+    # Each point is measured from the first point of its cell.  Cells are just
+    # wider than the widest active set (2 * reach plus rounding), so a run
+    # spans at most two cells and is summed in two parts, each relative to a
+    # nearby anchor whatever the offset of the sample.
+    width = 2.0 * (r5 + _slack(2.0 * (np.abs(xs).max() + r5)))
+    cell = np.floor((xs - xs[0]) / width)
+    cell_start = np.searchsorted(cell, cell, "left")
+    dh, dl = _two_sum(xs, -xs[cell_start])
+    ph, pl = _two_prod(dh, dh)
+    sums = (_prefix(dh, dl), _prefix(ph, pl + 2.0 * dh * dl))
+
+    # Mean of the active run, relative to the first part's anchor.
+    (a1, k1, sum1, _), (a2, k2, sum2, _) = _parts(xs, cell_start, sums, start, stop)
+    total = _dd_add(_dd_add(sum1, sum2), _dd_mul((k2, 0.0), _two_sum(a2, -a1)))
+    qh, ql = _dd_div(total, k1 + k2)
+    s, e = _two_sum(a1, qh)
+    mean = s + (e + ql)
+    maximizer = np.minimum(np.maximum(mean, lo), hi)
+
+    # Objective: sum of 1 - (x - m)^2 / r5^2 over the active points whose term
+    # is positive (the [.]_+ of ell), with sum (x - m)^2 expanded per part as
+    # S2 + delta * (k * delta - 2 * S1), delta = m - anchor.
+    first, last = _shrink(
+        xs, lambda x: 1.0 - (x - maximizer) * (x - maximizer) / r2 > 0.0, start, stop
+    )
+    sq = (0.0, 0.0)
+    for anchor, k, s1, s2 in _parts(xs, cell_start, sums, first, last):
+        delta = _two_sum(maximizer, -anchor)
+        inner = _dd_add(_dd_mul((k, 0.0), delta), (-2.0 * s1[0], -2.0 * s1[1]))
+        sq = _dd_add(sq, _dd_add(s2, _dd_mul(delta, inner)))
+    qh, ql = _dd_div(sq, r2)
+    s, e = _two_sum((last - first).astype(float), -qh)
+    objective = s + (e - ql)
+
+    columns = (lo, hi, start, stop, mean, maximizer, objective)
+    return [
+        SegmentCandidate(lo=a, hi=b, active_set=range(i, j), unconstrained_max=u, maximizer=m, objective=o)
+        for a, b, i, j, u, m, o in zip(*(c.tolist() for c in columns))
+    ]
+
+
 def enumerate_segments(batch) -> list:
     """Segment candidates between consecutive breakpoints {X_i +- sqrt(5)}.
 
     Sorts the sample internally (duplicates allowed; they weight the
     parabola), skips zero-length segments from duplicate breakpoints and
     segments whose active set is empty, and determines each active set at
-    the segment midpoint.
+    the segment midpoint.  O(n log n): each active set is a contiguous run
+    of the sorted sample found by ``searchsorted``, and each segment's mean
+    and objective come in O(1) from prefix sums.
     """
-    xs = _as_scalars(batch)
-    r5 = ROOT5
-    breakpoints = np.sort(np.concatenate([xs - r5, xs + r5]))
-    candidates = []
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi - lo <= _slack(0.5 * (abs(lo) + abs(hi))):
-            continue
-        mid = 0.5 * (lo + hi)
-        active = np.flatnonzero(np.abs(xs - mid) <= r5 + _slack(mid))
-        if active.size == 0:
-            continue
-        mean_active = float(xs[active].mean())
-        maximizer = float(min(max(mean_active, lo), hi))
-        terms = 1.0 - (xs[active] - maximizer) ** 2 / (r5 * r5)
-        objective = float(np.clip(terms, 0.0, None).sum())
-        candidates.append(
-            SegmentCandidate(
-                lo=float(lo),
-                hi=float(hi),
-                active_set=tuple(int(i) for i in active),
-                unconstrained_max=mean_active,
-                maximizer=maximizer,
-                objective=objective,
-            )
-        )
-    return candidates
+    return _sweep(_as_scalars(batch))
 
 
 def maximize_l2(batch) -> CompactFitResult:
     """Global maximizer of ell over all segment candidates.
 
-    Ties (objectives within 1e-12 of the best) resolve to the smallest
-    maximizer; all co-optima are reported in increasing order.
+    Ties are objectives within 4 * k * eps * max(1, max|X_i|) of the best,
+    where k is the largest active set and eps the float64 epsilon.  Rounding
+    each observation to float64 moves an objective by at most
+    k * eps * max|X_i| / sqrt(5) (each term's slope is at most 2/sqrt(5)),
+    and rounding the objective itself (at most k) adds eps * k, so two
+    maxima closer than this cannot be told apart.  Ties resolve to the
+    smallest maximizer; all co-optima are reported in increasing order.
     """
-    candidates = enumerate_segments(batch)
+    xs = _as_scalars(batch)
+    candidates = _sweep(xs)
     best = max(c.objective for c in candidates)
-    ties = sorted(c.maximizer for c in candidates if best - c.objective <= _TIE_TOL)
+    widest = max(len(c.active_set) for c in candidates)
+    tol = 4.0 * widest * _EPS * max(1.0, -xs[0], xs[-1])
+    ties = sorted(c.maximizer for c in candidates if best - c.objective <= tol)
     deduped = [ties[0]]
     for mu in ties[1:]:
         if mu - deduped[-1] > _slack(mu):

@@ -261,8 +261,8 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
         alpha = 1, non-symmetric sigma, and non-positive-definite sigma.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.ndim != 1:
-        raise DimensionMismatchError("mu must be a vector")
+    if mu.ndim != 1 or mu.shape[0] == 0:
+        raise DimensionMismatchError("mu must be a non-empty vector")
     d = mu.shape[0]
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape != (d, d):

@@ -187,7 +187,7 @@ class TestCommands:
         assert report["mu_hat"] == [7.45]
         assert report["singular_flag"] is False
         assert report["residual_norm"] <= 1e-8
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["provenance"]["library_version"] == af.__version__
 
     def test_estimate_constant_column_singular(self, tmp_path, capsys):
@@ -211,6 +211,26 @@ class TestCommands:
         assert abs(report["objective_over_n2"] - 6.42) <= 0.05
         assert len(report["candidates"]) == 19
         assert report["sample_mean"] == pytest.approx(7.45)
+
+    def test_compact_fit_reports_half_open_active_ranges(self, tmp_path):
+        # clustered n = 2000: every active set holds most of the sample, so a
+        # report that listed indices would be O(n^2)
+        rng = np.random.default_rng(3)
+        xs = 1.5 + compact.ROOT5 * (2.0 * rng.beta(2.0, 2.0, size=2000) - 1.0)
+        path = write(tmp_path, "clustered.csv", "".join(f"{x!r}\n" for x in xs.tolist()))
+        out = str(tmp_path / "fit.json")
+        assert cli.main(["compact-fit", "--input", path, "--output", out]) == cli.EXIT_OK
+        raw = open(out, "rb").read()
+        assert b'"schema_version":"2"' in raw
+        report = json.loads(raw)
+        ordered = np.sort(xs)
+        for cand in report["candidates"]:
+            mid = 0.5 * (cand["lo"] + cand["hi"])
+            members = np.flatnonzero(np.abs(ordered - mid) <= compact.ROOT5 + 1e-12 * (1.0 + abs(mid)))
+            assert cand["active_set"] == [int(members[0]), int(members[-1]) + 1]
+            assert members.size == members[-1] + 1 - members[0]
+        assert len(report["candidates"]) == 3999
+        assert len(raw) < 300 * len(report["candidates"])
 
     def test_compact_fit_rejects_other_alpha(self, tmp_path):
         code = cli.main(["compact-fit", "--alpha", "3", "--input", reference_csv(tmp_path)])
@@ -288,7 +308,7 @@ class TestDeterminism:
             assert cli.main(["compact-fit", "--input", path, "--output", out]) == cli.EXIT_OK
         a = open(out1, "rb").read()
         assert a == open(out2, "rb").read()
-        assert b'"schema_version":"1"' in a
+        assert b'"schema_version":"2"' in a
 
     def test_byte_identical_draws(self, tmp_path):
         args = ["simulate", "--alpha", "0.7", "--mu", "1", "--sigma", "2", "--n", "100", "--seed", "3"]

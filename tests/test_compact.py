@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,63 @@ def grid_search(xs, spacing=1e-4, pad=1e-3):
         total += np.clip(1.0 - (x - grid) ** 2 / 5.0, 0.0, None)
     best = int(np.argmax(total))
     return grid[best], float(total[best])
+
+
+def reference_segments(xs):
+    """Test-only oracle: the O(n^2) per-segment loop the vectorized sweep replaced.
+
+    Tests each point against every segment midpoint, takes numpy's mean of
+    the active points, and sums the clipped terms one by one.  Returns
+    (lo, hi, active indices, maximizer, objective) per segment.
+    """
+    xs = np.sort(np.asarray(xs, dtype=float).ravel())
+    r5 = compact.ROOT5
+    breakpoints = np.sort(np.concatenate([xs - r5, xs + r5]))
+    out = []
+    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+        if hi - lo <= 1e-12 * (1.0 + 0.5 * (abs(lo) + abs(hi))):
+            continue
+        mid = 0.5 * (lo + hi)
+        active = np.flatnonzero(np.abs(xs - mid) <= r5 + 1e-12 * (1.0 + abs(mid)))
+        if active.size == 0:
+            continue
+        maximizer = float(min(max(float(xs[active].mean()), lo), hi))
+        terms = 1.0 - (xs[active] - maximizer) ** 2 / (r5 * r5)
+        objective = float(np.clip(terms, 0.0, None).sum())
+        out.append((float(lo), float(hi), tuple(int(i) for i in active), maximizer, objective))
+    return out
+
+
+def assert_matches_reference(xs):
+    expected = reference_segments(xs)
+    got = compact.enumerate_segments(xs)
+    assert len(got) == len(expected)
+    for cand, (lo, hi, active, maximizer, objective) in zip(got, expected):
+        assert (cand.lo, cand.hi) == (lo, hi)
+        assert cand.active_set == range(active[0], active[-1] + 1)
+        assert tuple(cand.active_set) == active
+        assert abs(cand.maximizer - maximizer) <= 1e-12 * max(1.0, abs(maximizer))
+        assert abs(cand.objective - objective) <= 1e-10 * max(1.0, abs(objective))
+
+
+def layout_sample(layout, n, seed, shift=0.0):
+    rng = np.random.default_rng(seed)
+    if layout == "clustered":
+        # the order-2 unit-variance parabola: every point within 2 sqrt(5) of every other
+        xs = ROOT5 * (2.0 * rng.beta(2.0, 2.0, size=n) - 1.0)
+    elif layout == "spread":
+        xs = rng.uniform(0.0, float(n), size=n)
+    elif layout == "mixed":
+        near = rng.uniform(0.0, 4.0, size=(n + 1) // 2)
+        xs = np.concatenate([near, rng.uniform(9.0, 12.0, size=n // 3), rng.uniform(20.0, 80.0, size=n // 6)])
+    elif layout == "duplicates":
+        xs = rng.choice(np.round(rng.uniform(0.0, 6.0, size=max(1, n // 4)), 1), size=n)
+    else:
+        # neighbours 2 sqrt(5) apart, jittered on the scale of the membership
+        # slack: breakpoints nearly coincide and points sit at the edge of reach
+        jitter = rng.uniform(-4.0, 4.0, size=n) * 1e-12 * (1.0 + abs(shift))
+        return np.arange(n) * 2.0 * ROOT5 + shift + jitter
+    return xs + shift
 
 
 class TestPdfAlpha2:
@@ -78,7 +136,7 @@ class TestEnumerateSegments:
         assert c.lo == pytest.approx(-ROOT5) and c.hi == pytest.approx(ROOT5)
         assert c.maximizer == 0.0
         assert c.objective == pytest.approx(1.0, abs=1e-12)
-        assert c.active_set == (0,)
+        assert c.active_set == range(0, 1)
 
     def test_two_points_beyond_gap(self):
         cands = compact.enumerate_segments(np.array([0.0, 10.0]))
@@ -97,7 +155,7 @@ class TestEnumerateSegments:
                 active = tuple(
                     int(i) for i in np.flatnonzero(np.abs(xs - mu) <= ROOT5 + 1e-12)
                 )
-                assert active == cand.active_set
+                assert active == tuple(cand.active_set)
 
     def test_maximizer_is_median_and_in_interval(self):
         rng = np.random.default_rng(1)
@@ -119,7 +177,64 @@ class TestEnumerateSegments:
         cands = compact.enumerate_segments(np.array([1.0, 1.0, 1.0]))
         assert len(cands) == 1
         assert cands[0].objective == pytest.approx(3.0, abs=1e-12)
-        assert cands[0].active_set == (0, 1, 2)
+        assert cands[0].active_set == range(0, 3)
+
+
+class TestSweepMatchesReference:
+    @given(
+        st.sampled_from(["clustered", "spread", "mixed", "duplicates", "lattice"]),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_segments_match_the_per_segment_loop(self, layout, n, seed, shift):
+        assert_matches_reference(layout_sample(layout, n, seed, shift))
+
+    def test_spread_sample_beyond_a_globally_centered_prefix_sum(self):
+        # Uniform on [0, 1000], n = 1000: one cumsum of x - mean(x) and of its
+        # square puts objectives about 2.6e-9 relative off the direct sums,
+        # outside the 1e-10 required here.
+        xs = np.sort(np.random.default_rng(0).uniform(0.0, 1000.0, size=1000))
+        assert_matches_reference(xs)
+        centered = xs - xs.mean()
+        p1 = np.concatenate(([0.0], np.cumsum(centered)))
+        p2 = np.concatenate(([0.0], np.cumsum(centered * centered)))
+        worst = 0.0
+        for cand, expected in zip(compact.enumerate_segments(xs), reference_segments(xs)):
+            i, j = cand.active_set.start, cand.active_set.stop
+            delta = cand.maximizer - xs.mean()
+            sq = (p2[j] - p2[i]) - 2.0 * delta * (p1[j] - p1[i]) + (j - i) * delta * delta
+            worst = max(worst, abs((j - i) - sq / 5.0 - expected[4]) / max(1.0, expected[4]))
+        assert worst > 1e-10
+
+    @pytest.mark.parametrize("xs", [
+        [1000000.3968168065, 1000004.8689547615],
+        [1000000.018274888, 1000004.490412843],
+    ])
+    def test_membership_at_the_edge_of_reach(self, xs):
+        # Two points 2 sqrt(5) plus about twice the slack apart, near 1e6: at
+        # the gap segment's midpoint a point lies within an ulp of the
+        # slack-widened reach, where x >= mid - reach and |x - mid| <= reach
+        # round differently, so searchsorted alone gets the active set wrong.
+        assert_matches_reference(np.array(xs))
+
+    @pytest.mark.parametrize("layout", ["clustered", "mixed", "duplicates"])
+    def test_means_are_correctly_rounded(self, layout):
+        for seed in range(20):
+            xs = np.sort(layout_sample(layout, 12, seed))
+            for cand in compact.enumerate_segments(xs):
+                exact = sum(map(Fraction, xs[cand.active_set.start:cand.active_set.stop])) / len(cand.active_set)
+                ulp = Fraction(float(np.spacing(abs(cand.unconstrained_max))))
+                assert abs(Fraction(cand.unconstrained_max) - exact) <= ulp / 2
+
+    def test_reference_sample_is_bit_identical(self):
+        # the per-segment values verify-paper-example prints in full
+        got = compact.enumerate_segments(np.array(compact.REFERENCE_SAMPLE))
+        expected = reference_segments(compact.REFERENCE_SAMPLE)
+        assert got[3].maximizer == expected[3][3] == 5.575
+        for i in (12, 15):
+            assert got[i].objective == expected[i][4]
 
 
 class TestMaximizeL2:
@@ -140,6 +255,16 @@ class TestMaximizeL2:
         result = compact.maximize_l2(xs)
         assert result.mu_hat == 0.0
         assert np.allclose(result.ties, xs, atol=1e-12)
+
+    def test_identical_clusters_far_apart_tie(self):
+        # 2000 points shifted by 1e4 are rounded anew, which moves the second
+        # maximum by about 2e-11: a tie at the relative tolerance, not at 1e-12.
+        cluster = layout_sample("clustered", 2000, 0)
+        result = compact.maximize_l2(np.concatenate([cluster, cluster + 1e4]))
+        assert len(result.ties) == 2
+        assert result.ties[1] - result.ties[0] == pytest.approx(1e4, abs=1e-6)
+        second = sorted(c.objective for c in result.candidates)[-2]
+        assert result.objective_over_n2 - second > 1e-12
 
     def test_accepts_sample_batch(self):
         batch = af.SampleBatch(np.array(compact.REFERENCE_SAMPLE))

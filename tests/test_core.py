@@ -81,6 +81,11 @@ class TestMakeStudentT:
         with pytest.raises(core.ParameterError):
             af.make_student_t(0.5, [0.0], [[0.0]])
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_rejects_zero_dimension(self, alpha):
+        with pytest.raises(core.DimensionMismatchError, match="non-empty"):
+            af.make_student_t(alpha, np.zeros(0), np.zeros((0, 0)))
+
     def test_error_codes_are_distinct(self):
         codes = {
             core.ALPHA_NOT_FINITE,
