@@ -74,5 +74,4 @@ from .compact import (
     SegmentCandidate,
     enumerate_segments,
     maximize_l2,
-    pdf_alpha2,
 )

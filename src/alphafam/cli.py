@@ -6,7 +6,8 @@ Reports are JSON with sorted keys and floats fixed at 17 significant digits
 config + input + seed produce byte-identical output.  Draws are emitted as
 CSV.  Exit codes: 0 success, 1 verification failure, 2 invalid config,
 10 unreadable input, 11 ragged rows, 12 non-numeric cells, 13 empty input,
-20 numerical failure.
+20 numerical failure.  Each subcommand takes only the flags it reads; a
+missing, unknown or malformed flag is a usage error and exits 2.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,8 +46,6 @@ EXIT_NON_NUMERIC = 12
 EXIT_EMPTY = 13
 EXIT_NUMERICAL = 20
 
-COMMANDS = ("estimate", "compact-fit", "divergence", "loglik", "simulate", "verify-paper-example")
-
 # Expected values for the verify subcommand: per-segment maximizers of the
 # reference sample in breakpoint order, and the objective multiset in N2
 # units.
@@ -73,24 +70,6 @@ class IngestError(AlphaFamilyError):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation; unset fields stay None and are validated per command."""
-
-    command: str
-    alpha: Optional[float] = None
-    input_path: Optional[str] = None
-    output_path: str = "-"
-    seed: int = 0
-    format: str = "json"
-    quadrature_tol: float = 1e-10
-    n: Optional[int] = None
-    mu: Optional[str] = None
-    sigma: Optional[str] = None
-    dist_p: Optional[str] = None
-    dist_q: Optional[str] = None
 
 
 def _float_digits() -> int:
@@ -197,17 +176,15 @@ def _emit(text: str, output_path: str):
             handle.write(text)
 
 
-def _provenance(config: RunConfig) -> dict:
+def _provenance(args: argparse.Namespace) -> dict:
     from . import __version__
 
-    digest = None
-    if config.input_path:
-        try:
-            with open(config.input_path, "rb") as handle:
-                digest = hashlib.sha256(handle.read()).hexdigest()
-        except OSError:
-            digest = None
-    return {"input_sha256": digest, "library_version": __version__, "seed": config.seed}
+    try:
+        with open(args.input, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        digest = None
+    return {"input_sha256": digest, "library_version": __version__, "seed": args.seed}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -235,42 +212,30 @@ def _parse_handle(spec: str):
     )
 
 
-def _quad_tols(config: RunConfig):
-    return config.quadrature_tol, max(config.quadrature_tol, 1e-8)
-
-
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ValueError(message)
-
-
-def _cmd_estimate(config: RunConfig) -> int:
-    _require(config.alpha is not None, "estimate requires --alpha")
-    _require(config.format == "json", "estimate reports are JSON only")
-    batch = ingest_csv(config.input_path) if config.input_path else None
-    _require(batch is not None, "estimate requires --input")
-    est = estimators.estimate_student_t(batch, config.alpha)
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    batch = ingest_csv(args.input)
+    est = estimators.estimate_student_t(batch, args.alpha)
     residual_norm = None
     if not est.singular:
-        params = make_student_t(config.alpha, est.mu_hat, est.sigma_hat)
+        params = make_student_t(args.alpha, est.mu_hat, est.sigma_hat)
         desc = studentt.decompose(params)
-        stats = estimators.sufficient_stats(batch, desc, config.alpha)
+        stats = estimators.sufficient_stats(batch, desc, args.alpha)
         pop = estimators.student_t_population_moments(params)
         theta = pack_theta(est.mu_hat, params.sigma_inv)
         residual_norm = estimators.residual_regular_malpha(desc, theta, stats, pop).norm
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
-        "alpha": config.alpha,
+        "alpha": args.alpha,
         "n": batch.n,
         "d": batch.dim,
         "mu_hat": est.mu_hat.tolist(),
         "sigma_hat": est.sigma_hat.tolist(),
         "singular_flag": est.singular,
         "residual_norm": residual_norm,
-        "provenance": _provenance(config),
+        "provenance": _provenance(args),
     }
-    _emit(dumps_report(report), config.output_path)
+    _emit(dumps_report(report), args.output)
     return EXIT_OK
 
 
@@ -285,95 +250,77 @@ def _candidate_dict(cand: compact.SegmentCandidate) -> dict:
     }
 
 
-def _cmd_compact_fit(config: RunConfig) -> int:
-    alpha = 2.0 if config.alpha is None else config.alpha
-    _require(alpha == 2.0, "compact-fit fixes alpha = 2")
-    _require(config.format == "json", "compact-fit reports are JSON only")
-    _require(config.input_path is not None, "compact-fit requires --input")
-    batch = ingest_csv(config.input_path)
+def _cmd_compact_fit(args: argparse.Namespace) -> int:
+    batch = ingest_csv(args.input)
     result = compact.maximize_l2(batch)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "compact-fit",
-        "alpha": alpha,
+        "alpha": 2.0,
         "n": batch.n,
         "mu_hat": result.mu_hat,
         "objective_over_n2": result.objective_over_n2,
         "sample_mean": float(batch.scalars().mean()),
         "ties": list(result.ties),
         "candidates": [_candidate_dict(c) for c in result.candidates],
-        "provenance": _provenance(config),
+        "provenance": _provenance(args),
     }
-    _emit(dumps_report(report), config.output_path)
+    _emit(dumps_report(report), args.output)
     return EXIT_OK
 
 
-def _cmd_divergence(config: RunConfig) -> int:
-    _require(config.alpha is not None, "divergence requires --alpha")
-    _require(config.format == "json", "divergence reports are JSON only")
-    _require(config.dist_p is not None and config.dist_q is not None, "divergence requires --p and --q")
-    epsabs, epsrel = _quad_tols(config)
-    p = _parse_handle(config.dist_p)
-    q = _parse_handle(config.dist_q)
+def _cmd_divergence(args: argparse.Namespace) -> int:
+    epsabs, epsrel = args.quad_tol, max(args.quad_tol, 1e-8)
+    p = _parse_handle(args.p)
+    q = _parse_handle(args.q)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "divergence",
-        "alpha": config.alpha,
-        "p": config.dist_p,
-        "q": config.dist_q,
-        "i_alpha": divergence.i_alpha(p, q, config.alpha, epsabs=epsabs, epsrel=epsrel),
+        "alpha": args.alpha,
+        "p": args.p,
+        "q": args.q,
+        "i_alpha": divergence.i_alpha(p, q, args.alpha, epsabs=epsabs, epsrel=epsrel),
         "kl": divergence.kl(p, q, epsabs=epsabs, epsrel=epsrel),
     }
-    _emit(dumps_report(report), config.output_path)
+    _emit(dumps_report(report), args.output)
     return EXIT_OK
 
 
-def _cmd_loglik(config: RunConfig) -> int:
-    _require(config.alpha is not None, "loglik requires --alpha")
-    _require(config.mu is not None and config.sigma is not None, "loglik requires --mu and --sigma")
-    _require(config.format == "json", "loglik reports are JSON only")
-    _require(config.input_path is not None, "loglik requires --input")
-    batch = ingest_csv(config.input_path)
-    params = make_student_t(config.alpha, _parse_vector(config.mu), _parse_matrix(config.sigma))
-    epsabs, epsrel = _quad_tols(config)
-    value = divergence.generalized_log_likelihood(
-        params, batch, config.alpha, epsabs=epsabs, epsrel=epsrel
-    )
+def _cmd_loglik(args: argparse.Namespace) -> int:
+    batch = ingest_csv(args.input)
+    params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "loglik",
-        "alpha": config.alpha,
+        "alpha": args.alpha,
         "n": batch.n,
         "mu": params.mu.tolist(),
         "sigma": params.sigma.tolist(),
-        "value": value,
-        "provenance": _provenance(config),
+        "value": divergence.generalized_log_likelihood(params, batch, args.alpha),
+        "provenance": _provenance(args),
     }
-    _emit(dumps_report(report), config.output_path)
+    _emit(dumps_report(report), args.output)
     return EXIT_OK
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    _require(config.alpha is not None, "simulate requires --alpha")
-    _require(config.mu is not None and config.sigma is not None, "simulate requires --mu and --sigma")
-    _require(config.n is not None and config.n >= 1, "simulate requires --n >= 1")
-    params = make_student_t(config.alpha, _parse_vector(config.mu), _parse_matrix(config.sigma))
-    batch = studentt.sample(params, config.n, config.seed)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
+    batch = studentt.sample(params, args.n, args.seed)
     digits = _float_digits()
-    if config.format == "csv":
+    if args.format == "csv":
         # One %-format over all draws; SampleBatch guarantees they are finite,
         # where "%g" and _format_float agree.
         row = ",".join([f"%.{digits}g"] * batch.dim) + "\n"
-        _emit(row * batch.n % tuple(batch.data.ravel().tolist()), config.output_path)
+        _emit(row * batch.n % tuple(batch.data.ravel().tolist()), args.output)
     else:
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",
-            "alpha": config.alpha,
-            "seed": config.seed,
+            "alpha": args.alpha,
+            "seed": args.seed,
             "draws": batch.data.tolist(),
         }
-        _emit(dumps_report(report), config.output_path)
+        _emit(dumps_report(report), args.output)
     return EXIT_OK
 
 
@@ -435,21 +382,14 @@ def verify_reference_example(out=None) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    handlers = {
-        "estimate": _cmd_estimate,
-        "compact-fit": _cmd_compact_fit,
-        "divergence": _cmd_divergence,
-        "loglik": _cmd_loglik,
-        "simulate": _cmd_simulate,
-    }
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
     try:
-        if config.command == "verify-paper-example":
-            return verify_reference_example()
-        if config.command not in handlers:
-            raise ValueError(f"unknown command {config.command!r}")
-        return handlers[config.command](config)
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be >= 0")
+        if getattr(args, "n", 1) < 1:
+            raise ValueError("simulate requires --n >= 1")
+        return args.handler(args)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -473,56 +413,68 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Parameter estimation for alpha-power-law families (Student-t centered).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    alpha = dict(type=float, required=True, help="family/divergence order")
+    data = dict(required=True, help="input CSV path")
+    output = dict(default="-", help="output path or '-' for stdout")
+    seed = dict(type=int, default=0, help="seed recorded in the report (nonnegative integer)")
+    mu = dict(required=True, help="location, comma-separated")
+    sigma = dict(required=True, help="covariance, rows ';'-separated, cells ','-separated")
 
-    def add_common(p, default_format="json"):
-        p.add_argument("--alpha", type=float, default=None, help="family/divergence order")
-        p.add_argument("--input", dest="input_path", default=None, help="input CSV path")
-        p.add_argument("--output", dest="output_path", default="-", help="output path or '-' for stdout")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (nonnegative integer)")
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        p.add_argument("--quad-tol", dest="quadrature_tol", type=float, default=1e-10,
-                       help="absolute quadrature tolerance")
+    p = sub.add_parser("estimate", help="closed-form mean/covariance estimate (alpha < 1)")
+    p.set_defaults(handler=_cmd_estimate)
+    p.add_argument("--alpha", **alpha)
+    p.add_argument("--input", **data)
+    p.add_argument("--output", **output)
+    p.add_argument("--seed", **seed)
 
-    p_est = sub.add_parser("estimate", help="closed-form mean/covariance estimate (alpha < 1)")
-    add_common(p_est)
+    p = sub.add_parser("compact-fit", help="exact maximizer for alpha = 2, sigma = 1, d = 1")
+    p.set_defaults(handler=_cmd_compact_fit)
+    p.add_argument("--input", **data)
+    p.add_argument("--output", **output)
+    p.add_argument("--seed", **seed)
 
-    p_fit = sub.add_parser("compact-fit", help="exact maximizer for alpha = 2, sigma = 1, d = 1")
-    add_common(p_fit)
+    p = sub.add_parser("divergence", help="order-alpha and KL divergence of two distributions")
+    p.set_defaults(handler=_cmd_divergence)
+    p.add_argument("--alpha", **alpha)
+    p.add_argument("--p", required=True,
+                   help="first distribution: normal:MU,VAR | bernoulli:P | t:ALPHA,MU,VAR")
+    p.add_argument("--q", required=True, help="second distribution (same syntax)")
+    p.add_argument("--output", **output)
+    p.add_argument("--quad-tol", type=float, default=1e-10, help="absolute quadrature tolerance")
 
-    p_div = sub.add_parser("divergence", help="order-alpha and KL divergence of two distributions")
-    add_common(p_div)
-    p_div.add_argument("--p", dest="dist_p", required=True,
-                       help="first distribution: normal:MU,VAR | bernoulli:P | t:ALPHA,MU,VAR")
-    p_div.add_argument("--q", dest="dist_q", required=True, help="second distribution (same syntax)")
+    p = sub.add_parser("loglik", help="generalized log-likelihood of a batch")
+    p.set_defaults(handler=_cmd_loglik)
+    p.add_argument("--alpha", **alpha)
+    p.add_argument("--mu", **mu)
+    p.add_argument("--sigma", **sigma)
+    p.add_argument("--input", **data)
+    p.add_argument("--output", **output)
+    p.add_argument("--seed", **seed)
 
-    p_ll = sub.add_parser("loglik", help="generalized log-likelihood of a batch")
-    add_common(p_ll)
-    p_ll.add_argument("--mu", default=None, help="location, comma-separated")
-    p_ll.add_argument("--sigma", default=None, help="covariance, rows ';'-separated, cells ','-separated")
+    p = sub.add_parser("simulate", help="seeded draws, written as CSV")
+    p.set_defaults(handler=_cmd_simulate)
+    p.add_argument("--alpha", **alpha)
+    p.add_argument("--mu", **mu)
+    p.add_argument("--sigma", **sigma)
+    p.add_argument("--n", type=int, required=True, help="number of draws")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (nonnegative integer)")
+    p.add_argument("--output", **output)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
 
-    p_sim = sub.add_parser("simulate", help="seeded draws, written as CSV")
-    add_common(p_sim, default_format="csv")
-    p_sim.add_argument("--n", type=int, default=None, help="number of draws")
-    p_sim.add_argument("--mu", default=None, help="location, comma-separated")
-    p_sim.add_argument("--sigma", default=None, help="covariance, rows ';'-separated, cells ','-separated")
-
-    p_ver = sub.add_parser(
+    p = sub.add_parser(
         "verify-paper-example",
         help="run the built-in reference sample and check the expected tables",
     )
-    add_common(p_ver)
-
+    p.set_defaults(handler=lambda _: verify_reference_example())
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__ if hasattr(args, f)}
-    if fields.get("seed", 0) < 0:
-        print("invalid configuration: --seed must be >= 0", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    code = run(RunConfig(**fields))
-    return code
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
+    return run(args)
 
 
 if __name__ == "__main__":

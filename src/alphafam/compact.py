@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleBatch
+from .core import SampleBatch, make_student_t
 
 __all__ = [
     "ROOT5",
@@ -37,13 +37,15 @@ __all__ = [
     "REFERENCE_SAMPLE",
     "SegmentCandidate",
     "CompactFitResult",
-    "pdf_alpha2",
     "enumerate_segments",
     "maximize_l2",
 ]
 
-ROOT5 = math.sqrt(5.0)
-N2 = 3.0 / (4.0 * math.sqrt(5.0))
+# Support half-width sqrt(5) and peak density N2 of the order-2 unit-variance
+# member, as the family derives them.
+_UNIT = make_student_t(2.0, 0.0, 1.0)
+ROOT5 = math.sqrt(_UNIT.support.radius_sq)
+N2 = _UNIT.norm_const
 
 # Built-in reference dataset for the end-to-end verification command.
 REFERENCE_SAMPLE = (4.6, 4.7, 6.0, 7.0, 8.2, 8.6, 8.7, 8.8, 8.9, 9.0)
@@ -54,11 +56,6 @@ _EPS = math.ulp(1.0)
 def _slack(value):
     """Absolute slack for segment membership; scales with |value|."""
     return 1e-12 * (1.0 + abs(value))
-
-
-def pdf_alpha2(mu: float, x: float) -> float:
-    """Parabola density N2*[1 - (x-mu)^2/5]_+ of the order-2 unit-variance family."""
-    return N2 * max(0.0, 1.0 - (x - mu) ** 2 / (ROOT5 * ROOT5))
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,10 @@ class CompactFitResult:
 
 
 def _as_scalars(batch) -> np.ndarray:
-    if isinstance(batch, SampleBatch):
-        return np.sort(batch.scalars())
-    xs = np.asarray(batch, dtype=float).ravel()
-    if xs.size < 1:
-        raise ValueError("need at least one observation")
-    return np.sort(xs)
+    """The sorted d = 1 sample; raw arrays get the same checks as a ``SampleBatch``."""
+    if not isinstance(batch, SampleBatch):
+        batch = SampleBatch(batch)
+    return np.sort(batch.scalars())
 
 
 # Double-double arithmetic: a value is an unevaluated sum (hi, lo) of two

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -232,10 +233,6 @@ class TestCommands:
         assert len(report["candidates"]) == 3999
         assert len(raw) < 300 * len(report["candidates"])
 
-    def test_compact_fit_rejects_other_alpha(self, tmp_path):
-        code = cli.main(["compact-fit", "--alpha", "3", "--input", reference_csv(tmp_path)])
-        assert code == cli.EXIT_INVALID_CONFIG
-
     def test_divergence_command(self, capsys):
         code = cli.main(["divergence", "--alpha", "0.999", "--p", "normal:0,1", "--q", "normal:0.5,1"])
         assert code == cli.EXIT_OK
@@ -292,12 +289,72 @@ class TestCommands:
         assert captured.out == ""
         assert "alpha must be finite" in captured.err
 
-    def test_simulate_validates_n(self):
+    def test_simulate_validates_n(self, capsys):
         assert cli.main(["simulate", "--alpha", "0.5", "--mu", "0", "--sigma", "1"]) == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: alphafam simulate" in captured.err
+        assert "the following arguments are required: --n" in captured.err
 
-    def test_csv_format_only_for_simulate(self, tmp_path):
-        code = cli.main(["estimate", "--alpha", "0.5", "--format", "csv", "--input", reference_csv(tmp_path)])
-        assert code == cli.EXIT_INVALID_CONFIG
+
+# command -> (its flags, True where required; a valid call, DATA standing for
+# a CSV; calls that must now exit 2: flags the command no longer takes, and
+# values it rejects)
+SURFACE = {
+    "estimate": (
+        {"--alpha": True, "--input": True, "--output": False, "--seed": False},
+        ["--alpha", "0.5", "--input", "DATA"],
+        [["--format", "json"], ["--format", "csv"], ["--quad-tol", "1e-3"], ["--seed", "-1"]],
+    ),
+    "compact-fit": (
+        {"--input": True, "--output": False, "--seed": False},
+        ["--input", "DATA"],
+        [["--alpha", "2"], ["--alpha", "3"], ["--format", "json"], ["--quad-tol", "1e-3"]],
+    ),
+    "divergence": (
+        {"--alpha": True, "--p": True, "--q": True, "--output": False, "--quad-tol": False},
+        ["--alpha", "1.5", "--p", "normal:0,1", "--q", "normal:0.5,2"],
+        [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"]],
+    ),
+    "loglik": (
+        {"--alpha": True, "--mu": True, "--sigma": True, "--input": True, "--output": False, "--seed": False},
+        ["--alpha", "2", "--mu", "8.46", "--sigma", "1", "--input", "DATA"],
+        [["--quad-tol", "1e-3"], ["--format", "json"]],
+    ),
+    "simulate": (
+        {"--alpha": True, "--mu": True, "--sigma": True, "--n": True, "--seed": False, "--output": False,
+         "--format": False},
+        ["--alpha", "0.5", "--mu", "0", "--sigma", "1", "--n", "3"],
+        [["--input", "/nonexistent"], ["--quad-tol", "5"], ["--n", "0"], ["--format", "xml"]],
+    ),
+    "verify-paper-example": (
+        {},
+        [],
+        [["--output", "OUT"], ["--alpha", "2"], ["--input", "DATA"], ["--seed", "1"], ["--format", "json"],
+         ["--quad-tol", "1e-3"]],
+    ),
+}
+
+
+class TestSurface:
+    def test_each_command_takes_only_the_flags_it_reads(self, tmp_path, capsys):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(SURFACE)
+        assert sum(len(flags) for flags, _, _ in SURFACE.values()) == 25
+        data, out = reference_csv(tmp_path), tmp_path / "out"
+        for command, (flags, valid, rejected) in SURFACE.items():
+            declared = {a.option_strings[0]: a.required for a in commands.choices[command]._actions
+                        if a.option_strings != ["-h", "--help"]}
+            assert declared == flags, command
+            argv = [command] + [data if arg == "DATA" else arg for arg in valid]
+            assert cli.main(argv) == cli.EXIT_OK, command
+            assert capsys.readouterr().out != ""
+            for extra in rejected:
+                extra = [{"DATA": data, "OUT": str(out)}.get(arg, arg) for arg in extra]
+                assert cli.main(argv + extra) == cli.EXIT_INVALID_CONFIG, (command, extra)
+                assert capsys.readouterr().out == "", (command, extra)
+                assert not out.exists()
 
 
 class TestDeterminism:

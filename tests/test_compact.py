@@ -97,26 +97,26 @@ def layout_sample(layout, n, seed, shift=0.0):
     return xs + shift
 
 
-class TestPdfAlpha2:
-    def test_peak(self):
-        assert compact.pdf_alpha2(1.5, 1.5) == pytest.approx(N2, rel=1e-14)
-        assert N2 == pytest.approx(0.335410, abs=1e-6)
+class TestConstants:
+    def test_alpha2_constants_derive_from_the_family(self):
+        assert compact.ROOT5 == ROOT5  # bit for bit: verify prints values built on it
+        assert compact.N2 == pytest.approx(N2, rel=1e-15)
+        assert compact.N2 == pytest.approx(0.335410, abs=1e-6)
 
-    def test_boundary_and_outside(self):
-        assert compact.pdf_alpha2(0.0, ROOT5) == pytest.approx(0.0, abs=1e-15)
-        assert compact.pdf_alpha2(0.0, 3.0) == 0.0
 
-    def test_unit_offset(self):
-        assert compact.pdf_alpha2(0.0, 1.0) == pytest.approx(N2 * 0.8, rel=1e-12)
-
-    def test_matches_density_module(self):
-        from alphafam import studentt
-
-        p = af.make_student_t(2.0, [0.3], [[1.0]])
-        for x in (-1.0, 0.3, 1.7, 2.4):
-            assert compact.pdf_alpha2(0.3, x) == pytest.approx(
-                studentt.density(p, [x]), rel=1e-12
-            )
+@pytest.mark.parametrize("fit", [compact.maximize_l2, compact.enumerate_segments])
+@pytest.mark.parametrize("xs,error", [
+    ([0.0, math.nan], af.ParameterError),
+    ([0.0, math.inf], af.ParameterError),
+    ([[1.0, 2.0], [3.0, 4.0]], af.DimensionMismatchError),
+    ([], af.DimensionMismatchError),
+    (np.zeros((0, 1)), af.DimensionMismatchError),
+], ids=["nan", "inf", "d2", "empty", "empty-column"])
+def test_raw_arrays_are_checked_like_a_batch(fit, xs, error):
+    with pytest.raises(error) as err:
+        fit(xs)
+    if error is af.ParameterError:
+        assert err.value.code == "non_finite_observation"
 
 
 class TestEnumerateSegments:

@@ -20,9 +20,14 @@ def random_params(d, alpha, seed):
 
 
 class TestDensity:
-    def test_alpha2_peak_value(self):
-        p = af.make_student_t(2.0, [0.0], [[1.0]])
-        assert studentt.density(p, [0.0]) == pytest.approx(N2, rel=1e-14)
+    @pytest.mark.parametrize("mu,x", [
+        (0.0, 0.0), (1.5, 1.5), (0.0, 1.0), (0.0, math.sqrt(5.0)),
+        (0.3, -1.0), (0.3, 0.3), (0.3, 1.7), (0.3, 2.4),
+    ])
+    def test_alpha2_is_the_parabola(self, mu, x):
+        p = af.make_student_t(2.0, [mu], [[1.0]])
+        want = N2 * max(0.0, 1.0 - (x - mu) ** 2 / 5.0)
+        assert studentt.density(p, [x]) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_alpha2_outside_support_is_zero(self):
         p = af.make_student_t(2.0, [0.0], [[1.0]])
