@@ -23,7 +23,6 @@ from .core import (
     SufficientStats,
     SupportDescriptor,
     UndefinedScoreError,
-    UnsupportedConfigError,
     b_alpha,
     check_alpha,
     degrees_of_freedom,

@@ -29,7 +29,6 @@ from .core import (
     NumericalError,
     ParameterError,
     SampleBatch,
-    UnsupportedConfigError,
     make_student_t,
     pack_theta,
 )
@@ -389,6 +388,8 @@ def run(args: argparse.Namespace) -> int:
             raise ValueError("--seed must be >= 0")
         if getattr(args, "n", 1) < 1:
             raise ValueError("simulate requires --n >= 1")
+        if not 0.0 < getattr(args, "quad_tol", 1.0) < math.inf:
+            raise ValueError("--quad-tol must be finite and > 0")
         return args.handler(args)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -399,7 +400,6 @@ def run(args: argparse.Namespace) -> int:
     except (
         ParameterError,
         DimensionMismatchError,
-        UnsupportedConfigError,
         divergence.InvalidDistributionError,
         ValueError,
     ) as exc:

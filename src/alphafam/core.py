@@ -16,7 +16,6 @@ __all__ = [
     "AlphaFamilyError",
     "ParameterError",
     "DimensionMismatchError",
-    "UnsupportedConfigError",
     "UndefinedScoreError",
     "DegenerateStatisticsError",
     "NumericalError",
@@ -69,10 +68,6 @@ SIGMA_NOT_POSITIVE_DEFINITE = "sigma_not_positive_definite"
 
 class DimensionMismatchError(AlphaFamilyError):
     """Shapes of inputs are inconsistent (e.g. s != k for a regular check)."""
-
-
-class UnsupportedConfigError(AlphaFamilyError):
-    """Requested operation is outside the supported configuration space."""
 
 
 class UndefinedScoreError(AlphaFamilyError):

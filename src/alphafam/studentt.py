@@ -6,7 +6,10 @@ The density implemented here is
 
 with Sigma the covariance matrix.  For alpha < 1 this is the classical
 multivariate t with nu = 2/(1-alpha) - d degrees of freedom and scale matrix
-Sigma*(nu-2)/nu; for alpha > 1 the support is a bounded ellipsoid.
+Sigma*(nu-2)/nu; for alpha > 1 it is the Pearson type II law on the
+ellipsoid of squared Mahalanobis radius R^2 = -1/b_alpha (Fang, Kotz & Ng
+1990).  Both are a Gaussian over an independent chi, X = mu + A Z sqrt(k/W),
+so one exact sampler draws every member in any dimension (see ``sample``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .core import (
     SampleBatch,
     StudentTParams,
     UndefinedScoreError,
-    UnsupportedConfigError,
     b_alpha,
     _log_norm_const_shape,
     moment_statistic,
@@ -175,48 +177,26 @@ def density_power_integral(params: StudentTParams) -> float:
 def sample(params: StudentTParams, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. observations, deterministically for a fixed seed.
 
-    RNG: numpy ``default_rng`` (PCG64).  For alpha < 1 the draws use the
-    location-scale construction X = mu + A Z sqrt(nu/W) with A A^T =
-    Sigma*(nu-2)/nu, Z standard normal and W chi-squared(nu), so the
-    covariance of X equals Sigma.  For alpha > 1 only d = 1 is supported,
-    via rejection from the uniform distribution on the support interval
-    with the density peak as envelope (acceptance >= 1/2 at alpha = 2).
-
-    Raises
-    ------
-    UnsupportedConfigError
-        For alpha > 1 with d > 1.
+    RNG: numpy ``default_rng`` (PCG64).  Every member is drawn as X = mu +
+    A Z sqrt(k/W) with Z standard normal in R^d, then W chi-squared(k):
+    for alpha < 1, k = nu and A A^T = Sigma*(nu-2)/nu; for alpha > 1,
+    k = 2 alpha/(alpha-1), W also gains |Z|^2, and A A^T = Sigma*R^2/k with
+    R^2 the support's ``radius_sq``, so the squared Mahalanobis radius over
+    R^2 is |Z|^2/W ~ Beta(d/2, 1/(alpha-1) + 1).  Either way Cov X = Sigma.
     """
     if n < 1:
         raise DimensionMismatchError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    d = params.dim
     if params.alpha < 1.0:
-        nu = params.nu
-        scale = params.sigma * (nu - 2.0) / nu
-        chol = np.linalg.cholesky(scale)
-        z = rng.standard_normal((n, d))
-        w = rng.chisquare(nu, size=n)
-        draws = params.mu + (z * np.sqrt(nu / w)[:, None]) @ chol.T
-        return SampleBatch(draws)
-
-    if d != 1:
-        raise UnsupportedConfigError(
-            "sampling for alpha > 1 is implemented only for d = 1"
-        )
-    mu = params.mu[0]
-    lo, hi = params.support_interval
-    exponent = 1.0 / (params.alpha - 1.0)
-    inv_var = params.sigma_inv[0, 0]
-    accepted = np.empty(0)
-    while accepted.size < n:
-        m = max(2 * (n - accepted.size), 64)
-        x = rng.uniform(lo, hi, size=m)
-        u = rng.uniform(size=m)
-        bracket = 1.0 + params.b_alpha * (x - mu) ** 2 * inv_var
-        ratio = np.where(bracket > 0.0, np.maximum(bracket, 0.0) ** exponent, 0.0)
-        accepted = np.concatenate([accepted, x[u <= ratio]])
-    return SampleBatch(accepted[:n, None])
+        k, c = params.nu, params.nu - 2.0
+    else:
+        k, c = 2.0 * params.alpha / (params.alpha - 1.0), params.support.radius_sq
+    chol = np.linalg.cholesky(params.sigma * c / k)
+    z = rng.standard_normal((n, params.dim))
+    w = rng.chisquare(k, size=n)
+    if params.alpha > 1.0:
+        w += np.einsum("ni,ni->n", z, z)
+    return SampleBatch(params.mu + (z * np.sqrt(k / w)[:, None]) @ chol.T)
 
 
 def score(params: StudentTParams, x) -> np.ndarray:

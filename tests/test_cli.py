@@ -275,6 +275,16 @@ class TestCommands:
         se = math.sqrt(report["sigma_hat"][0][0] / report["n"])
         assert abs(report["mu_hat"][0] - 0.0) <= 3.0 * se
 
+    def test_simulate_compact_member_in_two_dimensions(self, tmp_path):
+        out = str(tmp_path / "draws.csv")
+        argv = ["simulate", "--alpha", "3", "--mu", "0,0", "--sigma", "1,0.3;0.3,2", "--n", "500"]
+        assert cli.main(argv + ["--output", out]) == cli.EXIT_OK
+        draws = cli.ingest_csv(out).data
+        params = af.make_student_t(3.0, [0.0, 0.0], [[1.0, 0.3], [0.3, 2.0]])
+        assert draws.shape == (500, 2)
+        radius_sq = np.einsum("ni,ij,nj->n", draws, params.sigma_inv, draws)
+        assert np.all(radius_sq <= params.support.radius_sq)
+
     @pytest.mark.parametrize("argv", [
         ["estimate", "--alpha", "nan", "--input", "CONST"],
         ["loglik", "--alpha", "inf", "--mu", "0", "--sigma", "1", "--input", "CONST"],
@@ -314,7 +324,8 @@ SURFACE = {
     "divergence": (
         {"--alpha": True, "--p": True, "--q": True, "--output": False, "--quad-tol": False},
         ["--alpha", "1.5", "--p", "normal:0,1", "--q", "normal:0.5,2"],
-        [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"]],
+        [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"], ["--quad-tol", "nan"],
+         ["--quad-tol", "inf"], ["--quad-tol", "-1"], ["--quad-tol", "0"]],
     ),
     "loglik": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--input": True, "--output": False, "--seed": False},

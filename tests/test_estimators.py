@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import alphafam as af
-from alphafam import core, estimators as est, studentt
+from alphafam import core, divergence as dv, estimators as est, studentt
 
 REFERENCE_SAMPLE = np.array([4.6, 4.7, 6.0, 7.0, 8.2, 8.6, 8.7, 8.8, 8.9, 9.0])
 
@@ -17,6 +17,12 @@ def random_batch(d, n, seed):
     rng = np.random.default_rng(seed)
     shift = rng.normal(scale=3.0, size=d)
     return af.SampleBatch(rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d) + shift)
+
+
+def random_params(d, alpha, seed):
+    rng = np.random.default_rng(seed)
+    a_mat = rng.normal(size=(d, d))
+    return af.make_student_t(alpha, rng.normal(size=d), a_mat @ a_mat.T + d * np.eye(d))
 
 
 def student_t_setup(batch, alpha):
@@ -151,6 +157,24 @@ class TestEstimateStudentT:
         moved = est.estimate_student_t(af.SampleBatch(batch.data * scale + shift), 0.7)
         assert moved.mu_hat[0] == pytest.approx(base.mu_hat[0] * scale + shift, rel=1e-9, abs=1e-9)
         assert moved.sigma_hat[0, 0] == pytest.approx(base.sigma_hat[0, 0] * scale**2, rel=1e-9)
+
+
+class TestClosedFormMaximizesGeneralizedLikelihood:
+    @pytest.mark.parametrize("alpha,d,seed", [(0.7, 1, 1), (0.8, 2, 2), (0.9, 3, 3)])
+    def test_no_perturbation_beats_the_fit(self, alpha, d, seed):
+        # mu -> mu_hat + eps L g and Sigma -> B Sigma_hat B^T with B = I + eps G,
+        # at scales eps from 1e-4 to 1e-1 (L L^T = Sigma_hat; g, G standard normal).
+        rng = np.random.default_rng(seed + 100)
+        batch = studentt.sample(random_params(d, alpha, seed), 2000, seed)
+        fit = est.estimate_student_t(batch, alpha)
+        best = dv.generalized_log_likelihood(af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat), batch, alpha)
+        chol = np.linalg.cholesky(fit.sigma_hat)
+        for _ in range(200):
+            eps = 10.0 ** rng.uniform(-4.0, -1.0)
+            b = np.eye(d) + eps * rng.normal(size=(d, d))
+            mu = fit.mu_hat + eps * chol @ rng.normal(size=d)
+            params = af.make_student_t(alpha, mu, b @ fit.sigma_hat @ b.T)
+            assert dv.generalized_log_likelihood(params, batch, alpha) < best
 
 
 class TestResidualsAtClosedForm:

@@ -118,14 +118,7 @@ class TestDecompose:
         p = random_params(d, alpha, seed)
         desc = studentt.decompose(p)
         theta = af.pack_theta(p.mu, p.sigma_inv)
-        rng = np.random.default_rng(seed + 100)
-        if alpha < 1.0:
-            pts = studentt.sample(p, 100, seed).data
-        elif d == 1:
-            pts = studentt.sample(p, 100, seed).data
-        else:
-            pts = p.mu + 0.05 * rng.normal(size=(100, d))
-        for x in pts:
+        for x in studentt.sample(p, 100, seed).data:
             dv = studentt.density(p, x)
             assert dv > 0.0
             rv = af.reconstruct_density(desc, theta, x)
@@ -159,6 +152,14 @@ class TestDecompose:
             assert np.allclose(jac[:, r], col, atol=1e-6)
 
 
+def mahalanobis_sq(p, draws):
+    r = draws - p.mu
+    return np.einsum("ni,ij,nj->n", r, p.sigma_inv, r)
+
+
+COMPACT_GRID = [(d, alpha) for d in (1, 2, 3) for alpha in (1.01, 2.0, 10.0)]
+
+
 class TestSample:
     def test_deterministic_for_fixed_seed(self):
         p = af.make_student_t(0.7, [1.0], [[2.0]])
@@ -167,6 +168,19 @@ class TestSample:
         c = studentt.sample(p, 500, 43).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("d,alpha,seed", [(1, 0.7, 5), (2, 0.8, 6), (3, 0.9, 7)])
+    def test_heavy_tail_draws_are_pinned(self, d, alpha, seed):
+        # The classical t construction, operation for operation, on the same stream.
+        p = random_params(d, alpha, seed)
+        rng = np.random.default_rng(seed)
+        nu = p.nu
+        chol = np.linalg.cholesky(p.sigma * (nu - 2.0) / nu)
+        z = rng.standard_normal((1000, d))
+        w = rng.chisquare(nu, size=1000)
+        want = p.mu + (z * np.sqrt(nu / w)[:, None]) @ chol.T
+        got = studentt.sample(p, 1000, seed).data
+        assert got.tobytes() == want.tobytes()
 
     def test_mean_within_three_se(self):
         p = af.make_student_t(0.5, [0.0], [[1.0]])
@@ -182,22 +196,32 @@ class TestSample:
         se = y.std(ddof=1) / math.sqrt(y.size)
         assert abs(y.mean() - (1.0 + p.b_alpha)) <= 3.0 * se
 
-    def test_alpha2_draws_stay_in_support(self):
-        p = af.make_student_t(2.0, [0.0], [[1.0]])
-        x = studentt.sample(p, 50_000, 3).scalars()
-        assert np.all(np.abs(x) <= math.sqrt(5.0))
+    @pytest.mark.parametrize("d,alpha", COMPACT_GRID)
+    def test_alpha2_draws_stay_in_support(self, d, alpha):
+        p = random_params(d, alpha, 40 + d)
+        draws = studentt.sample(p, 50_000, 3).data
+        assert np.all(mahalanobis_sq(p, draws) <= p.support.radius_sq)
+        assert np.all(studentt.density_batch(p, draws) > 0.0)
 
-    def test_covariance_within_five_percent(self):
-        sig = np.array([[1.0, 0.4], [0.4, 2.0]])
-        p = af.make_student_t(0.8, [0.0, 0.0], sig)
+    @pytest.mark.parametrize("d,alpha", COMPACT_GRID)
+    def test_radial_law_is_beta(self, d, alpha):
+        # Whitened squared radius over R^2 ~ Beta(d/2, 1/(alpha-1) + 1).
+        p = random_params(d, alpha, 60 + d)
+        u = mahalanobis_sq(p, studentt.sample(p, 20_000, 8).data) / p.support.radius_sq
+        law = stats.beta(0.5 * d, 1.0 / (alpha - 1.0) + 1.0)
+        assert stats.kstest(u, law.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("alpha,sig", [
+        (0.8, [[1.0, 0.4], [0.4, 2.0]]),
+        (3.0, [[1.0, 0.4], [0.4, 2.0]]),
+        (1.5, [[2.0, 0.3, -0.5], [0.3, 1.0, 0.2], [-0.5, 0.2, 1.5]]),
+    ])
+    def test_covariance_within_five_percent(self, alpha, sig):
+        sig = np.array(sig)
+        p = af.make_student_t(alpha, np.zeros(len(sig)), sig)
         draws = studentt.sample(p, 200_000, 12).data
         emp = np.cov(draws.T)
         assert np.linalg.norm(emp - sig) / np.linalg.norm(sig) < 0.05
-
-    def test_multivariate_compact_sampling_unsupported(self):
-        p = af.make_student_t(3.0, [0.0, 0.0], np.eye(2))
-        with pytest.raises(core.UnsupportedConfigError):
-            studentt.sample(p, 10, 0)
 
 
 class TestScore:
@@ -241,7 +265,9 @@ class TestScore:
 
 
 class TestExpectationIdentity:
-    @pytest.mark.parametrize("d,alpha,seed", [(1, 0.5, 11), (2, 0.8, 12), (3, 0.9, 13)])
+    @pytest.mark.parametrize("d,alpha,seed", [
+        (1, 0.5, 11), (2, 0.8, 12), (3, 0.9, 13), (1, 2.0, 14), (2, 1.5, 15), (3, 3.0, 16),
+    ])
     def test_mean_of_y_statistic(self, d, alpha, seed):
         p = random_params(d, alpha, seed + 50)
         draws = studentt.sample(p, 200_000, seed).data
