@@ -35,7 +35,7 @@ def main():
     batch = af.SampleBatch(xs)
     for mu in (result.mu_hat, xs.mean()):
         params = af.make_student_t(2.0, [mu], [[1.0]])
-        value = dv.generalized_log_likelihood(params, batch, 2.0)
+        value = dv.generalized_log_likelihood(params, batch)
         print(f"  mu = {mu:7.4f}: L = {value:.6f}")
 
 

@@ -53,7 +53,6 @@ from .divergence import (
     student_t_1d,
 )
 from .estimators import (
-    PopulationMoments,
     ResidualReport,
     StudentTEstimate,
     estimate_student_t,

@@ -295,7 +295,7 @@ def _cmd_loglik(args: argparse.Namespace) -> int:
         "n": batch.n,
         "mu": params.mu.tolist(),
         "sigma": params.sigma.tolist(),
-        "value": divergence.generalized_log_likelihood(params, batch, args.alpha),
+        "value": divergence.generalized_log_likelihood(params, batch),
         "provenance": _provenance(args),
     }
     _emit(dumps_report(report), args.output)

@@ -62,6 +62,8 @@ ALPHA_EQUALS_ONE = "alpha_equals_one"
 ALPHA_BELOW_THRESHOLD = "alpha_below_threshold"
 ALPHA_NOT_BELOW_ONE = "alpha_not_below_one"
 ALPHA_NOT_FINITE = "alpha_not_finite"
+MU_NOT_FINITE = "mu_not_finite"
+SIGMA_NOT_FINITE = "sigma_not_finite"
 SIGMA_NOT_SYMMETRIC = "sigma_not_symmetric"
 SIGMA_NOT_POSITIVE_DEFINITE = "sigma_not_positive_definite"
 
@@ -253,7 +255,8 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     ------
     ParameterError
         With distinct codes for non-finite alpha, alpha <= d/(d+2),
-        alpha = 1, non-symmetric sigma, and non-positive-definite sigma.
+        alpha = 1, non-finite mu, non-finite sigma, non-symmetric sigma,
+        and non-positive-definite sigma.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.ndim != 1 or mu.shape[0] == 0:
@@ -264,6 +267,10 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
         raise DimensionMismatchError(f"sigma must be {d}x{d}, got {sigma.shape}")
 
     check_alpha(alpha, d)
+    if not np.isfinite(mu).all():
+        raise ParameterError(MU_NOT_FINITE, "mu must be finite")
+    if not np.isfinite(sigma).all():
+        raise ParameterError(SIGMA_NOT_FINITE, "sigma must be finite")
 
     scale = np.linalg.norm(sigma)
     if np.linalg.norm(sigma - sigma.T) > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -384,10 +391,12 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Arithmetic-mean summaries of a batch under a family descriptor."""
+    """Means of f and q^(alpha-1): one side of the estimating equation.
 
-    mean_x: np.ndarray
-    mean_xxT: np.ndarray
+    The sample side holds the batch means f-bar and q^(alpha-1)-bar; the
+    population side holds E_theta[f] and E_theta[q^(alpha-1)].
+    """
+
     mean_f: np.ndarray
     mean_q_pow: float
 

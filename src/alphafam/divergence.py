@@ -1,10 +1,12 @@
 """Order-alpha divergence, KL divergence, and the generalized likelihood.
 
-Distributions enter through lightweight handles: a probability vector over
-finitely many atoms, or a 1-D density with an interval support.  Continuous
+Divergences take lightweight handles: a probability vector over finitely
+many atoms, or a 1-D density with an interval support.  Continuous
 integrals use adaptive quadrature (QUADPACK via scipy), which transforms
 infinite tails internally.  scipy is imported on the first quadrature, so
-commands that integrate nothing never load it.
+commands that integrate nothing never load it.  The generalized likelihood
+takes a Student-t model, whose order is its own alpha and whose power
+integral is closed form, so it never integrates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .core import (
     AlphaFamilyError,
     DimensionMismatchError,
     NumericalError,
-    ParameterError,
     SampleBatch,
     StudentTParams,
     check_alpha,
@@ -50,7 +51,7 @@ class InvalidDistributionError(AlphaFamilyError):
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability vector over m atoms; entries >= 0 summing to 1 +- 1e-12."""
+    """Probability vector over m atoms; finite entries >= 0 summing to 1 +- 1e-12."""
 
     probs: np.ndarray
 
@@ -58,6 +59,8 @@ class DiscreteDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise InvalidDistributionError("probs must be a nonempty vector")
+        if not np.isfinite(probs).all():
+            raise InvalidDistributionError("probabilities must be finite")
         if np.any(probs < 0.0):
             raise InvalidDistributionError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -88,9 +91,11 @@ DistributionHandle = Union[DiscreteDistribution, ContinuousDistribution1D]
 
 
 def gaussian(mu: float, var: float) -> ContinuousDistribution1D:
-    """Normal density handle with mean mu and variance var."""
-    if var <= 0:
-        raise InvalidDistributionError("variance must be positive")
+    """Normal density handle with finite mean mu and finite variance var > 0."""
+    if not math.isfinite(mu):
+        raise InvalidDistributionError("mean must be finite")
+    if not 0.0 < var < math.inf:
+        raise InvalidDistributionError("variance must be finite and positive")
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
     def pdf(x: float) -> float:
@@ -137,13 +142,23 @@ def _quad(fn, lo, hi, epsabs: float, epsrel: float) -> float:
     return value
 
 
-def _discrete_integrals(p: np.ndarray, q: np.ndarray, alpha: float):
+def _discrete_cross(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     p_mass = p > 0.0
     if alpha < 1.0 and np.any(q[p_mass] == 0.0):
-        return math.inf, None, None
+        return math.inf
     both = p_mass & (q > 0.0)
-    cross = float(np.sum(p[both] * q[both] ** (alpha - 1.0)))
-    return cross, float(np.sum(p[p_mass] ** alpha)), float(np.sum(q[q > 0.0] ** alpha))
+    return float(np.sum(p[both] * q[both] ** (alpha - 1.0)))
+
+
+def _log_power_integral(h: DistributionHandle, alpha: float, epsabs: float, epsrel: float) -> float:
+    """log Int h^alpha: a sum over the atoms of a discrete handle, else quadrature."""
+    if isinstance(h, DiscreteDistribution):
+        value = float(np.sum(h.probs[h.probs > 0.0] ** alpha))
+    else:
+        value = _quad(lambda x: h.pdf(x) ** alpha, *h.support, epsabs, epsrel)
+    if not 0.0 < value < math.inf:
+        raise NumericalError("power integral is not finite and positive")
+    return math.log(value)
 
 
 def i_alpha(
@@ -164,7 +179,7 @@ def i_alpha(
     if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
         if p.probs.shape != q.probs.shape:
             raise DimensionMismatchError("handles must share one atom set")
-        cross, p_pow, q_pow = _discrete_integrals(p.probs, q.probs, alpha)
+        cross = _discrete_cross(p.probs, q.probs, alpha)
     elif isinstance(p, ContinuousDistribution1D) and isinstance(q, ContinuousDistribution1D):
         (plo, phi), (qlo, qhi) = p.support, q.support
         if alpha < 1.0 and (plo < qlo or phi > qhi):
@@ -185,19 +200,15 @@ def i_alpha(
             return px * qx ** (alpha - 1.0)
 
         cross = 0.0 if not lo < hi else _quad(cross_integrand, lo, hi, epsabs, epsrel)
-        p_pow = _quad(lambda x: p.pdf(x) ** alpha, plo, phi, epsabs, epsrel)
-        q_pow = _quad(lambda x: q.pdf(x) ** alpha, qlo, qhi, epsabs, epsrel)
     else:
         raise DimensionMismatchError("handles must be the same kind")
 
     if cross == math.inf or cross == 0.0:
         return math.inf
-    if not (0.0 < p_pow < math.inf and 0.0 < q_pow < math.inf):
-        raise NumericalError("power integral is not finite and positive")
     return (
         alpha / (1.0 - alpha) * math.log(cross)
-        - 1.0 / (1.0 - alpha) * math.log(p_pow)
-        + math.log(q_pow)
+        - 1.0 / (1.0 - alpha) * _log_power_integral(p, alpha, epsabs, epsrel)
+        + _log_power_integral(q, alpha, epsabs, epsrel)
     )
 
 
@@ -232,53 +243,22 @@ def kl(
     raise DimensionMismatchError("handles must be the same kind")
 
 
-def log_density_power_integral(
-    model, alpha: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = DEFAULT_EPSREL
-) -> float:
-    """log Int p^alpha for a Student-t (closed form) or a 1-D handle (quadrature)."""
-    if isinstance(model, StudentTParams):
-        if alpha != model.alpha:
-            raise ParameterError(
-                "alpha_mismatch", "likelihood order must equal the family order"
-            )
-        return math.log(studentt.density_power_integral(model))
-    if isinstance(model, ContinuousDistribution1D):
-        value = _quad(lambda x: model.pdf(x) ** alpha, *model.support, epsabs=epsabs, epsrel=epsrel)
-        if not 0.0 < value < math.inf:
-            raise NumericalError("power integral is not finite and positive")
-        return math.log(value)
-    raise DimensionMismatchError("model must be StudentTParams or a 1-D handle")
+def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> float:
+    """Generalized log-likelihood of a batch under a Student-t model, of its own order.
 
-
-def generalized_log_likelihood(
-    model,
-    batch: SampleBatch,
-    alpha: float,
-    epsabs: float = DEFAULT_EPSABS,
-    epsrel: float = DEFAULT_EPSREL,
-) -> float:
-    """Generalized log-likelihood of a batch under a density model.
-
-    Evaluates alpha/(alpha-1) log[(1/n) sum_j p(X_j)^(alpha-1)] minus
-    log Int p^alpha.  Observations where the density vanishes drive the
-    first term to -inf (returned as a value, never raised), both for
-    alpha < 1 (infinite weight) and for alpha > 1 with every point
-    off-support (empty overlap).
+    With alpha = params.alpha, evaluates alpha/(alpha-1) log[(1/n) sum_j
+    p(X_j)^(alpha-1)] minus log Int p^alpha, the latter in closed form.
+    Observations where the density vanishes drive the first term to -inf
+    (returned as a value, never raised), both for alpha < 1 (infinite
+    weight) and for alpha > 1 with every point off-support (empty overlap).
     """
-    check_alpha(alpha)
-    if isinstance(model, StudentTParams):
-        if batch.dim != model.dim:
-            raise DimensionMismatchError("batch dimension must match the model")
-        pvals = studentt.density_batch(model, batch.data)
-    elif isinstance(model, ContinuousDistribution1D):
-        pvals = np.array([model.pdf(x) for x in batch.scalars()], dtype=float)
-    else:
-        raise DimensionMismatchError("model must be StudentTParams or a 1-D handle")
-
-    log_power = log_density_power_integral(model, alpha, epsabs=epsabs, epsrel=epsrel)
+    if batch.dim != params.dim:
+        raise DimensionMismatchError("batch dimension must match the model")
+    alpha = params.alpha
+    pvals = studentt.density_batch(params, batch.data)
     if alpha < 1.0 and np.any(pvals == 0.0):
         return -math.inf
     mean_pow = float(np.mean(pvals ** (alpha - 1.0)))
     if mean_pow == 0.0:
         return -math.inf
-    return alpha / (alpha - 1.0) * math.log(mean_pow) - log_power
+    return alpha / (alpha - 1.0) * math.log(mean_pow) - math.log(studentt.density_power_integral(params))

@@ -1,11 +1,13 @@
 """Estimating-equation layer: sufficient statistics, residual evaluators,
 and the closed-form Student-t estimator.
 
-The residual evaluators measure how far a parameter vector is from solving
-the estimating equations: the plain score equation for exponential families
-and its reweighted generalization for alpha-power-law families.  For regular
-families both collapse to moment matching, which the closed-form Student-t
-estimator solves exactly.
+Both sides of the estimating equation are a SufficientStats record: the
+sample means f-bar and q^(alpha-1)-bar, and the analytic population moments
+E_theta[f] and E_theta[q^(alpha-1)].  The residual evaluators measure how far
+a parameter vector is from solving the equation: the plain score equation
+for exponential families and its reweighted generalization for
+alpha-power-law families.  For regular families both collapse to moment
+matching, which the closed-form Student-t estimator solves exactly.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from .core import (
     moment_statistic,
     unpack_theta,
 )
-from . import studentt
 
 __all__ = [
-    "PopulationMoments",
     "ResidualReport",
     "StudentTEstimate",
     "sufficient_stats",
@@ -42,18 +42,9 @@ __all__ = [
     "residual_exponential",
     "estimate_student_t",
     "student_t_population_moments",
-    "student_t_population_moments_quadrature",
     "gaussian_exp_family",
     "gaussian_population_moments",
 ]
-
-
-@dataclass(frozen=True)
-class PopulationMoments:
-    """Population-side moments E_theta[f] and E_theta[q^(alpha-1)]."""
-
-    mean_f: np.ndarray
-    mean_q_pow: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -75,21 +66,18 @@ def _report(residuals: np.ndarray, equation: str) -> ResidualReport:
 
 
 def sufficient_stats(batch: SampleBatch, desc, alpha: float) -> SufficientStats:
-    """Arithmetic means X-bar, XX^T-bar, f-bar, and q^(alpha-1)-bar.
+    """Sample means f-bar and q^(alpha-1)-bar.
 
     ``desc.f_fn`` and ``desc.q_fn`` are each called once, on the whole batch.
     """
     data = batch.data
-    mean_x = data.mean(axis=0)
-    mean_xxT = np.einsum("ni,nj->ij", data, data) / batch.n
-    mean_xxT = 0.5 * (mean_xxT + mean_xxT.T)
     mean_f = np.asarray(desc.f_fn(data), dtype=float).mean(axis=0)
     with np.errstate(divide="ignore"):
         mean_q_pow = float(np.mean(np.asarray(desc.q_fn(data), dtype=float) ** (alpha - 1.0)))
-    return SufficientStats(mean_x=mean_x, mean_xxT=mean_xxT, mean_f=mean_f, mean_q_pow=mean_q_pow)
+    return SufficientStats(mean_f=mean_f, mean_q_pow=mean_q_pow)
 
 
-def residual_regular_malpha(desc, theta, stats: SufficientStats, pop: PopulationMoments) -> ResidualReport:
+def residual_regular_malpha(desc, theta, stats: SufficientStats, pop: SufficientStats) -> ResidualReport:
     """Componentwise moment-matching residual for a regular family.
 
     residual_i = E_theta[f_i]/E_theta[q^(alpha-1)] - fbar_i/qbar, where the
@@ -103,7 +91,7 @@ def residual_regular_malpha(desc, theta, stats: SufficientStats, pop: Population
     return _report(res, "regular-malpha")
 
 
-def residual_general_malpha(desc, theta, stats: SufficientStats, pop: PopulationMoments) -> ResidualReport:
+def residual_general_malpha(desc, theta, stats: SufficientStats, pop: SufficientStats) -> ResidualReport:
     """Jacobian-weighted residual of the general estimating equation.
 
     residual_r = dw_r^T E[f] / E[q^(alpha-1) + w0 + w^T f]
@@ -129,7 +117,7 @@ def residual_general_malpha(desc, theta, stats: SufficientStats, pop: Population
 
 
 def residual_exponential(
-    desc: ExpFamilyDescriptor, theta, stats: SufficientStats, pop: PopulationMoments, regular: bool = True
+    desc: ExpFamilyDescriptor, theta, stats: SufficientStats, pop: SufficientStats, regular: bool = True
 ) -> ResidualReport:
     """Score-equation residual for an exponential family.
 
@@ -186,25 +174,9 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
     return StudentTEstimate(mu_hat=mu_hat, sigma_hat=sigma_hat, alpha=alpha, singular=bool(singular))
 
 
-def student_t_population_moments(params: StudentTParams) -> PopulationMoments:
+def student_t_population_moments(params: StudentTParams) -> SufficientStats:
     """Analytic E[f] for f = (x, Vec(xx^T)): the Gaussian's, since Sigma is the covariance."""
     return gaussian_population_moments(params.mu, params.sigma)
-
-
-def student_t_population_moments_quadrature(
-    params: StudentTParams, epsabs: float = 1e-10, epsrel: float = 1e-8
-) -> PopulationMoments:
-    """Quadrature cross-check of the analytic moments (d = 1 only)."""
-    lo, hi = params.support_interval
-    from scipy.integrate import quad
-
-    def pdf(x: float) -> float:
-        return studentt.density(params, [x])
-
-    m1 = quad(lambda x: x * pdf(x), lo, hi, epsabs=epsabs, epsrel=epsrel)[0]
-    m2 = quad(lambda x: x * x * pdf(x), lo, hi, epsabs=epsabs, epsrel=epsrel)[0]
-    mass = quad(pdf, lo, hi, epsabs=epsabs, epsrel=epsrel)[0]
-    return PopulationMoments(mean_f=np.array([m1, m2]), mean_q_pow=mass)
 
 
 def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
@@ -249,9 +221,9 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
     )
 
 
-def gaussian_population_moments(mu, sigma) -> PopulationMoments:
+def gaussian_population_moments(mu, sigma) -> SufficientStats:
     """E[f] for the Gaussian with f = (x, Vec(xx^T))."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     second = sigma + np.outer(mu, mu)
-    return PopulationMoments(mean_f=np.concatenate([mu, second.ravel()]), mean_q_pow=1.0)
+    return SufficientStats(mean_f=np.concatenate([mu, second.ravel()]), mean_q_pow=1.0)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestCommands:
         path = write(tmp_path, "clustered.csv", "".join(f"{x!r}\n" for x in xs.tolist()))
         out = str(tmp_path / "fit.json")
         assert cli.main(["compact-fit", "--input", path, "--output", out]) == cli.EXIT_OK
-        raw = open(out, "rb").read()
+        raw = Path(out).read_bytes()
         assert b'"schema_version":"2"' in raw
         report = json.loads(raw)
         ordered = np.sort(xs)
@@ -325,12 +326,13 @@ SURFACE = {
         {"--alpha": True, "--p": True, "--q": True, "--output": False, "--quad-tol": False},
         ["--alpha", "1.5", "--p", "normal:0,1", "--q", "normal:0.5,2"],
         [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"], ["--quad-tol", "nan"],
-         ["--quad-tol", "inf"], ["--quad-tol", "-1"], ["--quad-tol", "0"]],
+         ["--quad-tol", "inf"], ["--quad-tol", "-1"], ["--quad-tol", "0"], ["--p", "t:0.8,nan,1"],
+         ["--p", "normal:0,inf"], ["--p", "normal:inf,1"], ["--p", "normal:nan,1"]],
     ),
     "loglik": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--input": True, "--output": False, "--seed": False},
         ["--alpha", "2", "--mu", "8.46", "--sigma", "1", "--input", "DATA"],
-        [["--quad-tol", "1e-3"], ["--format", "json"]],
+        [["--quad-tol", "1e-3"], ["--format", "json"], ["--mu", "nan"], ["--mu", "inf"], ["--sigma", "nan"]],
     ),
     "simulate": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--n": True, "--seed": False, "--output": False,
@@ -374,8 +376,8 @@ class TestDeterminism:
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         for out in (out1, out2):
             assert cli.main(["compact-fit", "--input", path, "--output", out]) == cli.EXIT_OK
-        a = open(out1, "rb").read()
-        assert a == open(out2, "rb").read()
+        a = Path(out1).read_bytes()
+        assert a == Path(out2).read_bytes()
         assert b'"schema_version":"2"' in a
 
     def test_byte_identical_draws(self, tmp_path):
@@ -383,7 +385,7 @@ class TestDeterminism:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert cli.main(args + ["--output", out1]) == cli.EXIT_OK
         assert cli.main(args + ["--output", out2]) == cli.EXIT_OK
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     @pytest.mark.parametrize("digits", [None, "6"])
     @pytest.mark.parametrize("alpha,mu,sigma", [(0.7, "1,-2", "2,0.6;0.6,1"), (2.0, "0.5", "3")])

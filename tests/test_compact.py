@@ -318,6 +318,6 @@ class TestMaximizeL2:
         values = []
         for cand in result.candidates:
             params = af.make_student_t(2.0, [cand.maximizer], [[1.0]])
-            values.append(dv.generalized_log_likelihood(params, batch, 2.0))
+            values.append(dv.generalized_log_likelihood(params, batch))
         best = result.candidates[int(np.argmax(values))]
         assert best.maximizer == result.mu_hat

@@ -64,6 +64,19 @@ class TestMakeStudentT:
             core.check_alpha(alpha)
         assert err.value.code == core.ALPHA_NOT_FINITE
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", [0.8, 2.0])
+    def test_rejects_non_finite_mu_and_sigma(self, alpha, bad):
+        with pytest.raises(core.ParameterError) as err:
+            af.make_student_t(alpha, [0.0, bad], np.eye(2))
+        assert err.value.code == core.MU_NOT_FINITE
+        with pytest.raises(core.ParameterError) as err:
+            af.make_student_t(alpha, [0.0, 0.0], [[1.0, bad], [bad, 1.0]])
+        assert err.value.code == core.SIGMA_NOT_FINITE
+        with pytest.raises(core.ParameterError) as err:
+            af.make_student_t(alpha, [0.0], [[bad]])
+        assert err.value.code == core.SIGMA_NOT_FINITE
+
     def test_rejects_alpha_one(self):
         with pytest.raises(core.ParameterError) as err:
             af.make_student_t(1.0, [0.0], [[1.0]])
@@ -93,8 +106,10 @@ class TestMakeStudentT:
             core.ALPHA_EQUALS_ONE,
             core.SIGMA_NOT_SYMMETRIC,
             core.SIGMA_NOT_POSITIVE_DEFINITE,
+            core.MU_NOT_FINITE,
+            core.SIGMA_NOT_FINITE,
         }
-        assert len(codes) == 5
+        assert len(codes) == 7
 
     def test_tolerates_serialization_noise(self):
         sig = np.array([[2.0, 0.3], [0.3, 1.0]])

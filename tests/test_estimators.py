@@ -40,7 +40,6 @@ class TestSufficientStats:
         params = af.make_student_t(0.7, [7.0], [[1.0]])
         desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, 0.7)
-        assert stats.mean_x[0] == pytest.approx(7.45, abs=1e-14)
         assert stats.mean_f[0] == pytest.approx(7.45, abs=1e-14)
 
     def test_constant_batch(self):
@@ -48,8 +47,7 @@ class TestSufficientStats:
         params = af.make_student_t(0.8, [0.0, 0.0], np.eye(2))
         desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, 0.8)
-        assert np.allclose(stats.mean_x, [3.0, 3.0])
-        assert np.allclose(stats.mean_xxT, 9.0 * np.ones((2, 2)))
+        assert np.allclose(stats.mean_f, [3.0, 3.0, 9.0, 9.0, 9.0, 9.0])
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 2.0])
     def test_unit_q_gives_unit_power_mean(self, alpha):
@@ -91,7 +89,8 @@ class TestSufficientStats:
         params = af.make_student_t(0.9, np.zeros(3), np.eye(3))
         desc = studentt.decompose(params)
         stats = est.sufficient_stats(batch, desc, 0.9)
-        centered = stats.mean_xxT - np.outer(stats.mean_x, stats.mean_x)
+        mean_x, mean_xxT = stats.mean_f[:3], stats.mean_f[3:].reshape(3, 3)
+        centered = mean_xxT - np.outer(mean_x, mean_x)
         assert np.all(np.linalg.eigvalsh(centered) > -1e-12)
 
 
@@ -167,14 +166,14 @@ class TestClosedFormMaximizesGeneralizedLikelihood:
         rng = np.random.default_rng(seed + 100)
         batch = studentt.sample(random_params(d, alpha, seed), 2000, seed)
         fit = est.estimate_student_t(batch, alpha)
-        best = dv.generalized_log_likelihood(af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat), batch, alpha)
+        best = dv.generalized_log_likelihood(af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat), batch)
         chol = np.linalg.cholesky(fit.sigma_hat)
         for _ in range(200):
             eps = 10.0 ** rng.uniform(-4.0, -1.0)
             b = np.eye(d) + eps * rng.normal(size=(d, d))
             mu = fit.mu_hat + eps * chol @ rng.normal(size=d)
             params = af.make_student_t(alpha, mu, b @ fit.sigma_hat @ b.T)
-            assert dv.generalized_log_likelihood(params, batch, alpha) < best
+            assert dv.generalized_log_likelihood(params, batch) < best
 
 
 class TestResidualsAtClosedForm:
@@ -200,14 +199,8 @@ class TestResidualsAtClosedForm:
         desc = studentt.decompose(params)
         pop = est.student_t_population_moments(params)
         theta = af.pack_theta(params.mu, params.sigma_inv)
-        fake_stats = core.SufficientStats(
-            mean_x=params.mu,
-            mean_xxT=params.sigma + np.outer(params.mu, params.mu),
-            mean_f=pop.mean_f.copy(),
-            mean_q_pow=1.0,
-        )
-        assert est.residual_regular_malpha(desc, theta, fake_stats, pop).norm == 0.0
-        assert est.residual_general_malpha(desc, theta, fake_stats, pop).norm == 0.0
+        assert est.residual_regular_malpha(desc, theta, pop, pop).norm == 0.0
+        assert est.residual_general_malpha(desc, theta, pop, pop).norm == 0.0
 
 
 class TestResidualsOffTruth:
@@ -262,9 +255,9 @@ class TestResidualsOffTruth:
     def test_analytic_moments_match_quadrature(self):
         params = af.make_student_t(0.7, [0.4], [[1.7]])
         analytic = est.student_t_population_moments(params)
-        numeric = est.student_t_population_moments_quadrature(params)
-        assert np.max(np.abs(analytic.mean_f - numeric.mean_f)) < 1e-8
-        assert abs(numeric.mean_q_pow - 1.0) < 1e-8
+        ef, mass = self._quadrature_moments(params)
+        assert np.max(np.abs(analytic.mean_f - ef)) < 1e-8
+        assert abs(mass - 1.0) < 1e-8
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_jacobian_bridge(self, seed):
@@ -292,9 +285,7 @@ class TestResidualsOffTruth:
         params = af.make_student_t(0.7, [0.0], [[1.0]])
         desc = studentt.decompose(params)
         theta = af.pack_theta(params.mu, params.sigma_inv)
-        stats = core.SufficientStats(
-            mean_x=np.zeros(1), mean_xxT=np.zeros((1, 1)), mean_f=np.zeros(2), mean_q_pow=0.0
-        )
+        stats = core.SufficientStats(mean_f=np.zeros(2), mean_q_pow=0.0)
         pop = est.student_t_population_moments(params)
         with pytest.raises(core.DegenerateStatisticsError):
             est.residual_regular_malpha(desc, theta, stats, pop)
