@@ -44,6 +44,7 @@ from .studentt import (
 from .divergence import (
     ContinuousDistribution1D,
     DiscreteDistribution,
+    Gaussian,
     InvalidDistributionError,
     bernoulli,
     gaussian,

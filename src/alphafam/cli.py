@@ -440,7 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first distribution: normal:MU,VAR | bernoulli:P | t:ALPHA,MU,VAR")
     p.add_argument("--q", required=True, help="second distribution (same syntax)")
     p.add_argument("--output", **output)
-    p.add_argument("--quad-tol", type=float, default=1e-10, help="absolute quadrature tolerance")
+    p.add_argument("--quad-tol", type=float, default=1e-10,
+                   help="absolute quadrature tolerance, for terms without a closed form")
 
     p = sub.add_parser("loglik", help="generalized log-likelihood of a batch")
     p.set_defaults(handler=_cmd_loglik)

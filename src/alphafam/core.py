@@ -28,6 +28,7 @@ __all__ = [
     "RegularityReport",
     "b_alpha",
     "check_alpha",
+    "check_mean_covariance",
     "degrees_of_freedom",
     "log_norm_const",
     "make_student_t",
@@ -238,6 +239,54 @@ class StudentTParams:
         return (self.mu[0] - radius, self.mu[0] + radius)
 
 
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """(m + m^T)/2, halving first so that entries near the float maximum do not overflow."""
+    return 0.5 * m + 0.5 * m.T
+
+
+def check_mean_covariance(mu, sigma, alpha: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a location vector and a covariance matrix; return them as arrays.
+
+    A scalar mu is promoted to d = 1 and a scalar sigma to a 1x1 matrix.
+    When ``alpha`` is given, it is checked as a Student-t order for this d
+    before the values are.  Symmetry and positive definiteness are judged
+    on sigma divided by its largest entry, so they hold at any finite
+    scale; the returned sigma is exactly symmetric.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If mu is not a non-empty vector or sigma is not d x d.
+    ParameterError
+        With codes ``mu_not_finite``, ``sigma_not_finite``,
+        ``sigma_not_symmetric`` and ``sigma_not_positive_definite``, after
+        those of :func:`check_alpha`.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.ndim != 1 or mu.shape[0] == 0:
+        raise DimensionMismatchError("mu must be a non-empty vector")
+    d = mu.shape[0]
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if sigma.shape != (d, d):
+        raise DimensionMismatchError(f"sigma must be {d}x{d}, got {sigma.shape}")
+
+    if alpha is not None:
+        check_alpha(alpha, d)
+    if not np.isfinite(mu).all():
+        raise ParameterError(MU_NOT_FINITE, "mu must be finite")
+    if not np.isfinite(sigma).all():
+        raise ParameterError(SIGMA_NOT_FINITE, "sigma must be finite")
+
+    scale = float(np.max(np.abs(sigma)))
+    unit = sigma / scale if scale > 0.0 else sigma
+    if np.linalg.norm(unit - unit.T) > SYMMETRY_RTOL * np.linalg.norm(unit):
+        raise ParameterError(SIGMA_NOT_SYMMETRIC, "sigma is not symmetric")
+    eigvals = np.linalg.eigvalsh(_symmetrize(unit))
+    if eigvals[-1] <= 0.0 or eigvals[0] <= EIGENVALUE_RTOL * eigvals[-1]:
+        raise ParameterError(SIGMA_NOT_POSITIVE_DEFINITE, "sigma is not positive definite")
+    return mu, _symmetrize(sigma)
+
+
 def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     """Construct validated Student-t parameters with all derived constants.
 
@@ -258,34 +307,14 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
         alpha = 1, non-finite mu, non-finite sigma, non-symmetric sigma,
         and non-positive-definite sigma.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.ndim != 1 or mu.shape[0] == 0:
-        raise DimensionMismatchError("mu must be a non-empty vector")
+    mu, sigma = check_mean_covariance(mu, sigma, alpha)
     d = mu.shape[0]
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.shape != (d, d):
-        raise DimensionMismatchError(f"sigma must be {d}x{d}, got {sigma.shape}")
-
-    check_alpha(alpha, d)
-    if not np.isfinite(mu).all():
-        raise ParameterError(MU_NOT_FINITE, "mu must be finite")
-    if not np.isfinite(sigma).all():
-        raise ParameterError(SIGMA_NOT_FINITE, "sigma must be finite")
-
-    scale = np.linalg.norm(sigma)
-    if np.linalg.norm(sigma - sigma.T) > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise ParameterError(SIGMA_NOT_SYMMETRIC, "sigma is not symmetric")
-    sigma = 0.5 * (sigma + sigma.T)
-    eigvals = np.linalg.eigvalsh(sigma)
-    if eigvals[-1] <= 0.0 or eigvals[0] <= EIGENVALUE_RTOL * eigvals[-1]:
-        raise ParameterError(SIGMA_NOT_POSITIVE_DEFINITE, "sigma is not positive definite")
 
     b = b_alpha(alpha, d)
     nu = degrees_of_freedom(alpha, d)
     sign, logdet = np.linalg.slogdet(sigma)
     log_n = log_norm_const(alpha, logdet, d)
-    sigma_inv = np.linalg.inv(sigma)
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
+    sigma_inv = _symmetrize(np.linalg.inv(sigma))
 
     if alpha < 1.0:
         support = SupportDescriptor(kind="all-space")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,22 +310,26 @@ class TestCommands:
 
 
 # command -> (its flags, True where required; a valid call, DATA standing for
-# a CSV; calls that must now exit 2: flags the command no longer takes, and
-# values it rejects)
+# a CSV; edge values it must accept, with output and without a warning;
+# calls that must now exit 2: flags the command no longer takes, and values
+# it rejects)
 SURFACE = {
     "estimate": (
         {"--alpha": True, "--input": True, "--output": False, "--seed": False},
         ["--alpha", "0.5", "--input", "DATA"],
+        [],
         [["--format", "json"], ["--format", "csv"], ["--quad-tol", "1e-3"], ["--seed", "-1"]],
     ),
     "compact-fit": (
         {"--input": True, "--output": False, "--seed": False},
         ["--input", "DATA"],
+        [],
         [["--alpha", "2"], ["--alpha", "3"], ["--format", "json"], ["--quad-tol", "1e-3"]],
     ),
     "divergence": (
         {"--alpha": True, "--p": True, "--q": True, "--output": False, "--quad-tol": False},
         ["--alpha", "1.5", "--p", "normal:0,1", "--q", "normal:0.5,2"],
+        [["--p", "normal:0,1e-20"], ["--p", "normal:0,1e300"]],
         [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"], ["--quad-tol", "nan"],
          ["--quad-tol", "inf"], ["--quad-tol", "-1"], ["--quad-tol", "0"], ["--p", "t:0.8,nan,1"],
          ["--p", "normal:0,inf"], ["--p", "normal:inf,1"], ["--p", "normal:nan,1"]],
@@ -332,16 +337,19 @@ SURFACE = {
     "loglik": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--input": True, "--output": False, "--seed": False},
         ["--alpha", "2", "--mu", "8.46", "--sigma", "1", "--input", "DATA"],
+        [["--sigma", "1e308"], ["--sigma", "1e-308"]],
         [["--quad-tol", "1e-3"], ["--format", "json"], ["--mu", "nan"], ["--mu", "inf"], ["--sigma", "nan"]],
     ),
     "simulate": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--n": True, "--seed": False, "--output": False,
          "--format": False},
         ["--alpha", "0.5", "--mu", "0", "--sigma", "1", "--n", "3"],
+        [],
         [["--input", "/nonexistent"], ["--quad-tol", "5"], ["--n", "0"], ["--format", "xml"]],
     ),
     "verify-paper-example": (
         {},
+        [],
         [],
         [["--output", "OUT"], ["--alpha", "2"], ["--input", "DATA"], ["--seed", "1"], ["--format", "json"],
          ["--quad-tol", "1e-3"]],
@@ -350,19 +358,21 @@ SURFACE = {
 
 
 class TestSurface:
+    @pytest.mark.filterwarnings("error")
     def test_each_command_takes_only_the_flags_it_reads(self, tmp_path, capsys):
         parser = cli._build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(commands.choices) == list(SURFACE)
-        assert sum(len(flags) for flags, _, _ in SURFACE.values()) == 25
+        assert sum(len(flags) for flags, _, _, _ in SURFACE.values()) == 25
         data, out = reference_csv(tmp_path), tmp_path / "out"
-        for command, (flags, valid, rejected) in SURFACE.items():
+        for command, (flags, valid, accepted, rejected) in SURFACE.items():
             declared = {a.option_strings[0]: a.required for a in commands.choices[command]._actions
                         if a.option_strings != ["-h", "--help"]}
             assert declared == flags, command
             argv = [command] + [data if arg == "DATA" else arg for arg in valid]
-            assert cli.main(argv) == cli.EXIT_OK, command
-            assert capsys.readouterr().out != ""
+            for extra in [[]] + accepted:
+                assert cli.main(argv + extra) == cli.EXIT_OK, (command, extra)
+                assert capsys.readouterr().out != "", (command, extra)
             for extra in rejected:
                 extra = [{"DATA": data, "OUT": str(out)}.get(arg, arg) for arg in extra]
                 assert cli.main(argv + extra) == cli.EXIT_INVALID_CONFIG, (command, extra)
@@ -440,8 +450,9 @@ class TestVerifyCommand:
 class TestScipyOffTheColdPath:
     """Only quadrature needs scipy, so no other command may import it.
 
-    Nor may any command import ``numpy.ma``, which numpy loads lazily from
-    helpers such as ``np.median`` and ``np.unique``.
+    Nor may a divergence whose terms are all closed form.  Nor may any
+    command import ``numpy.ma``, which numpy loads lazily from helpers such
+    as ``np.median`` and ``np.unique``.
     """
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -465,7 +476,8 @@ class TestScipyOffTheColdPath:
         return line.split()[1:]
 
     @pytest.mark.parametrize("command", ["import", "estimate", "simulate", "loglik", "compact-fit",
-                                         "verify-paper-example"])
+                                         "verify-paper-example", "divergence-normal-normal",
+                                         "divergence-t-normal"])
     def test_command_never_imports_scipy(self, tmp_path, command):
         data = reference_csv(tmp_path)
         argv = {
@@ -476,20 +488,26 @@ class TestScipyOffTheColdPath:
             "loglik": ["loglik", "--alpha", "0.7", "--mu", "7", "--sigma", "2", "--input", data],
             "compact-fit": ["compact-fit", "--input", data],
             "verify-paper-example": ["verify-paper-example"],
+            "divergence-normal-normal": ["divergence", "--alpha", "0.999", "--p", "normal:0,1",
+                                         "--q", "normal:0.5,1"],
+            "divergence-t-normal": ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "normal:0.5,1"],
         }[command]
         assert self.loaded_modules(tmp_path, argv) == []
 
     def test_divergence_still_integrates_through_a_hookable_quad(self, tmp_path, monkeypatch):
         from scipy.integrate import quad as scipy_quad
 
+        # Shifted order-2 supports overlap without nesting, so the cross term
+        # has no closed form; the power integrals do.
         assert "scipy.integrate" in self.loaded_modules(
-            tmp_path, ["divergence", "--alpha", "0.999", "--p", "normal:0,1", "--q", "normal:0.5,1"])
+            tmp_path, ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1"])
         def bell(x):
             return math.exp(-x * x)
 
         assert af.divergence.quad(bell, -math.inf, math.inf) == scipy_quad(bell, -math.inf, math.inf)
-        p, q = af.gaussian(0.0, 1.0), af.gaussian(0.5, 2.0)
-        plain = af.i_alpha(p, q, 1.5)
+        p = af.student_t_1d(af.make_student_t(2.0, [0.0], [[1.0]]))
+        q = af.student_t_1d(af.make_student_t(2.0, [0.5], [[1.0]]))
+        plain = af.i_alpha(p, q, 2.0)
         calls = []
 
         def counted(*args, **kwargs):
@@ -497,5 +515,21 @@ class TestScipyOffTheColdPath:
             return scipy_quad(*args, **kwargs)
 
         monkeypatch.setattr(af.divergence, "quad", counted)
-        assert af.i_alpha(p, q, 1.5) == plain
-        assert len(calls) == 3
+        assert af.i_alpha(p, q, 2.0) == plain
+        assert af.kl(p, q) == math.inf
+        assert calls == [(0.5 - math.sqrt(5.0), math.sqrt(5.0))]
+
+    def test_quadrature_failure_exits_20_with_diagnostics(self, monkeypatch, capsys):
+        from scipy.integrate import IntegrationWarning
+
+        def failing(func, a, b, **kwargs):
+            warnings.warn("The maximum number of subdivisions (200) has been achieved.", IntegrationWarning)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(af.divergence, "quad", failing)
+        argv = ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1", "--quad-tol", "1e-9"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'integral': 'cross'" in captured.err
+        assert "'epsabs': 1e-09, 'epsrel': 1e-08, 'limit': 200" in captured.err

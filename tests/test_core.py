@@ -94,6 +94,25 @@ class TestMakeStudentT:
         with pytest.raises(core.ParameterError):
             af.make_student_t(0.5, [0.0], [[0.0]])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e308, 1e-308])
+    def test_checks_hold_at_any_finite_scale(self, scale):
+        one = af.make_student_t(2.0, [0.0], [[scale]])
+        assert one.sigma[0, 0] == scale
+        assert one.sigma_inv[0, 0] == pytest.approx(1.0 / scale, rel=1e-15)
+        if scale < 1.0:
+            return  # a 2 x 2 inverse at this scale exceeds the float range
+        shape = np.array([[1.0, 0.3], [0.3, 0.5]])
+        params = af.make_student_t(2.0, [0.0, 0.0], scale * shape)
+        assert np.array_equal(params.sigma, scale * shape)
+        assert np.isfinite(params.sigma_inv).all()
+        assert np.array_equal(params.sigma_inv, params.sigma_inv.T)
+        for bad, code in (([[1.0, 0.5], [0.1, 1.0]], core.SIGMA_NOT_SYMMETRIC),
+                          ([[0.5, 1.0], [1.0, 0.5]], core.SIGMA_NOT_POSITIVE_DEFINITE)):
+            with pytest.raises(core.ParameterError) as err:
+                af.make_student_t(2.0, [0.0, 0.0], scale * np.array(bad))
+            assert err.value.code == code
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_rejects_zero_dimension(self, alpha):
         with pytest.raises(core.DimensionMismatchError, match="non-empty"):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import alphafam as af
@@ -80,23 +81,29 @@ class TestIAlpha:
         assert dv.i_alpha(t_a, t_b, 2.0) == math.inf
 
     @given(
+        st.integers(min_value=1, max_value=3),
         st.sampled_from([0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=0.2, max_value=5.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=0.2, max_value=5.0),
+        st.integers(min_value=0, max_value=10**6),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_pythagorean_identity_through_the_matching_t(self, alpha, m, v, m2, v2):
-        # p* is the order-alpha t with p's mean and variance, q any order-alpha t.
-        # The log terms carry weights up to alpha/(1-alpha) = 99, which amplify
-        # the default epsrel of 1e-8 past the bound, so integrate more tightly.
-        p = dv.gaussian(m, v)
-        p_star = dv.student_t_1d(af.make_student_t(alpha, [m], [[v]]))
-        q = dv.student_t_1d(af.make_student_t(alpha, [m2], [[v2]]))
-        divergence = lambda a, b: dv.i_alpha(a, b, alpha, epsabs=1e-12, epsrel=1e-10)
-        whole = divergence(p, q)
-        residual = whole - divergence(p, p_star) - divergence(p_star, q)
+    @settings(max_examples=40, deadline=None)
+    def test_pythagorean_identity_through_the_matching_t(self, d, alpha, seed):
+        # p* is the order-alpha t with p's mean and covariance, q any order-alpha t.
+        if alpha <= d / (d + 2.0):
+            alpha = 0.5 * (1.0 + d / (d + 2.0))
+        rng = np.random.default_rng(seed)
+
+        def moments():
+            a = rng.uniform(-1.0, 1.0, size=(d, d))
+            return rng.uniform(-3.0, 3.0, size=d), a @ a.T + rng.uniform(0.2, 2.0) * np.eye(d)
+
+        (m, cov), (m2, cov2) = moments(), moments()
+        if d == 1:
+            p, p_star = dv.gaussian(m[0], cov[0, 0]), dv.student_t_1d(af.make_student_t(alpha, m, cov))
+        else:
+            p, p_star = dv.Gaussian(m, cov), af.make_student_t(alpha, m, cov)
+        q = af.make_student_t(alpha, m2, cov2)
+        whole = dv.i_alpha(p, q, alpha)
+        residual = whole - dv.i_alpha(p, p_star, alpha) - dv.i_alpha(p_star, q, alpha)
         assert abs(residual) <= 1e-8 * max(1.0, whole)
 
     def test_alpha_domain_checked(self):
@@ -120,6 +127,212 @@ class TestIAlpha:
             alpha = 1.2
         value = dv.i_alpha(dv.DiscreteDistribution(p), dv.DiscreteDistribution(q), alpha)
         assert value >= -1e-9
+
+
+def _quadrature_only(h):
+    """The same 1-D density without its record, so every term is integrated."""
+    return dv.ContinuousDistribution1D(pdf=h.pdf, support=h.support)
+
+
+def _t(alpha, mu, var):
+    return dv.student_t_1d(af.make_student_t(alpha, [mu], [[var]]))
+
+
+def _normal_i_alpha(m, v, m2, v2, alpha):
+    """I_alpha(N(m, v), N(m2, v2)) from the 1-D product-of-Gaussians formula."""
+    beta = alpha - 1.0
+    precision = 1.0 / v + beta / v2
+    if precision <= 0.0:
+        return math.inf
+    lin = m / v + beta * m2 / v2
+    quadratic = m * m / v + beta * m2 * m2 / v2 - lin * lin / precision
+    log_cross = (-0.5 * math.log(2 * math.pi * v) - 0.5 * beta * math.log(2 * math.pi * v2)
+                 + 0.5 * math.log(2 * math.pi / precision) - 0.5 * quadratic)
+    log_pow = lambda var: 0.5 * (1.0 - alpha) * math.log(2 * math.pi * var) - 0.5 * math.log(alpha)
+    return alpha / (1 - alpha) * log_cross - log_pow(v) / (1 - alpha) + log_pow(v2)
+
+
+def _refuse_quad(*args, **kwargs):
+    raise AssertionError("a closed-form pair reached quadrature")
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("var", [1e-10, 1e-14, 1e-20, 1e300])
+    def test_narrow_and_wide_gaussians(self, var):
+        # Quadrature over the real line misses the mass of a narrow p entirely.
+        p, q = dv.gaussian(0.0, var), dv.gaussian(0.0, 1.0)
+        assert dv.kl(p, q) == pytest.approx(0.5 * (var - 1.0 - math.log(var)), rel=1e-13)
+        want = _normal_i_alpha(0.0, var, 0.0, 1.0, 0.5)
+        assert dv.i_alpha(p, q, 0.5) == (math.inf if want == math.inf else pytest.approx(want, rel=1e-13))
+
+    def test_alpha_near_one_keeps_precision(self):
+        # Weights alpha/(1-alpha) = 99 amplify a default quadrature tolerance
+        # into a 4e-6 relative error.  Reference: mpmath at 40 digits.
+        got = dv.i_alpha(_t(0.99, 0.0, 1.26171875), _t(0.99, 0.0, 1.0), 0.99)
+        assert got == pytest.approx(0.014535526027393640614, rel=1e-9)
+
+    @given(
+        st.sampled_from(["t/t", "gaussian/t", "gaussian/gaussian"]),
+        st.sampled_from([0.6, 0.8, 0.9, 0.999, 1.5]),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=0.3, max_value=3.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=0.3, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_forms_match_quadrature(self, kind, alpha, m, v, m2, v2):
+        # Gaussian pairs are checked against the textbook form instead: where
+        # 1/v + (alpha-1)/v2 is near 0 the cross integrand is wide and
+        # quadrature at these tolerances is off by up to 1e-8 (mpmath at 40
+        # digits agrees with the closed form to 2e-16).
+        if kind == "t/t" and alpha > 1.0:
+            # nest supp p inside supp q, where the cross term is affine
+            r = math.sqrt(v * (3 * alpha - 1) / (alpha - 1))
+            m2, v2 = m + 0.5 * (m2 - m), v * (1.0 + abs(m2 - m) / r) ** 2 * 1.1
+        if kind == "gaussian/t" and alpha > 1.0:
+            return  # a Gaussian leaves a compact support: no closed form
+        # Within rounding of 1/v + (alpha-1)/v2 = 0 the value hangs on the
+        # inputs' last bits, so no two formulas need agree there.
+        assume(kind != "gaussian/gaussian" or abs(1.0 / v + (alpha - 1.0) / v2) > 1e-9 / v)
+        p = _t(alpha, m, v) if kind == "t/t" else dv.gaussian(m, v)
+        q = dv.gaussian(m2, v2) if kind == "gaussian/gaussian" else _t(alpha, m2, v2)
+        tight = dict(epsabs=1e-12, epsrel=1e-10)
+        got = dv.i_alpha(p, q, alpha)
+        if kind == "gaussian/gaussian":
+            want = _normal_i_alpha(m, v, m2, v2, alpha)
+            want_kl = dv.kl(_quadrature_only(p), _quadrature_only(q), **tight)
+            assert abs(dv.kl(p, q) - want_kl) <= 1e-10 * max(abs(want_kl), 1.0)
+            if want == math.inf:
+                assert got == math.inf
+                return
+        else:
+            want = dv.i_alpha(_quadrature_only(p), _quadrature_only(q), alpha, **tight)
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("alpha,d", [(0.6, 1), (0.999, 1), (0.8, 3), (1.001, 2), (2.0, 1), (3.0, 3)])
+    def test_power_integral_is_the_cross_term_of_a_t_with_itself(self, alpha, d):
+        # density_power_integral sums lgamma terms near 6000 at alpha = 0.999,
+        # which leaves about 2e-12 of absolute rounding in its log.
+        r = af.make_student_t(alpha, np.arange(d) * 0.3, np.eye(d) + 0.2)
+        want = math.log(studentt.density_power_integral(r))
+        assert dv._log_t_cross(r, r) == pytest.approx(want, rel=1e-12, abs=1e-11)
+
+    def test_closed_form_pairs_never_integrate(self, monkeypatch):
+        monkeypatch.setattr(dv, "quad", _refuse_quad)
+        g, t8 = dv.gaussian(0.0, 1.0), _t(0.8, 0.5, 2.0)
+        for p, q, alpha in [(g, dv.gaussian(0.5, 2.0), 0.999), (g, dv.gaussian(0.5, 2.0), 1.5),
+                            (g, t8, 0.8), (t8, _t(0.8, 0.0, 1.0), 0.8), (_t(2.0, 0.1, 1.0), _t(2.0, 0.0, 2.0), 2.0)]:
+            assert math.isfinite(dv.i_alpha(p, q, alpha))
+        assert dv.i_alpha(_t(0.8, 0.0, 1.0), dv.gaussian(0.5, 1.0), 0.8) == math.inf
+        assert dv.i_alpha(dv.gaussian(0.0, 1.0), dv.gaussian(0.0, 0.4), 0.5) == math.inf
+        assert dv.i_alpha(dv.gaussian(0.0, 4.0), dv.gaussian(0.0, 0.5), 0.875) == math.inf  # exactly 0
+        for p in (g, t8, _t(3.0, 0.0, 1.0)):
+            assert math.isfinite(dv.kl(p, dv.gaussian(0.5, 2.0)))
+        assert dv.kl(g, _t(2.0, 0.0, 1.0)) == math.inf
+
+    def test_cross_term_against_dblquad(self):
+        from scipy import integrate, stats
+
+        alpha = 0.8
+        p = dv.Gaussian([0.3, -0.2], [[1.0, 0.3], [0.3, 0.5]])
+        q = af.make_student_t(alpha, [0.1, 0.4], [[2.0, -0.4], [-0.4, 1.0]])
+        density = stats.multivariate_normal(p.mu, p.sigma).pdf
+        numeric, _ = integrate.dblquad(
+            lambda y, x: density([x, y]) * af.density(q, [x, y]) ** (alpha - 1.0),
+            -12.0, 12.0, -12.0, 12.0, epsabs=1e-12, epsrel=1e-10)
+        assert math.exp(dv._log_t_cross(p, q)) == pytest.approx(numeric, rel=1e-9)
+
+    def test_digamma_against_scipy(self):
+        from scipy import special
+
+        for x in np.concatenate([np.linspace(0.05, 12.0, 240), np.geomspace(12.0, 1e8, 60)]):
+            assert abs(dv._digamma(float(x)) - special.digamma(x)) <= 1e-14 * max(1.0, abs(special.digamma(x)))
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.8, 0.95, 1.5, 3.0])
+    def test_kl_from_a_t_to_a_gaussian(self, alpha):
+        from scipy import stats
+
+        p, q = _t(alpha, 0.3, 1.7), dv.gaussian(-0.2, 0.9)
+        if alpha < 1.0:
+            nu = 2.0 / (1.0 - alpha) - 1.0
+            entropy = stats.t(df=nu, scale=math.sqrt(1.7 * (nu - 2.0) / nu)).entropy()
+        else:  # compact support: the quadrature is accurate
+            entropy = -dv._quad(lambda x: p.pdf(x) * math.log(p.pdf(x)) if p.pdf(x) > 0 else 0.0,
+                                *p.support, 1e-13, 1e-12, "entropy")
+        cross_entropy = 0.5 * (math.log(2 * math.pi * 0.9) + (1.7 + 0.5**2) / 0.9)
+        assert dv.kl(p, q) == pytest.approx(cross_entropy - entropy, rel=1e-12)
+        if alpha > 1.0:
+            assert dv.kl(p, q) == pytest.approx(dv.kl(_quadrature_only(p), _quadrature_only(q)), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.8, 3.0])
+    def test_t_entropy_in_two_dimensions(self, alpha):
+        # A spherical density depends on r alone: h = -Int p log p 2 pi r dr.
+        from scipy import integrate
+
+        r = af.make_student_t(alpha, [0.0, 0.0], np.eye(2))
+        radius = math.sqrt(r.support.radius_sq) if alpha > 1.0 else math.inf
+        p = lambda rho: af.density(r, [rho, 0.0])
+        numeric, _ = integrate.quad(lambda rho: -p(rho) * math.log(p(rho)) * 2 * math.pi * rho if p(rho) > 0 else 0.0,
+                                    0.0, radius, epsabs=1e-13, epsrel=1e-12)
+        assert dv._entropy(r) == pytest.approx(numeric, rel=1e-10)
+
+    def test_support_nesting_against_sampled_boundaries(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3):
+            for _ in range(5):
+                a, b = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+                p = af.make_student_t(2.0, rng.normal(size=d), a @ a.T + 0.3 * np.eye(d))
+                q = af.make_student_t(3.0, rng.normal(size=d), b @ b.T + 0.3 * np.eye(d))
+                u = rng.normal(size=(20000, d))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                boundary = p.mu + u @ np.linalg.cholesky(p.support.radius_sq * p.sigma).T
+                r = boundary - q.mu
+                sampled = float(np.max(np.einsum("ni,ij,nj->n", r, q.sigma_inv, r)))
+                got = dv._max_radius_sq(p, q)
+                assert sampled <= got * (1 + 1e-12) and got <= sampled * (1 + 2e-3)
+
+    def test_records_in_any_dimension(self):
+        cov = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 0.5]])
+        delta = np.array([0.1, -0.2, 0.3])
+        g, g2 = dv.Gaussian(np.zeros(3), cov), dv.Gaussian(delta, 1.5 * cov)
+        mahalanobis = float(delta @ np.linalg.inv(cov) @ delta)
+        want = 0.5 * (3 / 1.5 - 3 + mahalanobis / 1.5 + 3 * math.log(1.5))
+        assert dv.kl(g, g2) == pytest.approx(want, rel=1e-12)
+        small = af.make_student_t(2.0, [0.1, 0.0, 0.0], cov)
+        big = af.make_student_t(2.0, np.zeros(3), 2.0 * cov)
+        assert dv.i_alpha(small, small, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert dv.i_alpha(small, big, 2.0) > 0.0
+        assert dv.kl(big, small) == math.inf
+        assert dv.i_alpha(big, small, 0.5) == math.inf
+        with pytest.raises(core.DimensionMismatchError, match="quadrature needs d = 1"):
+            dv.i_alpha(big, small, 2.0)
+        with pytest.raises(core.DimensionMismatchError, match="quadrature needs d = 1"):
+            dv.kl(small, big)
+        with pytest.raises(core.DimensionMismatchError, match="one dimension"):
+            dv.i_alpha(g, dv.gaussian(0.0, 1.0), 0.8)
+
+    def test_quadrature_failure_names_the_integral(self, monkeypatch):
+        from scipy.integrate import IntegrationWarning
+
+        def failing(func, a, b, **kwargs):
+            warnings.warn("The maximum number of subdivisions (200) has been achieved.", IntegrationWarning)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(dv, "quad", failing)
+        p, q = _t(2.0, 0.0, 1.0), _t(2.0, 0.5, 1.0)
+        with pytest.raises(core.NumericalError) as err:
+            dv.i_alpha(p, q, 2.0, epsabs=1e-11, epsrel=1e-9)
+        root5 = math.sqrt(5.0)
+        assert err.value.diagnostics == {"integral": "cross", "interval": [0.5 - root5, root5],
+                                         "epsabs": 1e-11, "epsrel": 1e-9, "limit": 200}
+        for pair, name in [((_t(0.6, 0.0, 1.0), _t(0.8, 0.0, 1.0)), "power_p"),
+                           ((_t(0.8, 0.0, 1.0), _t(0.6, 0.0, 1.0)), "cross")]:
+            with pytest.raises(core.NumericalError) as err:
+                dv.i_alpha(*pair, 0.8)
+            assert err.value.diagnostics["integral"] == name
+        with pytest.raises(core.NumericalError) as err:
+            dv.kl(_t(0.8, 0.0, 1.0), _t(0.8, 0.5, 1.0))
+        assert err.value.diagnostics["integral"] == "kl"
 
 
 class TestKL:
@@ -169,6 +382,16 @@ class TestGeneralizedLogLikelihood:
         p = af.make_student_t(2.0, [100.0], [[1.0]])
         batch = af.SampleBatch(REFERENCE_SAMPLE)
         assert dv.generalized_log_likelihood(p, batch) == -math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_and_tiny_sigma(self):
+        batch = af.SampleBatch(REFERENCE_SAMPLE)
+        # Every point sits where the bracket rounds to 1, so the value is
+        # 2 log N - log(3/(5R)) = log(15/(16R)) with R^2 = 5 sigma.
+        huge = dv.generalized_log_likelihood(af.make_student_t(2.0, [8.46], [[1e308]]), batch)
+        want = math.log(15.0 / 16.0) - 0.5 * (math.log(5.0) + 308 * math.log(10.0))
+        assert huge == pytest.approx(want, rel=1e-14)
+        assert dv.generalized_log_likelihood(af.make_student_t(2.0, [8.46], [[1e-308]]), batch) == -math.inf
 
     def test_reference_sample_value_and_ranking(self):
         batch = af.SampleBatch(REFERENCE_SAMPLE)
