@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -119,14 +121,23 @@ def ingest_csv(path: str) -> SampleBatch:
 
     A leading byte-order mark is dropped.  A single non-numeric first row is
     treated as a header.  Ragged rows, non-numeric (or non-finite) cells, and
-    inputs without data rows are rejected with distinct exit codes.
+    inputs without data rows are rejected with distinct exit codes.  An
+    ASCII text without quotes goes to numpy's C reader first (see
+    ``_parse_unquoted``); any other text, or one that reader cannot decide,
+    goes through csv.reader, which gives the same values and names the
+    first bad row.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
 
+    data = _parse_unquoted(text)
+    if data is not None:
+        return SampleBatch(data)
+
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     # Drop blank rows: those whose joined cells are all whitespace.
     rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
     if not rows:
@@ -151,6 +162,46 @@ def ingest_csv(path: str) -> SampleBatch:
         if data is not None and np.isfinite(data).all():
             return SampleBatch(data.reshape(len(body), width))
     raise _row_error(path, body, start, width)
+
+
+def _parse_unquoted(text: str) -> np.ndarray | None:
+    """The data rows of an ASCII text without quotes, by numpy's C reader; None where it cannot decide.
+
+    Accepts only what the csv.reader path accepts, with the same values:
+    without quotes, both split rows at line ends and cells at commas, strip
+    ASCII whitespace around cells, and parse them with Python's correctly
+    rounded strtod.  Everything else returns None, so that the csv.reader
+    path decides the result and any error: a quote, a non-ASCII character,
+    a lone CR, a row of only whitespace or commas after the first row
+    (numpy skips only empty ones), ragged rows, cells that float() takes
+    and numpy does not (such as "1_0"), non-finite values, and a body with
+    no rows.
+    """
+    if not text.isascii() or '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    # Skip blank rows to the first row, and past it if it is a header.
+    start = next((i for i, line in enumerate(lines) if line.replace(",", "").strip()), None)
+    if start is None:
+        return None
+    try:
+        _parse_row(lines[start].split(","))
+    except ValueError:
+        start += 1
+    with warnings.catch_warnings():
+        # The csv.reader path reports an empty body.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(lines[start:], delimiter=",", comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.size == 0 or not np.isfinite(data).all():
+        return None
+    return data
 
 
 def _row_error(path: str, body: list, start: int, width: int) -> IngestError:

@@ -43,6 +43,7 @@ __all__ = [
 # serialization noise must not trip them).
 SYMMETRY_RTOL = 1e-10
 EIGENVALUE_RTOL = 1e-12
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class AlphaFamilyError(Exception):
@@ -67,6 +68,7 @@ MU_NOT_FINITE = "mu_not_finite"
 SIGMA_NOT_FINITE = "sigma_not_finite"
 SIGMA_NOT_SYMMETRIC = "sigma_not_symmetric"
 SIGMA_NOT_POSITIVE_DEFINITE = "sigma_not_positive_definite"
+SIGMA_INVERSE_NOT_FINITE = "sigma_inverse_not_finite"
 
 
 class DimensionMismatchError(AlphaFamilyError):
@@ -305,7 +307,8 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     ParameterError
         With distinct codes for non-finite alpha, alpha <= d/(d+2),
         alpha = 1, non-finite mu, non-finite sigma, non-symmetric sigma,
-        and non-positive-definite sigma.
+        non-positive-definite sigma, and a sigma so small that its inverse
+        or the normalizer N overflows.
     """
     mu, sigma = check_mean_covariance(mu, sigma, alpha)
     d = mu.shape[0]
@@ -315,6 +318,10 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     sign, logdet = np.linalg.slogdet(sigma)
     log_n = log_norm_const(alpha, logdet, d)
     sigma_inv = _symmetrize(np.linalg.inv(sigma))
+    if not (np.isfinite(sigma_inv).all() and log_n < LOG_FLOAT_MAX):
+        raise ParameterError(
+            SIGMA_INVERSE_NOT_FINITE, "sigma is too small: its inverse or the density's normalizer overflows"
+        )
 
     if alpha < 1.0:
         support = SupportDescriptor(kind="all-space")

@@ -17,21 +17,22 @@ its mean and covariance when supp p lies in supp q.  The closed forms are
   Gaussians, +inf unless Sigma_q + (alpha-1) Sigma_p is positive definite;
   and +inf when q is a Gaussian, alpha < 1 and p is a t of order < 1,
   whose polynomial tails outweigh q^(alpha-1);
-- the power integral Int p^alpha of a Gaussian, and of a t of order alpha,
-  which is the cross term of p with itself;
+- the power integral Int p^alpha of a Gaussian and of any t (see
+  ``studentt._log_power_integral``), +inf where it diverges;
 - KL(p || q) for a Gaussian q and p a Gaussian or any t, as the
   cross-entropy less p's entropy, and +inf whenever supp p leaves supp q.
 
 They load no scipy.  Every other term, such as KL between two t's,
-alpha > 1 with supp p outside supp q, a t of another order, or a handle
-built from a bare density, is integrated by adaptive quadrature (QUADPACK
-via scipy, imported on first use, which transforms infinite tails
-internally) in d = 1; in d > 1 it raises DimensionMismatchError.  The
-quadrature tolerances apply only to those terms.  A divergent integral
-gives +inf; a failed one raises NumericalError whose diagnostics name the
-integral.  The generalized likelihood takes a Student-t model, whose order
-is its own alpha and whose power integral is closed form, so it never
-integrates.
+alpha > 1 with supp p outside supp q, the cross term against a t of
+another order, or a handle built from a bare density, is integrated by
+adaptive quadrature (QUADPACK via scipy, imported on first use, which
+transforms infinite tails internally) in d = 1; in d > 1 it raises
+DimensionMismatchError.  The quadrature tolerances apply only to those
+terms.  A divergent integral gives +inf, and so does a divergence with an
+infinite term; a failed one raises NumericalError whose diagnostics name
+the integral.  The generalized likelihood takes a Student-t model, whose
+order is its own alpha and whose power integral is closed form, so it
+never integrates.
 """
 
 from __future__ import annotations
@@ -400,22 +401,18 @@ def _log_cross(p, q, alpha: float, epsabs: float, epsrel: float) -> float:
 
 
 def _log_power(h, alpha: float, integral: str, epsabs: float, epsrel: float) -> float:
-    """log Int h^alpha: a sum over atoms, closed form for a Gaussian or a t of order alpha, else quadrature."""
+    """log Int h^alpha: a sum over atoms, closed form for a Gaussian or any t, else quadrature; +inf if it diverges."""
     if isinstance(h, DiscreteDistribution):
-        value = float(np.sum(h.probs[h.probs > 0.0] ** alpha))
-    else:
-        r = _record(h)
-        if isinstance(r, Gaussian):
-            return -0.5 * (alpha - 1.0) * (r.dim * LOG_2PI + r.logdet) - 0.5 * r.dim * math.log(alpha)
-        if isinstance(r, StudentTParams) and r.alpha == alpha:
-            # Int r^alpha = Int r r^(alpha-1), the cross term of r with itself.
-            # It equals density_power_integral, and computed this way I(r, r)
-            # is 0 to rounding even where alpha/(1-alpha) is large.
-            return _log_t_cross(r, r)
-        h = _handle(h, integral)
-        value = _quad(lambda x: h.pdf(x) ** alpha, *h.support, epsabs, epsrel, integral)
-    if not 0.0 < value < math.inf:
-        raise NumericalError("power integral is not finite and positive", {"integral": integral})
+        return math.log(float(np.sum(h.probs[h.probs > 0.0] ** alpha)))
+    r = _record(h)
+    if isinstance(r, Gaussian):
+        return -0.5 * (alpha - 1.0) * (r.dim * LOG_2PI + r.logdet) - 0.5 * r.dim * math.log(alpha)
+    if isinstance(r, StudentTParams):
+        return studentt._log_power_integral(r, alpha)
+    h = _handle(h, integral)
+    value = _quad(lambda x: h.pdf(x) ** alpha, *h.support, epsabs, epsrel, integral)
+    if not value > 0.0:
+        raise NumericalError("power integral is not positive", {"integral": integral})
     return math.log(value)
 
 
@@ -430,8 +427,11 @@ def i_alpha(
 
     Evaluates alpha/(1-alpha) log Int p q^(alpha-1) - 1/(1-alpha) log Int
     p^alpha + log Int q^alpha; nonnegative, 0 when p = q, and returns
-    +inf when the cross term degenerates (reported distinctly from
-    quadrature failure, which raises NumericalError).  Each term is closed
+    +inf when any term is infinite (reported distinctly from quadrature
+    failure, which raises NumericalError).  A -inf reading would need
+    Int p^alpha infinite with the other terms finite for alpha < 1, or the
+    cross term infinite with the power terms finite for alpha > 1; Hoelder's
+    inequality rules out both.  Each term is closed
     form where the arguments allow (see the module docstring); the
     tolerances apply to the terms that are integrated.
     """
@@ -446,11 +446,13 @@ def i_alpha(
         log_cross = _log_cross(p, q, alpha, epsabs, epsrel)
     if math.isinf(log_cross):
         return math.inf
-    return (
-        alpha / (1.0 - alpha) * log_cross
-        - 1.0 / (1.0 - alpha) * _log_power(p, alpha, "power_p", epsabs, epsrel)
-        + _log_power(q, alpha, "power_q", epsabs, epsrel)
-    )
+    log_power_p = _log_power(p, alpha, "power_p", epsabs, epsrel)
+    if math.isinf(log_power_p):
+        return math.inf
+    log_power_q = _log_power(q, alpha, "power_q", epsabs, epsrel)
+    if math.isinf(log_power_q):
+        return math.inf
+    return alpha / (1.0 - alpha) * log_cross - 1.0 / (1.0 - alpha) * log_power_p + log_power_q
 
 
 def kl(
@@ -499,17 +501,20 @@ def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> fl
 
     With alpha = params.alpha, evaluates alpha/(alpha-1) log[(1/n) sum_j
     p(X_j)^(alpha-1)] minus log Int p^alpha, the latter in closed form.
-    Observations where the density vanishes drive the first term to -inf
-    (returned as a value, never raised), both for alpha < 1 (infinite
-    weight) and for alpha > 1 with every point off-support (empty overlap).
+    Since p^(alpha-1) = N^(alpha-1) [1 + b r^2]_+, the mean is N^(alpha-1)
+    times the mean bracket, which neither over- nor underflows where the
+    density would.  For alpha > 1 a batch with every point off the support
+    gives -inf (empty overlap), returned as a value, never raised.
     """
     if batch.dim != params.dim:
         raise DimensionMismatchError("batch dimension must match the model")
     alpha = params.alpha
-    pvals = studentt.density_batch(params, batch.data)
-    if alpha < 1.0 and np.any(pvals == 0.0):
+    _, bracket = studentt._brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
+    mean_bracket = float(np.mean(np.maximum(bracket, 0.0)))
+    if mean_bracket == 0.0:
         return -math.inf
-    mean_pow = float(np.mean(pvals ** (alpha - 1.0)))
-    if mean_pow == 0.0:
-        return -math.inf
-    return alpha / (alpha - 1.0) * math.log(mean_pow) - math.log(studentt.density_power_integral(params))
+    return (
+        alpha * params.log_norm_const
+        + alpha / (alpha - 1.0) * math.log(mean_bracket)
+        - studentt._log_power_integral(params, alpha)
+    )

@@ -76,45 +76,94 @@ def parse_outcome(parser, path):
     return ("ok", data.shape, data.tobytes())
 
 
-_SPACES = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\x0b", "\x1c"])
-_NUMBERS = st.one_of(
+_ASCII_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c"]
+_ASCII_NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
-    st.sampled_from(["1_0", "-0", "+.5", "1e308", "1e309", "4.9e-324", "\uff11\uff12", "\u0663.5"]),
+    st.sampled_from(["1_0", "-0", "+.5", "1.", "-.0e-5", "1e308", "1e309", "4.9e-324"]),
 )
-_OTHERS = st.sampled_from(["nan", "-inf", "Infinity", "x", "1,5", "1__0", "_1", "", "1.2.3", "0x10", "\ufeff1"])
+_NUMBERS = st.one_of(_ASCII_NUMBERS, st.sampled_from(["\uff11\uff12", "\u0663.5"]))
+_ASCII_OTHERS = ["x", "1,5", "1__0", "_1", "", "1.2.3", "0x10", "1e", "."]
+_NON_FINITE = ["nan", "-inf", "Infinity", "+NaN", "1e309", "-1e400"]
+_ENDINGS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def csv_texts(draw):
+    """CSV texts across both ingest paths: ASCII or not, quoted or not, clean or noisy, any line ends."""
+    ascii_only = draw(st.sampled_from([True, True, False]))
+    quoted, noisy = draw(st.booleans()), draw(st.booleans())
     width = draw(st.integers(1, 3))
-    cell = st.tuples(_SPACES, st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _OTHERS), _SPACES).map("".join)
+    spaces = st.sampled_from(_ASCII_SPACES if ascii_only else _ASCII_SPACES + ["\xa0", "\u2003"])
+    numbers = _ASCII_NUMBERS if ascii_only else _NUMBERS
+    others = st.sampled_from(_ASCII_OTHERS if ascii_only else _ASCII_OTHERS + ["\ufeff1"])
+    cell = st.tuples(spaces, st.one_of(numbers, numbers, numbers, others) if noisy else numbers, spaces)
+    blanks = st.sampled_from(["", " ", "\t", ",", " , ", ",,", '""'] if quoted else ["", " ", "\t", ",", " , ", ",,"])
 
     def render(text):
-        quote = draw(st.booleans()) or "," in text or '"' in text
+        if not quoted:
+            return text
+        quote = draw(st.booleans()) or "," in text
         return '"' + text.replace('"', '""') + '"' if quote else text
 
-    lines = []
+    lines = [draw(blanks) for _ in range(draw(st.integers(0, 2)))]
     if draw(st.booleans()):
         lines.append(",".join(render(h) for h in draw(st.lists(st.sampled_from(["x", "y", " z "]), min_size=1, max_size=3))))
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["row", "row", "row", "row", "blank", "ragged"]))
+    # A clean file has at most one bad cell, a non-finite one; a noisy file
+    # may also have blank and ragged rows and any cell.
+    kinds = ["row", "row", "row", "row"] + (["non-finite", "blank", "ragged"] if noisy else [])
+    rows = [draw(st.sampled_from(kinds)) for _ in range(draw(st.integers(0, 6)))]
+    if rows and not noisy and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = "non-finite"
+    for kind in rows:
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", ",", " , ", '""'])))
+            lines.append(draw(blanks))
             continue
-        n_cells = width if kind == "row" else draw(st.integers(1, 4))
-        lines.append(",".join(render(draw(cell)) for _ in range(n_cells)))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+        n_cells = width if kind != "ragged" else draw(st.integers(1, 4))
+        cells = ["".join(draw(cell)) for _ in range(n_cells)]
+        if kind == "non-finite":
+            cells[draw(st.integers(0, n_cells - 1))] = draw(st.sampled_from(_NON_FINITE))
+        lines.append(",".join(render(c) for c in cells))
+    ending = draw(st.sampled_from(_ENDINGS + ["\n", "mixed"]))
+    ends = [draw(st.sampled_from(_ENDINGS)) if ending == "mixed" else ending for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: len(text) - len(ends[-1])] if ends and draw(st.booleans()) else text
 
 
 class TestIngest:
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=csv_texts())
     def test_matches_the_per_cell_parser(self, tmp_path, text):
         path = tmp_path / "gen.csv"
         path.write_bytes(text.encode("utf-8"))
         assert parse_outcome(cli.ingest_csv, str(path)) == parse_outcome(per_cell_ingest_csv, str(path))
+
+    def test_unquoted_ascii_file_skips_the_csv_module(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called for an unquoted ASCII file")
+
+        monkeypatch.setattr(cli.csv, "reader", refuse)
+        path = write(tmp_path, "u.csv", "\n , \t\nx,y\r\n1,2\r\n\r\n 3.5 ,\t-4e-3\r\n")
+        assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, -0.004]]
+
+    @pytest.mark.parametrize("text", ['"x","y"\n"1",2\n"3.5"," 4"\n', "x,y\n1,2\n3.5,\xa04\n", "x,y\r1,2\r3.5,4\r"],
+                             ids=["quoted", "non-ascii", "lone-cr"])
+    def test_other_files_parse_without_numpy_reader(self, tmp_path, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's reader called for a file it does not take")
+
+        monkeypatch.setattr(cli.np, "loadtxt", refuse)
+        path = write(tmp_path, "q.csv", text)
+        assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, 4.0]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n\r\n"], ids=["header-only", "blank-body"])
+    def test_empty_body_exits_13_without_a_warning(self, tmp_path, capsys, text):
+        path = write(tmp_path, "hb.csv", text)
+        assert cli.main(["estimate", "--alpha", "0.5", "--input", path]) == cli.EXIT_EMPTY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} contains a header but no data rows\n"
 
     def test_byte_order_mark_keeps_the_first_row(self, tmp_path, capsys):
         path = write(tmp_path, "bom.csv", "\ufeff1.5\n2.5\n3.5\n")
@@ -242,6 +291,20 @@ class TestCommands:
         assert report["kl"] == pytest.approx(0.125, abs=1e-6)
         assert abs(report["i_alpha"] - report["kl"]) <= 5e-3
 
+    def test_divergent_power_integral_prints_infinity(self, capsys):
+        # Int q^0.15 diverges for the order-0.6 t: its tails fall like |x|^-0.75.
+        argv = ["divergence", "--alpha", "0.15", "--p", "normal:0,1", "--q", "t:0.6,0,1"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert '"i_alpha":Infinity' in capsys.readouterr().out
+
+    def test_loglik_rejects_sigma_whose_inverse_overflows(self, tmp_path, capsys):
+        path = write(tmp_path, "two.csv", "0,0\n1,1\n")
+        argv = ["loglik", "--alpha", "0.8", "--mu", "0,0", "--sigma", "1e-308,3e-309;3e-309,5e-309", "--input", path]
+        assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma is too small" in captured.err
+
     def test_divergence_bad_spec(self):
         assert cli.main(["divergence", "--alpha", "2", "--p", "cauchy:0", "--q", "normal:0,1"]) == cli.EXIT_INVALID_CONFIG
 
@@ -332,13 +395,14 @@ SURFACE = {
         [["--p", "normal:0,1e-20"], ["--p", "normal:0,1e300"]],
         [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"], ["--quad-tol", "nan"],
          ["--quad-tol", "inf"], ["--quad-tol", "-1"], ["--quad-tol", "0"], ["--p", "t:0.8,nan,1"],
-         ["--p", "normal:0,inf"], ["--p", "normal:inf,1"], ["--p", "normal:nan,1"]],
+         ["--p", "normal:0,inf"], ["--p", "normal:inf,1"], ["--p", "normal:nan,1"], ["--p", "t:0.8,0,1e-309"]],
     ),
     "loglik": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--input": True, "--output": False, "--seed": False},
         ["--alpha", "2", "--mu", "8.46", "--sigma", "1", "--input", "DATA"],
         [["--sigma", "1e308"], ["--sigma", "1e-308"]],
-        [["--quad-tol", "1e-3"], ["--format", "json"], ["--mu", "nan"], ["--mu", "inf"], ["--sigma", "nan"]],
+        [["--quad-tol", "1e-3"], ["--format", "json"], ["--mu", "nan"], ["--mu", "inf"], ["--sigma", "nan"],
+         ["--sigma", "1e-309"]],
     ),
     "simulate": (
         {"--alpha": True, "--mu": True, "--sigma": True, "--n": True, "--seed": False, "--output": False,

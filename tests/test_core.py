@@ -77,6 +77,17 @@ class TestMakeStudentT:
             af.make_student_t(alpha, [0.0], [[bad]])
         assert err.value.code == core.SIGMA_NOT_FINITE
 
+    @pytest.mark.parametrize("alpha,mu,sigma", [
+        (0.8, [0.0, 0.0], 1e-308 * np.array([[1.0, 0.3], [0.3, 0.5]])),  # inverse overflows
+        (2.0, [0.0], [[1e-309]]),  # inverse overflows
+        (0.9, np.zeros(3), 1e-300 * np.eye(3)),  # N overflows
+        (3.0, np.zeros(3), 1e-300 * np.eye(3)),  # N overflows
+    ])
+    def test_rejects_sigma_too_small_for_its_inverse_or_normalizer(self, alpha, mu, sigma):
+        with pytest.raises(core.ParameterError) as err:
+            af.make_student_t(alpha, mu, sigma)
+        assert err.value.code == core.SIGMA_INVERSE_NOT_FINITE
+
     def test_rejects_alpha_one(self):
         with pytest.raises(core.ParameterError) as err:
             af.make_student_t(1.0, [0.0], [[1.0]])
@@ -127,8 +138,9 @@ class TestMakeStudentT:
             core.SIGMA_NOT_POSITIVE_DEFINITE,
             core.MU_NOT_FINITE,
             core.SIGMA_NOT_FINITE,
+            core.SIGMA_INVERSE_NOT_FINITE,
         }
-        assert len(codes) == 7
+        assert len(codes) == 8
 
     def test_tolerates_serialization_noise(self):
         sig = np.array([[2.0, 0.3], [0.3, 1.0]])

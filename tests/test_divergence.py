@@ -211,11 +211,41 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("alpha,d", [(0.6, 1), (0.999, 1), (0.8, 3), (1.001, 2), (2.0, 1), (3.0, 3)])
     def test_power_integral_is_the_cross_term_of_a_t_with_itself(self, alpha, d):
-        # density_power_integral sums lgamma terms near 6000 at alpha = 0.999,
-        # which leaves about 2e-12 of absolute rounding in its log.
+        # Both are N^(alpha-1) (1 + b d); the cross term reads d as tr(Sigma^-1 Sigma).
         r = af.make_student_t(alpha, np.arange(d) * 0.3, np.eye(d) + 0.2)
         want = math.log(studentt.density_power_integral(r))
-        assert dv._log_t_cross(r, r) == pytest.approx(want, rel=1e-12, abs=1e-11)
+        assert dv._log_t_cross(r, r) == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+    @given(st.sampled_from([0.4, 0.6, 0.8, 0.95, 0.99, 1.01, 1.2, 2.0, 3.0]), st.floats(0.05, 3.0),
+           st.floats(-2.0, 2.0), st.floats(0.3, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_power_integral_of_another_order_matches_quadrature(self, order, alpha, m, v):
+        # s = alpha/(1 - order) > 1/2 keeps the integral finite; from 3/4 up
+        # the tails |x|^(-2s) are light enough for a tight quadrature.
+        assume(alpha != order and (order > 1.0 or alpha / (1.0 - order) >= 0.75))
+        h = _t(order, m, v)
+        want = dv._log_power(_quadrature_only(h), alpha, "power_p", 1e-12, 1e-10)
+        assert dv._log_power(h, alpha, "power_p", 1e-12, 1e-10) == pytest.approx(want, rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("order,alpha", [(0.8, 0.5), (0.6, 1.5), (3.0, 0.7), (1.5, 2.5)])
+    def test_power_integral_of_another_order_in_two_dimensions(self, order, alpha):
+        # A spherical density depends on r alone: Int p^alpha = Int p^alpha 2 pi r dr.
+        from scipy import integrate
+
+        r = af.make_student_t(order, [0.4, -0.3], 1.3 * np.eye(2))
+        radius = math.sqrt(r.support.radius_sq * 1.3) if order > 1.0 else math.inf
+        numeric, _ = integrate.quad(lambda rho: af.density(r, [0.4 + rho, -0.3]) ** alpha * 2 * math.pi * rho,
+                                    0.0, radius, epsabs=1e-13, epsrel=1e-12)
+        assert dv._log_power(r, alpha, "power_p", 0.0, 0.0) == pytest.approx(math.log(numeric), rel=1e-10)
+
+    @pytest.mark.parametrize("order,alpha,d", [(0.6, 0.15, 1), (0.6, 0.3, 2), (0.9, 0.1, 3), (0.8, 0.15, 2)])
+    def test_divergent_power_integral_gives_infinity(self, monkeypatch, order, alpha, d):
+        # alpha/(1 - order) < d/2: the tails of r^alpha decay more slowly than |x|^-d.
+        r = af.make_student_t(order, np.zeros(d), np.eye(d))
+        if d == 1:  # the cross term integrates; the power term makes the result +inf
+            assert dv.i_alpha(dv.gaussian(0.0, 1.0), r, alpha) == math.inf
+        monkeypatch.setattr(dv, "quad", _refuse_quad)
+        assert dv._log_power(r, alpha, "power_q", 0.0, 0.0) == math.inf
 
     def test_closed_form_pairs_never_integrate(self, monkeypatch):
         monkeypatch.setattr(dv, "quad", _refuse_quad)
@@ -325,11 +355,23 @@ class TestClosedForms:
         root5 = math.sqrt(5.0)
         assert err.value.diagnostics == {"integral": "cross", "interval": [0.5 - root5, root5],
                                          "epsabs": 1e-11, "epsrel": 1e-9, "limit": 200}
-        for pair, name in [((_t(0.6, 0.0, 1.0), _t(0.8, 0.0, 1.0)), "power_p"),
-                           ((_t(0.8, 0.0, 1.0), _t(0.6, 0.0, 1.0)), "cross")]:
-            with pytest.raises(core.NumericalError) as err:
-                dv.i_alpha(*pair, 0.8)
-            assert err.value.diagnostics["integral"] == name
+        with pytest.raises(core.NumericalError) as err:
+            dv.i_alpha(_t(0.8, 0.0, 1.0), _t(0.6, 0.0, 1.0), 0.8)
+        assert err.value.diagnostics["integral"] == "cross"
+        # A power integral integrates only for a density without a record;
+        # let the cross term before it succeed.
+        from scipy.integrate import quad as scipy_quad
+
+        calls = []
+
+        def second_fails(func, a, b, **kwargs):
+            calls.append(a)
+            return scipy_quad(func, a, b, **kwargs) if len(calls) == 1 else failing(func, a, b, **kwargs)
+
+        monkeypatch.setattr(dv, "quad", second_fails)
+        with pytest.raises(core.NumericalError) as err:
+            dv.i_alpha(_quadrature_only(_t(0.6, 0.0, 1.0)), _t(0.8, 0.0, 1.0), 0.8)
+        assert err.value.diagnostics["integral"] == "power_p" and len(calls) == 2
         with pytest.raises(core.NumericalError) as err:
             dv.kl(_t(0.8, 0.0, 1.0), _t(0.8, 0.5, 1.0))
         assert err.value.diagnostics["integral"] == "kl"
@@ -364,6 +406,14 @@ class TestGeneralizedLogLikelihood:
             math.log(4.0 * N2 / 5.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("alpha,want", [(0.999, 1.001511490818767001300), (1.001, 0.9984912895842996779577)])
+    def test_power_integral_near_one_to_rounding(self, alpha, want):
+        # 40-digit mpmath values of N^(alpha-1) (1 + b) at sigma = 1.2, which
+        # matched mpmath's quadrature of p^alpha to every digit.  A sum of
+        # lgamma terms near 1000 is off by about 2e-12 here.
+        p = af.make_student_t(alpha, [0.0], [[1.2]])
+        assert studentt.density_power_integral(p) == pytest.approx(want, rel=4e-15, abs=0.0)
+
     @pytest.mark.parametrize("alpha,sigma2", [(0.6, 1.0), (0.8, 2.5), (2.0, 1.0), (3.0, 0.7)])
     def test_power_integral_matches_quadrature(self, alpha, sigma2):
         from scipy.integrate import quad
@@ -392,6 +442,28 @@ class TestGeneralizedLogLikelihood:
         want = math.log(15.0 / 16.0) - 0.5 * (math.log(5.0) + 308 * math.log(10.0))
         assert huge == pytest.approx(want, rel=1e-14)
         assert dv.generalized_log_likelihood(af.make_student_t(2.0, [8.46], [[1e-308]]), batch) == -math.inf
+
+    def test_far_outlier_near_alpha_one_stays_finite(self):
+        # At alpha = 0.999, p(100)^(alpha-1) is about 6 although p(100) itself
+        # underflows to 0; the reference works from log p.
+        alpha, xs = 0.999, [0.0, 1.0, 100.0]
+        params = af.make_student_t(alpha, [0.0], [[1.0]])
+        log_p = np.array([studentt.log_density(params, [x]) for x in xs])
+        want = (alpha / (alpha - 1.0) * math.log(np.mean(np.exp((alpha - 1.0) * log_p)))
+                - math.log(studentt.density_power_integral(params)))
+        got = dv.generalized_log_likelihood(params, af.SampleBatch(np.array(xs)))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.9, 5.0])
+    def test_tiny_sigma_shifts_by_the_log_scale(self, alpha):
+        # x -> c x changes the likelihood by -d log c; here N and p^(alpha-1)
+        # overflow float64 although the value is moderate.
+        unit = af.make_student_t(alpha, np.zeros(3), np.eye(3))
+        data = studentt.sample(unit, 50, 4).data
+        tiny = af.make_student_t(alpha, np.zeros(3), 1e-100 * np.eye(3))
+        want = dv.generalized_log_likelihood(unit, af.SampleBatch(data)) + 150.0 * math.log(10.0)
+        got = dv.generalized_log_likelihood(tiny, af.SampleBatch(1e-50 * data))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_reference_sample_value_and_ranking(self):
         batch = af.SampleBatch(REFERENCE_SAMPLE)

@@ -159,16 +159,20 @@ class TestEstimateStudentT:
 
 
 class TestClosedFormMaximizesGeneralizedLikelihood:
-    @pytest.mark.parametrize("alpha,d,seed", [(0.7, 1, 1), (0.8, 2, 2), (0.9, 3, 3)])
-    def test_no_perturbation_beats_the_fit(self, alpha, d, seed):
-        # mu -> mu_hat + eps L g and Sigma -> B Sigma_hat B^T with B = I + eps G,
-        # at scales eps from 1e-4 to 1e-1 (L L^T = Sigma_hat; g, G standard normal).
-        rng = np.random.default_rng(seed + 100)
-        batch = studentt.sample(random_params(d, alpha, seed), 2000, seed)
+    @given(st.integers(1, 3), st.floats(0.01, 0.99), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_no_perturbation_beats_the_fit(self, d, fraction, seed):
+        # alpha anywhere in (d/(d+2), 1).  mu -> mu_hat + eps L g and Sigma ->
+        # B Sigma_hat B^T with B = I + eps G, at scales eps from 1e-4 to 1e-1
+        # (L L^T = Sigma_hat; g, G standard normal).
+        threshold = d / (d + 2.0)
+        alpha = threshold + fraction * (1.0 - threshold)
+        rng = np.random.default_rng(seed)
+        batch = studentt.sample(random_params(d, alpha, seed), 500, seed)
         fit = est.estimate_student_t(batch, alpha)
         best = dv.generalized_log_likelihood(af.make_student_t(alpha, fit.mu_hat, fit.sigma_hat), batch)
         chol = np.linalg.cholesky(fit.sigma_hat)
-        for _ in range(200):
+        for _ in range(40):
             eps = 10.0 ** rng.uniform(-4.0, -1.0)
             b = np.eye(d) + eps * rng.normal(size=(d, d))
             mu = fit.mu_hat + eps * chol @ rng.normal(size=d)
