@@ -21,7 +21,6 @@ from .core import (
     SampleBatch,
     StudentTParams,
     SufficientStats,
-    SupportDescriptor,
     UndefinedScoreError,
     b_alpha,
     check_alpha,
@@ -35,8 +34,8 @@ from .core import (
 from .studentt import (
     decompose,
     density,
-    density_power_integral,
     log_density,
+    log_power_integral,
     sample,
     score,
     score_batch,

@@ -1,12 +1,11 @@
 """Command-line front end: ingestion, estimation, divergences, simulation,
 and a one-command verification of the built-in reference example.
 
-Reports are JSON with sorted keys and floats fixed at 17 significant digits
-(override with the ALPHAFAM_FLOAT_DIGITS environment variable), so identical
-config + input + seed produce byte-identical output.  Draws are emitted as
-CSV.  Exit codes: 0 success, 1 verification failure, 2 invalid config,
-10 unreadable input, 11 ragged rows, 12 non-numeric cells, 13 empty input,
-20 numerical failure.  Each subcommand takes only the flags it reads; a
+Reports are JSON with sorted keys and floats fixed at 17 significant digits,
+so identical config + input + seed produce byte-identical output.  Draws are
+emitted as CSV at the same precision.  Exit codes: 0 success, 1 verification
+failure, 2 invalid config, 10 unreadable input, 11 ragged rows, 12
+non-numeric cells, 13 empty input, 20 numerical failure.  Each subcommand takes only the flags it reads; a
 missing, unknown or malformed flag is a usage error and exits 2.
 """
 
@@ -19,7 +18,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -73,23 +71,18 @@ class IngestError(AlphaFamilyError):
         self.exit_code = exit_code
 
 
-def _float_digits() -> int:
-    return int(os.environ.get("ALPHAFAM_FLOAT_DIGITS", "17"))
-
-
-def _format_float(value: float, digits: int) -> str:
+def _format_float(value: float) -> str:
     if math.isnan(value):
         return "NaN"
     if value == math.inf:
         return "Infinity"
     if value == -math.inf:
         return "-Infinity"
-    return format(value, f".{digits}g")
+    return format(value, ".17g")
 
 
 def dumps_report(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed float precision."""
-    digits = _float_digits()
+    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
 
     def render(node) -> str:
         if isinstance(node, dict):
@@ -102,7 +95,7 @@ def dumps_report(obj) -> str:
         if isinstance(node, (int, np.integer)):
             return str(int(node))
         if isinstance(node, (float, np.floating)):
-            return _format_float(float(node), digits)
+            return _format_float(float(node))
         if node is None:
             return "null"
         if isinstance(node, str):
@@ -252,11 +245,11 @@ def _parse_handle(spec: str):
     kind, _, rest = spec.partition(":")
     args = [float(tok) for tok in rest.split(",")] if rest else []
     if kind == "normal" and len(args) == 2:
-        return divergence.gaussian(args[0], args[1])
+        return divergence.Gaussian(args[0], args[1])
     if kind == "bernoulli" and len(args) == 1:
         return divergence.bernoulli(args[0])
     if kind == "t" and len(args) == 3:
-        return divergence.student_t_1d(make_student_t(args[0], [args[1]], [[args[2]]]))
+        return make_student_t(args[0], args[1], args[2])
     raise ValueError(
         f"cannot parse distribution {spec!r}; use normal:MU,VAR | bernoulli:P | t:ALPHA,MU,VAR"
     )
@@ -356,11 +349,10 @@ def _cmd_loglik(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
     batch = studentt.sample(params, args.n, args.seed)
-    digits = _float_digits()
     if args.format == "csv":
         # One %-format over all draws; SampleBatch guarantees they are finite,
         # where "%g" and _format_float agree.
-        row = ",".join([f"%.{digits}g"] * batch.dim) + "\n"
+        row = ",".join(["%.17g"] * batch.dim) + "\n"
         _emit(row * batch.n % tuple(batch.data.ravel().tolist()), args.output)
     else:
         report = {

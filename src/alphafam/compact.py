@@ -44,7 +44,7 @@ __all__ = [
 # Support half-width sqrt(5) and peak density N2 of the order-2 unit-variance
 # member, as the family derives them.
 _UNIT = make_student_t(2.0, 0.0, 1.0)
-ROOT5 = math.sqrt(_UNIT.support.radius_sq)
+ROOT5 = math.sqrt(_UNIT.radius_sq)
 N2 = _UNIT.norm_const
 
 # Built-in reference dataset for the end-to-end verification command.

@@ -7,7 +7,7 @@ so the types can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "UndefinedScoreError",
     "DegenerateStatisticsError",
     "NumericalError",
-    "SupportDescriptor",
     "StudentTParams",
     "MAlphaDescriptor",
     "ExpFamilyDescriptor",
@@ -69,6 +68,7 @@ SIGMA_NOT_FINITE = "sigma_not_finite"
 SIGMA_NOT_SYMMETRIC = "sigma_not_symmetric"
 SIGMA_NOT_POSITIVE_DEFINITE = "sigma_not_positive_definite"
 SIGMA_INVERSE_NOT_FINITE = "sigma_inverse_not_finite"
+_SIGMA_TOO_SMALL = "sigma is too small: its inverse or the density's normalizer overflows"
 
 
 class DimensionMismatchError(AlphaFamilyError):
@@ -138,24 +138,37 @@ def degrees_of_freedom(alpha: float, dim: int) -> float:
     return 2.0 / (1.0 - alpha) - dim
 
 
+def _log_gamma_ratio(x: float, h: float) -> float:
+    """log Gamma(x + h) - log Gamma(x) for x > 0 and h >= 0.
+
+    Below x = 10 it is the difference of two ``math.lgamma`` values.  Above,
+    where those grow like x log x and their difference keeps only their
+    absolute rounding, it is the difference of Stirling's series for the two:
+    (x - 1/2) log1p(h/x) + h log(x + h) - h plus the difference of the
+    tails sum_k B_2k / (2k (2k-1) z^(2k-1)), summed through k = 7, whose
+    next term is below 1e-16 of the result there.
+    """
+    if x < 10.0:
+        return math.lgamma(x + h) - math.lgamma(x)
+    z = x + h
+    return (x - 0.5) * math.log1p(h / x) + h * math.log(z) - h + (_stirling_tail(z) - _stirling_tail(x))
+
+
+def _stirling_tail(z: float) -> float:
+    """log Gamma(z) - [(z - 1/2) log z - z + log(2 pi)/2], from the asymptotic series, for z >= 10."""
+    t = 1.0 / (z * z)
+    return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))))) / z
+
+
 def _log_norm_const_shape(alpha: float, dim: int) -> float:
     """log of the normalizer without the |Sigma|^(1/2) factor."""
     b = b_alpha(alpha, dim)
+    h = 0.5 * dim
     if alpha < 1.0:
         z = 1.0 / (1.0 - alpha)
-        return (
-            0.5 * dim * math.log(b)
-            + math.lgamma(z)
-            - math.lgamma(z - 0.5 * dim)
-            - 0.5 * dim * math.log(math.pi)
-        )
+        return h * math.log(b) + _log_gamma_ratio(z - h, h) - h * math.log(math.pi)
     z = alpha / (alpha - 1.0)
-    return (
-        0.5 * dim * math.log(-b)
-        + math.lgamma(z + 0.5 * dim)
-        - math.lgamma(z)
-        - 0.5 * dim * math.log(math.pi)
-    )
+    return h * math.log(-b) + _log_gamma_ratio(z, h) - h * math.log(math.pi)
 
 
 def log_norm_const(alpha: float, sigma_logdet: float, dim: int) -> float:
@@ -165,26 +178,6 @@ def log_norm_const(alpha: float, sigma_logdet: float, dim: int) -> float:
     combined via lgamma before exponentiation.
     """
     return _log_norm_const_shape(alpha, dim) - 0.5 * sigma_logdet
-
-
-@dataclass(frozen=True)
-class SupportDescriptor:
-    """Support of a family member: all of R^d, or an ellipsoid.
-
-    For the ellipsoid case, membership is (x-center)^T shape (x-center)
-    <= radius_sq with shape = Sigma^{-1} and radius_sq = -1/b_alpha.
-    """
-
-    kind: str  # "all-space" | "ellipsoid"
-    center: Optional[np.ndarray] = None
-    shape: Optional[np.ndarray] = None
-    radius_sq: Optional[float] = None
-
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        if self.kind == "all-space":
-            return True
-        r = np.asarray(x, dtype=float) - self.center
-        return float(r @ self.shape @ r) <= self.radius_sq + tol
 
 
 @dataclass(frozen=True)
@@ -209,8 +202,12 @@ class StudentTParams:
         Precision matrix Sigma^{-1}.
     log_norm_const : float
         log N (kept alongside N to avoid re-deriving it in log space).
-    support : SupportDescriptor
-        All-space for alpha < 1, bounded ellipsoid for alpha > 1.
+    radius_sq : float
+        Squared Mahalanobis radius -1/b_alpha of the support ellipsoid
+        (x-mu)^T Sigma^{-1} (x-mu) <= radius_sq for alpha > 1; +inf, all
+        of R^d, for alpha < 1.
+    logdet : float
+        log |Sigma|.
     """
 
     alpha: float
@@ -221,7 +218,8 @@ class StudentTParams:
     norm_const: float
     sigma_inv: np.ndarray
     log_norm_const: float
-    support: SupportDescriptor
+    radius_sq: float
+    logdet: float
 
     @property
     def dim(self) -> int:
@@ -237,7 +235,7 @@ class StudentTParams:
             raise DimensionMismatchError("a support interval requires d = 1")
         if self.alpha < 1.0:
             return (-math.inf, math.inf)
-        radius = math.sqrt(self.support.radius_sq * self.sigma[0, 0])
+        radius = math.sqrt(self.radius_sq * self.sigma[0, 0])
         return (self.mu[0] - radius, self.mu[0] + radius)
 
 
@@ -246,14 +244,16 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
-def check_mean_covariance(mu, sigma, alpha: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a location vector and a covariance matrix; return them as arrays.
+def check_mean_covariance(
+    mu, sigma, alpha: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Validate a location vector and a covariance matrix; return (mu, sigma, Sigma^{-1}, log |Sigma|).
 
     A scalar mu is promoted to d = 1 and a scalar sigma to a 1x1 matrix.
     When ``alpha`` is given, it is checked as a Student-t order for this d
     before the values are.  Symmetry and positive definiteness are judged
     on sigma divided by its largest entry, so they hold at any finite
-    scale; the returned sigma is exactly symmetric.
+    scale; the returned sigma and its inverse are exactly symmetric.
 
     Raises
     ------
@@ -261,8 +261,9 @@ def check_mean_covariance(mu, sigma, alpha: Optional[float] = None) -> tuple[np.
         If mu is not a non-empty vector or sigma is not d x d.
     ParameterError
         With codes ``mu_not_finite``, ``sigma_not_finite``,
-        ``sigma_not_symmetric`` and ``sigma_not_positive_definite``, after
-        those of :func:`check_alpha`.
+        ``sigma_not_symmetric``, ``sigma_not_positive_definite`` and
+        ``sigma_inverse_not_finite`` (sigma so small that its inverse
+        overflows), after those of :func:`check_alpha`.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.ndim != 1 or mu.shape[0] == 0:
@@ -286,7 +287,11 @@ def check_mean_covariance(mu, sigma, alpha: Optional[float] = None) -> tuple[np.
     eigvals = np.linalg.eigvalsh(_symmetrize(unit))
     if eigvals[-1] <= 0.0 or eigvals[0] <= EIGENVALUE_RTOL * eigvals[-1]:
         raise ParameterError(SIGMA_NOT_POSITIVE_DEFINITE, "sigma is not positive definite")
-    return mu, _symmetrize(sigma)
+    sigma = _symmetrize(sigma)
+    sigma_inv = _symmetrize(np.linalg.inv(sigma))
+    if not np.isfinite(sigma_inv).all():
+        raise ParameterError(SIGMA_INVERSE_NOT_FINITE, _SIGMA_TOO_SMALL)
+    return mu, sigma, sigma_inv, float(np.linalg.slogdet(sigma)[1])
 
 
 def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
@@ -310,36 +315,23 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
         non-positive-definite sigma, and a sigma so small that its inverse
         or the normalizer N overflows.
     """
-    mu, sigma = check_mean_covariance(mu, sigma, alpha)
+    mu, sigma, sigma_inv, logdet = check_mean_covariance(mu, sigma, alpha)
     d = mu.shape[0]
-
     b = b_alpha(alpha, d)
-    nu = degrees_of_freedom(alpha, d)
-    sign, logdet = np.linalg.slogdet(sigma)
     log_n = log_norm_const(alpha, logdet, d)
-    sigma_inv = _symmetrize(np.linalg.inv(sigma))
-    if not (np.isfinite(sigma_inv).all() and log_n < LOG_FLOAT_MAX):
-        raise ParameterError(
-            SIGMA_INVERSE_NOT_FINITE, "sigma is too small: its inverse or the density's normalizer overflows"
-        )
-
-    if alpha < 1.0:
-        support = SupportDescriptor(kind="all-space")
-    else:
-        support = SupportDescriptor(
-            kind="ellipsoid", center=mu, shape=sigma_inv, radius_sq=-1.0 / b
-        )
-
+    if not log_n < LOG_FLOAT_MAX:
+        raise ParameterError(SIGMA_INVERSE_NOT_FINITE, _SIGMA_TOO_SMALL)
     return StudentTParams(
         alpha=alpha,
         mu=mu,
         sigma=sigma,
         b_alpha=b,
-        nu=nu,
+        nu=degrees_of_freedom(alpha, d),
         norm_const=math.exp(log_n),
         sigma_inv=sigma_inv,
         log_norm_const=log_n,
-        support=support,
+        radius_sq=-1.0 / b if alpha > 1.0 else math.inf,
+        logdet=logdet,
     )
 
 
@@ -369,7 +361,6 @@ class MAlphaDescriptor:
     w_fn: Callable[[np.ndarray], np.ndarray]
     f_fn: Callable[[np.ndarray], np.ndarray]
     z_fn: Callable[[np.ndarray], float]
-    support: SupportDescriptor
     w_jacobian: Callable[[np.ndarray], np.ndarray]
     w0_fn: Optional[Callable[[np.ndarray], float]] = None
     w0_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -390,7 +381,6 @@ class ExpFamilyDescriptor:
     w_fn: Callable[[np.ndarray], np.ndarray]
     f_fn: Callable[[np.ndarray], np.ndarray]
     z_fn: Callable[[np.ndarray], float]
-    support: SupportDescriptor
     w_jacobian: Callable[[np.ndarray], np.ndarray]
 
 
@@ -463,6 +453,33 @@ def unpack_theta(theta: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
             f"theta must have length d + d^2 = {dim + dim * dim}, got {theta.shape}"
         )
     return theta[:dim], theta[dim:].reshape(dim, dim)
+
+
+def _quadratic_weights(b: float, dim: int):
+    """Weights w(theta) = (-2 b Sigma^{-1} mu, b Vec(Sigma^{-1})) of f = (x, Vec(x x^T)), and their Jacobian.
+
+    Both functions take theta = (mu, Vec(Sigma^{-1})).  The Student-t uses
+    its b_alpha; the Gaussian is b = -1/2, which gives (Sigma^{-1} mu,
+    -Vec(Sigma^{-1})/2) exactly, since -2b = 1 and b are exact in floating point.
+    The Jacobian treats the d^2 entries of Sigma^{-1} as free coordinates.
+    """
+    d = dim
+    k = d + d * d
+
+    def w_fn(theta: np.ndarray) -> np.ndarray:
+        m, l = unpack_theta(theta, d)
+        return np.concatenate([-2.0 * b * (l @ m), b * l.ravel()])
+
+    def w_jacobian(theta: np.ndarray) -> np.ndarray:
+        m, l = unpack_theta(theta, d)
+        jac = np.zeros((k, k))
+        jac[:d, :d] = -2.0 * b * l
+        for row in range(d):
+            jac[row, d + row * d : d + (row + 1) * d] = -2.0 * b * m
+        jac[d:, d:] = b * np.eye(d * d)
+        return jac
+
+    return w_fn, w_jacobian
 
 
 def reconstruct_density(desc: MAlphaDescriptor, theta: np.ndarray, x) -> float:

@@ -3,12 +3,12 @@
 Divergences take a probability vector over finitely many atoms, or a
 continuous distribution: a ``Gaussian`` or Student-t (``StudentTParams``)
 record in any dimension, or a 1-D handle with a density and an interval
-support.  ``gaussian`` and ``student_t_1d`` build 1-D handles that carry
-their record.
+support.  A record is decided in closed form wherever one exists, and a
+handle is always integrated; ``gaussian`` and ``student_t_1d`` build the
+handle of a 1-D record, which is what quadrature integrates.
 
-A pair of records is decided in closed form wherever one exists.  The
-paper's orthogonality gives most of them: for a t q of order alpha,
-q^(alpha-1) = N_q^(alpha-1) [1 + b_alpha r_q(x)^2] is affine in the
+The paper's orthogonality gives most closed forms: for a t q of order
+alpha, q^(alpha-1) = N_q^(alpha-1) [1 + b_alpha r_q(x)^2] is affine in the
 statistic f = (x, xx^T), so Int p q^(alpha-1) depends on p only through
 its mean and covariance when supp p lies in supp q.  The closed forms are
 
@@ -18,13 +18,13 @@ its mean and covariance when supp p lies in supp q.  The closed forms are
   and +inf when q is a Gaussian, alpha < 1 and p is a t of order < 1,
   whose polynomial tails outweigh q^(alpha-1);
 - the power integral Int p^alpha of a Gaussian and of any t (see
-  ``studentt._log_power_integral``), +inf where it diverges;
+  ``studentt.log_power_integral``), +inf where it diverges;
 - KL(p || q) for a Gaussian q and p a Gaussian or any t, as the
   cross-entropy less p's entropy, and +inf whenever supp p leaves supp q.
 
 They load no scipy.  Every other term, such as KL between two t's,
 alpha > 1 with supp p outside supp q, the cross term against a t of
-another order, or a handle built from a bare density, is integrated by
+another order, or any term with a handle, is integrated by
 adaptive quadrature (QUADPACK via scipy, imported on first use, which
 transforms infinite tails internally) in d = 1; in d > 1 it raises
 DimensionMismatchError.  The quadrature tolerances apply only to those
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class Gaussian:
     """Normal distribution on R^d with mean ``mu`` and covariance ``sigma``.
 
     Validated by :func:`~alphafam.core.check_mean_covariance`, as a
-    Student-t's parameters are; ``sigma_inv`` and ``logdet`` are derived.
+    Student-t's parameters are, which also derives ``sigma_inv`` and ``logdet``.
     """
 
     mu: np.ndarray
@@ -116,11 +116,9 @@ class Gaussian:
     logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu, sigma = check_mean_covariance(self.mu, self.sigma)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_inv", np.linalg.inv(sigma))
-        object.__setattr__(self, "logdet", float(np.linalg.slogdet(sigma)[1]))
+        values = check_mean_covariance(self.mu, self.sigma)
+        for name, value in zip(("mu", "sigma", "sigma_inv", "logdet"), values):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -129,15 +127,10 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class ContinuousDistribution1D:
-    """1-D density with an interval support (endpoints may be infinite).
-
-    ``params`` is the Gaussian or Student-t record the density comes from,
-    if any; divergences read their closed forms from it.
-    """
+    """1-D density with an interval support (endpoints may be infinite); divergences integrate it."""
 
     pdf: Callable[[float], float]
     support: tuple
-    params: Optional[Union[Gaussian, StudentTParams]] = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -157,18 +150,19 @@ class ContinuousDistribution1D:
 
 Record = Union[Gaussian, StudentTParams]
 DistributionHandle = Union[DiscreteDistribution, ContinuousDistribution1D, Gaussian, StudentTParams]
-_CONTINUOUS = (ContinuousDistribution1D, Gaussian, StudentTParams)
+_RECORDS = (Gaussian, StudentTParams)
+_CONTINUOUS = (ContinuousDistribution1D, *_RECORDS)
 
 
 def gaussian(mu: float, var: float) -> ContinuousDistribution1D:
-    """Normal density handle with finite mean mu and finite variance var > 0."""
-    record = Gaussian(mu, var)
+    """The quadrature handle of N(mu, var), with finite mean mu and finite variance var > 0."""
+    check_mean_covariance(mu, var)
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
     def pdf(x: float) -> float:
         return norm * math.exp(-0.5 * (x - mu) ** 2 / var)
 
-    return ContinuousDistribution1D(pdf=pdf, support=(-math.inf, math.inf), params=record)
+    return ContinuousDistribution1D(pdf=pdf, support=(-math.inf, math.inf))
 
 
 def bernoulli(p: float) -> DiscreteDistribution:
@@ -177,10 +171,8 @@ def bernoulli(p: float) -> DiscreteDistribution:
 
 
 def student_t_1d(params: StudentTParams) -> ContinuousDistribution1D:
-    """Handle wrapping a d = 1 Student-t density with its exact support."""
-    return ContinuousDistribution1D(
-        pdf=lambda x: studentt.density(params, [x]), support=params.support_interval, params=params
-    )
+    """The quadrature handle of a d = 1 Student-t record, on its exact support."""
+    return ContinuousDistribution1D(pdf=lambda x: studentt.density(params, [x]), support=params.support_interval)
 
 
 def quad(func, a, b, **kwargs):
@@ -233,11 +225,6 @@ def _digamma(x: float) -> float:
     return shift + math.log(x) - 0.5 / x - series
 
 
-def _record(h) -> Optional[Record]:
-    """The Gaussian or Student-t record behind a continuous argument, or None."""
-    return h.params if isinstance(h, ContinuousDistribution1D) else h
-
-
 def _handle(h, integral: str) -> ContinuousDistribution1D:
     """The 1-D handle that quadrature integrates for a term without a closed form."""
     if isinstance(h, ContinuousDistribution1D):
@@ -271,7 +258,7 @@ def _max_radius_sq(p: StudentTParams, q: StudentTParams) -> float:
     s the eigenvalues of M and g in its eigenbasis (trust-region duality);
     that function is convex, and bisection finds where its slope is zero.
     """
-    chol = np.linalg.cholesky(p.support.radius_sq * p.sigma)
+    chol = np.linalg.cholesky(p.radius_sq * p.sigma)
     delta = p.mu - q.mu
     s, vecs = np.linalg.eigh(chol.T @ q.sigma_inv @ chol)
     g2 = (vecs.T @ (chol.T @ (q.sigma_inv @ delta))) ** 2
@@ -293,7 +280,7 @@ def _support_within(p: Record, q: Record) -> bool:
         return True
     if _full_support(p):
         return False
-    return _max_radius_sq(p, q) <= q.support.radius_sq * (1.0 + SUPPORT_RTOL)
+    return _max_radius_sq(p, q) <= q.radius_sq * (1.0 + SUPPORT_RTOL)
 
 
 def _second_moment(p: Record, center: np.ndarray) -> np.ndarray:
@@ -366,16 +353,15 @@ def _discrete_cross(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
 
 def _log_cross(p, q, alpha: float, epsabs: float, epsrel: float) -> float:
     """log Int p q^(alpha-1) for continuous arguments; -inf for an empty overlap."""
-    rp, rq = _record(p), _record(q)
-    if rp is not None and rq is not None:
-        within = _support_within(rp, rq)
+    if isinstance(p, _RECORDS) and isinstance(q, _RECORDS):
+        within = _support_within(p, q)
         if alpha < 1.0 and not within:
             return math.inf
-        if isinstance(rq, StudentTParams) and rq.alpha == alpha and within:
-            return _log_t_cross(rp, rq)
-        if isinstance(rq, Gaussian) and isinstance(rp, Gaussian):
-            return _log_gaussian_cross(rp, rq, alpha)
-        if isinstance(rq, Gaussian) and alpha < 1.0 and rp.alpha < 1.0:
+        if isinstance(q, StudentTParams) and q.alpha == alpha and within:
+            return _log_t_cross(p, q)
+        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
+            return _log_gaussian_cross(p, q, alpha)
+        if isinstance(q, Gaussian) and alpha < 1.0 and p.alpha < 1.0:
             return math.inf
     p, q = _handle(p, "cross"), _handle(q, "cross")
     (plo, phi), (qlo, qhi) = p.support, q.support
@@ -404,11 +390,10 @@ def _log_power(h, alpha: float, integral: str, epsabs: float, epsrel: float) -> 
     """log Int h^alpha: a sum over atoms, closed form for a Gaussian or any t, else quadrature; +inf if it diverges."""
     if isinstance(h, DiscreteDistribution):
         return math.log(float(np.sum(h.probs[h.probs > 0.0] ** alpha)))
-    r = _record(h)
-    if isinstance(r, Gaussian):
-        return -0.5 * (alpha - 1.0) * (r.dim * LOG_2PI + r.logdet) - 0.5 * r.dim * math.log(alpha)
-    if isinstance(r, StudentTParams):
-        return studentt._log_power_integral(r, alpha)
+    if isinstance(h, Gaussian):
+        return -0.5 * (alpha - 1.0) * (h.dim * LOG_2PI + h.logdet) - 0.5 * h.dim * math.log(alpha)
+    if isinstance(h, StudentTParams):
+        return studentt.log_power_integral(h, alpha)
     h = _handle(h, integral)
     value = _quad(lambda x: h.pdf(x) ** alpha, *h.support, epsabs, epsrel, integral)
     if not value > 0.0:
@@ -463,8 +448,8 @@ def kl(
 ) -> float:
     """Kullback-Leibler divergence Int p log(p/q); +inf on support violation.
 
-    Closed form when q is a Gaussian and p a Gaussian or a t; otherwise
-    1-D quadrature at the given tolerances.
+    Closed form when q is a Gaussian record and p a Gaussian or a t
+    record; otherwise 1-D quadrature at the given tolerances.
     """
     if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
         if p.probs.shape != q.probs.shape:
@@ -475,12 +460,11 @@ def kl(
             return math.inf
         return float(np.sum(pv[mass] * np.log(pv[mass] / qv[mass])))
     _check_continuous_pair(p, q)
-    rp, rq = _record(p), _record(q)
-    if rp is not None and rq is not None:
-        if not _support_within(rp, rq):
+    if isinstance(p, _RECORDS) and isinstance(q, _RECORDS):
+        if not _support_within(p, q):
             return math.inf
-        if isinstance(rq, Gaussian):
-            return _gaussian_cross_entropy(rp, rq) - _entropy(rp)
+        if isinstance(q, Gaussian):
+            return _gaussian_cross_entropy(p, q) - _entropy(p)
     p, q = _handle(p, "kl"), _handle(q, "kl")
     (plo, phi), (qlo, qhi) = p.support, q.support
     if plo < qlo or phi > qhi:
@@ -516,5 +500,5 @@ def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> fl
     return (
         alpha * params.log_norm_const
         + alpha / (alpha - 1.0) * math.log(mean_bracket)
-        - studentt._log_power_integral(params, alpha)
+        - studentt.log_power_integral(params, alpha)
     )

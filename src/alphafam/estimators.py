@@ -27,7 +27,7 @@ from .core import (
     SampleBatch,
     StudentTParams,
     SufficientStats,
-    SupportDescriptor,
+    _quadratic_weights,
     check_alpha,
     moment_statistic,
     unpack_theta,
@@ -190,19 +190,7 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
     """
     d = dim
     k = d + d * d
-
-    def w_fn(theta: np.ndarray) -> np.ndarray:
-        m, l = unpack_theta(theta, d)
-        return np.concatenate([l @ m, -0.5 * l.ravel()])
-
-    def w_jacobian(theta: np.ndarray) -> np.ndarray:
-        m, l = unpack_theta(theta, d)
-        jac = np.zeros((k, k))
-        jac[:d, :d] = l
-        for row in range(d):
-            jac[row, d + row * d : d + (row + 1) * d] = m
-        jac[d:, d:] = -0.5 * np.eye(d * d)
-        return jac
+    w_fn, w_jacobian = _quadratic_weights(-0.5, d)
 
     def z_fn(theta: np.ndarray) -> float:
         m, l = unpack_theta(theta, d)
@@ -216,7 +204,6 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
         w_fn=w_fn,
         f_fn=moment_statistic,
         z_fn=z_fn,
-        support=SupportDescriptor(kind="all-space"),
         w_jacobian=w_jacobian,
     )
 

@@ -25,7 +25,9 @@ from .core import (
     StudentTParams,
     UndefinedScoreError,
     b_alpha,
+    _log_gamma_ratio,
     _log_norm_const_shape,
+    _quadratic_weights,
     moment_statistic,
     unpack_theta,
 )
@@ -34,7 +36,7 @@ __all__ = [
     "density",
     "log_density",
     "decompose",
-    "density_power_integral",
+    "log_power_integral",
     "sample",
     "score",
     "score_batch",
@@ -99,10 +101,7 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
     b = params.b_alpha
     k = d + d * d
     shape_log_n = _log_norm_const_shape(alpha, d)
-
-    def w_fn(theta: np.ndarray) -> np.ndarray:
-        m, l = unpack_theta(theta, d)
-        return np.concatenate([-2.0 * b * (l @ m), b * l.ravel()])
+    w_fn, w_jacobian = _quadratic_weights(b, d)
 
     def w0_fn(theta: np.ndarray) -> float:
         m, l = unpack_theta(theta, d)
@@ -111,15 +110,6 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
     def w0_grad(theta: np.ndarray) -> np.ndarray:
         m, l = unpack_theta(theta, d)
         return np.concatenate([b * ((l + l.T) @ m), b * np.outer(m, m).ravel()])
-
-    def w_jacobian(theta: np.ndarray) -> np.ndarray:
-        m, l = unpack_theta(theta, d)
-        jac = np.zeros((k, k))
-        jac[:d, :d] = -2.0 * b * l
-        for row in range(d):
-            jac[row, d + row * d : d + (row + 1) * d] = -2.0 * b * m
-        jac[d:, d:] = b * np.eye(d * d)
-        return jac
 
     def z_fn(theta: np.ndarray) -> float:
         _, l = unpack_theta(theta, d)
@@ -136,30 +126,24 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
         w_fn=w_fn,
         f_fn=moment_statistic,
         z_fn=z_fn,
-        support=params.support,
         w_jacobian=w_jacobian,
         w0_fn=w0_fn,
         w0_grad=w0_grad,
     )
 
 
-def density_power_integral(params: StudentTParams) -> float:
-    """Closed form of the integral of p^alpha over the support; see ``_log_power_integral``."""
-    return math.exp(_log_power_integral(params, params.alpha))
-
-
-def _log_power_integral(params: StudentTParams, power: float) -> float:
+def log_power_integral(params: StudentTParams, power: float) -> float:
     """log of the integral of p^power over the support, in closed form; +inf where it diverges.
 
     At power = alpha it is Int p p^(alpha-1) = N^(alpha-1) E_p[1 + b r^2]
     = N^(alpha-1) (1 + b d), since Cov p = Sigma; its log takes the rounding
-    of log N only times alpha - 1, where the general form would add lgamma
-    terms of about 6000 each at alpha = 0.999.  For any other power, substituting u = sqrt(|b|) L^-1
-    (x - mu), L L^T = Sigma, leaves a radial integral: with s = power/(1 -
-    alpha) for alpha < 1, Int (1 + |u|^2)^-s du = pi^(d/2) Gamma(s - d/2) /
-    Gamma(s), finite iff s > d/2; with g = power/(alpha - 1) for alpha > 1,
-    Int_{|u| < 1} (1 - |u|^2)^g du = pi^(d/2) Gamma(g + 1) / Gamma(g + 1 +
-    d/2), always finite.
+    of log N only times alpha - 1.  For any other power, substituting
+    u = sqrt(|b|) L^-1 (x - mu), L L^T = Sigma, leaves a radial integral:
+    with s = power/(1 - alpha) for alpha < 1, Int (1 + |u|^2)^-s du =
+    pi^(d/2) Gamma(s - d/2) / Gamma(s), finite iff s > d/2; with g =
+    power/(alpha - 1) for alpha > 1, Int_{|u| < 1} (1 - |u|^2)^g du =
+    pi^(d/2) Gamma(g + 1) / Gamma(g + 1 + d/2), always finite.  It never
+    exponentiates, so a value beyond the float range is still returned.
     """
     alpha, d, b = params.alpha, params.dim, params.b_alpha
     if power == alpha:
@@ -168,12 +152,11 @@ def _log_power_integral(params: StudentTParams, power: float) -> float:
         s = power / (1.0 - alpha)
         if s <= 0.5 * d:
             return math.inf
-        radial = math.lgamma(s - 0.5 * d) - math.lgamma(s)
+        radial = -_log_gamma_ratio(s - 0.5 * d, 0.5 * d)
     else:
         g = power / (alpha - 1.0)
-        radial = math.lgamma(g + 1.0) - math.lgamma(g + 1.0 + 0.5 * d)
-    logdet = float(np.linalg.slogdet(params.sigma)[1])
-    return power * params.log_norm_const + 0.5 * logdet + 0.5 * d * math.log(math.pi / abs(b)) + radial
+        radial = -_log_gamma_ratio(g + 1.0, 0.5 * d)
+    return power * params.log_norm_const + 0.5 * params.logdet + 0.5 * d * math.log(math.pi / abs(b)) + radial
 
 
 def sample(params: StudentTParams, n: int, seed: int) -> SampleBatch:
@@ -183,7 +166,7 @@ def sample(params: StudentTParams, n: int, seed: int) -> SampleBatch:
     A Z sqrt(k/W) with Z standard normal in R^d, then W chi-squared(k):
     for alpha < 1, k = nu and A A^T = Sigma*(nu-2)/nu; for alpha > 1,
     k = 2 alpha/(alpha-1), W also gains |Z|^2, and A A^T = Sigma*R^2/k with
-    R^2 the support's ``radius_sq``, so the squared Mahalanobis radius over
+    R^2 = ``radius_sq``, so the squared Mahalanobis radius over
     R^2 is |Z|^2/W ~ Beta(d/2, 1/(alpha-1) + 1).  Either way Cov X = Sigma.
     """
     if n < 1:
@@ -192,7 +175,7 @@ def sample(params: StudentTParams, n: int, seed: int) -> SampleBatch:
     if params.alpha < 1.0:
         k, c = params.nu, params.nu - 2.0
     else:
-        k, c = 2.0 * params.alpha / (params.alpha - 1.0), params.support.radius_sq
+        k, c = 2.0 * params.alpha / (params.alpha - 1.0), params.radius_sq
     chol = np.linalg.cholesky(params.sigma * c / k)
     z = rng.standard_normal((n, params.dim))
     w = rng.chisquare(k, size=n)

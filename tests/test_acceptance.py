@@ -138,7 +138,7 @@ def test_criterion_6_normalization_and_density_oracle():
         if alpha < 1.0:
             lo, hi = -np.inf, np.inf
         else:
-            r = math.sqrt(params.support.radius_sq)
+            r = math.sqrt(params.radius_sq)
             lo, hi = -r, r
         mass = quad(lambda x: studentt.density(params, [x]), lo, hi, epsabs=1e-12, epsrel=1e-10)[0]
         assert abs(mass - 1.0) <= 1e-8

@@ -42,7 +42,7 @@ class TestHandles:
 
 class TestIAlpha:
     def test_zero_on_identical_arguments(self):
-        g = dv.gaussian(0.0, 1.0)
+        g = dv.Gaussian(0.0, 1.0)
         assert abs(dv.i_alpha(g, g, 0.5)) <= 1e-9
         b = dv.bernoulli(0.3)
         assert abs(dv.i_alpha(b, b, 0.5)) <= 1e-9
@@ -61,24 +61,37 @@ class TestIAlpha:
         assert got == pytest.approx(math.log(1.16), rel=1e-12)
 
     def test_gaussian_near_one_approaches_kl(self):
-        p, q = dv.gaussian(0.0, 1.0), dv.gaussian(0.5, 1.0)
+        p, q = dv.Gaussian(0.0, 1.0), dv.Gaussian(0.5, 1.0)
         assert abs(dv.i_alpha(p, q, 0.999) - 0.125) < 1e-2
 
-    @pytest.mark.parametrize("alpha", [1.0 - 1e-3, 1.0 + 1e-3])
-    def test_limit_consistency_both_pairs(self, alpha):
-        gp, gq = dv.gaussian(0.0, 1.0), dv.gaussian(0.5, 1.0)
-        assert abs(dv.i_alpha(gp, gq, alpha) - dv.kl(gp, gq)) <= 5e-3
-        bp, bq = dv.bernoulli(0.3), dv.bernoulli(0.5)
-        assert abs(dv.i_alpha(bp, bq, alpha) - dv.kl(bp, bq)) <= 5e-3
+    @given(st.sampled_from(["gaussian", "discrete"]), st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_limit_consistency_both_pairs(self, kind, d, seed):
+        # I_alpha = KL + c1 (alpha - 1) + c2 (alpha - 1)^2 + ..., and c1 takes
+        # either sign, so one side alone can cancel at a given eps; the larger
+        # gap of alpha = 1 +- eps is |c1| eps + |c2| eps^2, tenfold smaller
+        # per decade of eps.
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            def moments():
+                a = rng.uniform(-1.0, 1.0, size=(d, d))
+                return rng.uniform(-1.0, 1.0, size=d), a @ a.T + rng.uniform(0.3, 2.0) * np.eye(d)
+
+            p, q = dv.Gaussian(*moments()), dv.Gaussian(*moments())
+        else:  # d + 1 atoms, each of mass at least 0.1 / (d + 1)
+            p, q = (dv.DiscreteDistribution(0.9 * rng.dirichlet(np.ones(d + 1)) + 0.1 / (d + 1)) for _ in "pq")
+        kl = dv.kl(p, q)
+        gaps = [max(abs(dv.i_alpha(p, q, 1.0 + side * eps) - kl) for side in (-1.0, 1.0)) for eps in (1e-3, 1e-4)]
+        assert gaps[1] <= gaps[0] / 5.0
 
     def test_infinite_when_q_misses_p_mass(self):
         p = dv.DiscreteDistribution(np.array([0.5, 0.5]))
         q = dv.DiscreteDistribution(np.array([1.0, 0.0]))
         assert dv.i_alpha(p, q, 0.5) == math.inf
         # compact supports that do not overlap: first term degenerates
-        t_a = dv.student_t_1d(af.make_student_t(2.0, [0.0], [[1.0]]))
-        t_b = dv.student_t_1d(af.make_student_t(2.0, [100.0], [[1.0]]))
+        t_a, t_b = af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 100.0, 1.0)
         assert dv.i_alpha(t_a, t_b, 2.0) == math.inf
+        assert dv.i_alpha(dv.student_t_1d(t_a), dv.student_t_1d(t_b), 2.0) == math.inf
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -97,17 +110,14 @@ class TestIAlpha:
             return rng.uniform(-3.0, 3.0, size=d), a @ a.T + rng.uniform(0.2, 2.0) * np.eye(d)
 
         (m, cov), (m2, cov2) = moments(), moments()
-        if d == 1:
-            p, p_star = dv.gaussian(m[0], cov[0, 0]), dv.student_t_1d(af.make_student_t(alpha, m, cov))
-        else:
-            p, p_star = dv.Gaussian(m, cov), af.make_student_t(alpha, m, cov)
+        p, p_star = dv.Gaussian(m, cov), af.make_student_t(alpha, m, cov)
         q = af.make_student_t(alpha, m2, cov2)
         whole = dv.i_alpha(p, q, alpha)
         residual = whole - dv.i_alpha(p, p_star, alpha) - dv.i_alpha(p_star, q, alpha)
         assert abs(residual) <= 1e-8 * max(1.0, whole)
 
     def test_alpha_domain_checked(self):
-        g = dv.gaussian(0.0, 1.0)
+        g = dv.Gaussian(0.0, 1.0)
         with pytest.raises(core.ParameterError):
             dv.i_alpha(g, g, 1.0)
         with pytest.raises(core.ParameterError):
@@ -129,13 +139,11 @@ class TestIAlpha:
         assert value >= -1e-9
 
 
-def _quadrature_only(h):
-    """The same 1-D density without its record, so every term is integrated."""
-    return dv.ContinuousDistribution1D(pdf=h.pdf, support=h.support)
-
-
-def _t(alpha, mu, var):
-    return dv.student_t_1d(af.make_student_t(alpha, [mu], [[var]]))
+def _quadrature_view(r):
+    """The 1-D handle of a record, whose every divergence term is integrated."""
+    if isinstance(r, dv.Gaussian):
+        return dv.gaussian(float(r.mu[0]), float(r.sigma[0, 0]))
+    return dv.student_t_1d(r)
 
 
 def _normal_i_alpha(m, v, m2, v2, alpha):
@@ -160,7 +168,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("var", [1e-10, 1e-14, 1e-20, 1e300])
     def test_narrow_and_wide_gaussians(self, var):
         # Quadrature over the real line misses the mass of a narrow p entirely.
-        p, q = dv.gaussian(0.0, var), dv.gaussian(0.0, 1.0)
+        p, q = dv.Gaussian(0.0, var), dv.Gaussian(0.0, 1.0)
         assert dv.kl(p, q) == pytest.approx(0.5 * (var - 1.0 - math.log(var)), rel=1e-13)
         want = _normal_i_alpha(0.0, var, 0.0, 1.0, 0.5)
         assert dv.i_alpha(p, q, 0.5) == (math.inf if want == math.inf else pytest.approx(want, rel=1e-13))
@@ -168,7 +176,7 @@ class TestClosedForms:
     def test_alpha_near_one_keeps_precision(self):
         # Weights alpha/(1-alpha) = 99 amplify a default quadrature tolerance
         # into a 4e-6 relative error.  Reference: mpmath at 40 digits.
-        got = dv.i_alpha(_t(0.99, 0.0, 1.26171875), _t(0.99, 0.0, 1.0), 0.99)
+        got = dv.i_alpha(af.make_student_t(0.99, 0.0, 1.26171875), af.make_student_t(0.99, 0.0, 1.0), 0.99)
         assert got == pytest.approx(0.014535526027393640614, rel=1e-9)
 
     @given(
@@ -194,26 +202,26 @@ class TestClosedForms:
         # Within rounding of 1/v + (alpha-1)/v2 = 0 the value hangs on the
         # inputs' last bits, so no two formulas need agree there.
         assume(kind != "gaussian/gaussian" or abs(1.0 / v + (alpha - 1.0) / v2) > 1e-9 / v)
-        p = _t(alpha, m, v) if kind == "t/t" else dv.gaussian(m, v)
-        q = dv.gaussian(m2, v2) if kind == "gaussian/gaussian" else _t(alpha, m2, v2)
+        p = af.make_student_t(alpha, m, v) if kind == "t/t" else dv.Gaussian(m, v)
+        q = dv.Gaussian(m2, v2) if kind == "gaussian/gaussian" else af.make_student_t(alpha, m2, v2)
         tight = dict(epsabs=1e-12, epsrel=1e-10)
         got = dv.i_alpha(p, q, alpha)
         if kind == "gaussian/gaussian":
             want = _normal_i_alpha(m, v, m2, v2, alpha)
-            want_kl = dv.kl(_quadrature_only(p), _quadrature_only(q), **tight)
+            want_kl = dv.kl(_quadrature_view(p), _quadrature_view(q), **tight)
             assert abs(dv.kl(p, q) - want_kl) <= 1e-10 * max(abs(want_kl), 1.0)
             if want == math.inf:
                 assert got == math.inf
                 return
         else:
-            want = dv.i_alpha(_quadrature_only(p), _quadrature_only(q), alpha, **tight)
+            want = dv.i_alpha(_quadrature_view(p), _quadrature_view(q), alpha, **tight)
         assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 
     @pytest.mark.parametrize("alpha,d", [(0.6, 1), (0.999, 1), (0.8, 3), (1.001, 2), (2.0, 1), (3.0, 3)])
     def test_power_integral_is_the_cross_term_of_a_t_with_itself(self, alpha, d):
         # Both are N^(alpha-1) (1 + b d); the cross term reads d as tr(Sigma^-1 Sigma).
         r = af.make_student_t(alpha, np.arange(d) * 0.3, np.eye(d) + 0.2)
-        want = math.log(studentt.density_power_integral(r))
+        want = studentt.log_power_integral(r, alpha)
         assert dv._log_t_cross(r, r) == pytest.approx(want, rel=1e-13, abs=1e-14)
 
     @given(st.sampled_from([0.4, 0.6, 0.8, 0.95, 0.99, 1.01, 1.2, 2.0, 3.0]), st.floats(0.05, 3.0),
@@ -223,8 +231,8 @@ class TestClosedForms:
         # s = alpha/(1 - order) > 1/2 keeps the integral finite; from 3/4 up
         # the tails |x|^(-2s) are light enough for a tight quadrature.
         assume(alpha != order and (order > 1.0 or alpha / (1.0 - order) >= 0.75))
-        h = _t(order, m, v)
-        want = dv._log_power(_quadrature_only(h), alpha, "power_p", 1e-12, 1e-10)
+        h = af.make_student_t(order, m, v)
+        want = dv._log_power(_quadrature_view(h), alpha, "power_p", 1e-12, 1e-10)
         assert dv._log_power(h, alpha, "power_p", 1e-12, 1e-10) == pytest.approx(want, rel=1e-9, abs=1e-10)
 
     @pytest.mark.parametrize("order,alpha", [(0.8, 0.5), (0.6, 1.5), (3.0, 0.7), (1.5, 2.5)])
@@ -233,7 +241,7 @@ class TestClosedForms:
         from scipy import integrate
 
         r = af.make_student_t(order, [0.4, -0.3], 1.3 * np.eye(2))
-        radius = math.sqrt(r.support.radius_sq * 1.3) if order > 1.0 else math.inf
+        radius = math.sqrt(r.radius_sq * 1.3) if order > 1.0 else math.inf
         numeric, _ = integrate.quad(lambda rho: af.density(r, [0.4 + rho, -0.3]) ** alpha * 2 * math.pi * rho,
                                     0.0, radius, epsabs=1e-13, epsrel=1e-12)
         assert dv._log_power(r, alpha, "power_p", 0.0, 0.0) == pytest.approx(math.log(numeric), rel=1e-10)
@@ -243,22 +251,23 @@ class TestClosedForms:
         # alpha/(1 - order) < d/2: the tails of r^alpha decay more slowly than |x|^-d.
         r = af.make_student_t(order, np.zeros(d), np.eye(d))
         if d == 1:  # the cross term integrates; the power term makes the result +inf
-            assert dv.i_alpha(dv.gaussian(0.0, 1.0), r, alpha) == math.inf
+            assert dv.i_alpha(dv.Gaussian(0.0, 1.0), r, alpha) == math.inf
         monkeypatch.setattr(dv, "quad", _refuse_quad)
         assert dv._log_power(r, alpha, "power_q", 0.0, 0.0) == math.inf
 
     def test_closed_form_pairs_never_integrate(self, monkeypatch):
         monkeypatch.setattr(dv, "quad", _refuse_quad)
-        g, t8 = dv.gaussian(0.0, 1.0), _t(0.8, 0.5, 2.0)
-        for p, q, alpha in [(g, dv.gaussian(0.5, 2.0), 0.999), (g, dv.gaussian(0.5, 2.0), 1.5),
-                            (g, t8, 0.8), (t8, _t(0.8, 0.0, 1.0), 0.8), (_t(2.0, 0.1, 1.0), _t(2.0, 0.0, 2.0), 2.0)]:
+        g, t8 = dv.Gaussian(0.0, 1.0), af.make_student_t(0.8, 0.5, 2.0)
+        for p, q, alpha in [(g, dv.Gaussian(0.5, 2.0), 0.999), (g, dv.Gaussian(0.5, 2.0), 1.5),
+                            (g, t8, 0.8), (t8, af.make_student_t(0.8, 0.0, 1.0), 0.8),
+                            (af.make_student_t(2.0, 0.1, 1.0), af.make_student_t(2.0, 0.0, 2.0), 2.0)]:
             assert math.isfinite(dv.i_alpha(p, q, alpha))
-        assert dv.i_alpha(_t(0.8, 0.0, 1.0), dv.gaussian(0.5, 1.0), 0.8) == math.inf
-        assert dv.i_alpha(dv.gaussian(0.0, 1.0), dv.gaussian(0.0, 0.4), 0.5) == math.inf
-        assert dv.i_alpha(dv.gaussian(0.0, 4.0), dv.gaussian(0.0, 0.5), 0.875) == math.inf  # exactly 0
-        for p in (g, t8, _t(3.0, 0.0, 1.0)):
-            assert math.isfinite(dv.kl(p, dv.gaussian(0.5, 2.0)))
-        assert dv.kl(g, _t(2.0, 0.0, 1.0)) == math.inf
+        assert dv.i_alpha(af.make_student_t(0.8, 0.0, 1.0), dv.Gaussian(0.5, 1.0), 0.8) == math.inf
+        assert dv.i_alpha(dv.Gaussian(0.0, 1.0), dv.Gaussian(0.0, 0.4), 0.5) == math.inf
+        assert dv.i_alpha(dv.Gaussian(0.0, 4.0), dv.Gaussian(0.0, 0.5), 0.875) == math.inf  # exactly 0
+        for p in (g, t8, af.make_student_t(3.0, 0.0, 1.0)):
+            assert math.isfinite(dv.kl(p, dv.Gaussian(0.5, 2.0)))
+        assert dv.kl(g, af.make_student_t(2.0, 0.0, 1.0)) == math.inf
 
     def test_cross_term_against_dblquad(self):
         from scipy import integrate, stats
@@ -282,17 +291,18 @@ class TestClosedForms:
     def test_kl_from_a_t_to_a_gaussian(self, alpha):
         from scipy import stats
 
-        p, q = _t(alpha, 0.3, 1.7), dv.gaussian(-0.2, 0.9)
+        p, q = af.make_student_t(alpha, 0.3, 1.7), dv.Gaussian(-0.2, 0.9)
         if alpha < 1.0:
             nu = 2.0 / (1.0 - alpha) - 1.0
             entropy = stats.t(df=nu, scale=math.sqrt(1.7 * (nu - 2.0) / nu)).entropy()
         else:  # compact support: the quadrature is accurate
-            entropy = -dv._quad(lambda x: p.pdf(x) * math.log(p.pdf(x)) if p.pdf(x) > 0 else 0.0,
-                                *p.support, 1e-13, 1e-12, "entropy")
+            h = dv.student_t_1d(p)
+            entropy = -dv._quad(lambda x: h.pdf(x) * math.log(h.pdf(x)) if h.pdf(x) > 0 else 0.0,
+                                *h.support, 1e-13, 1e-12, "entropy")
         cross_entropy = 0.5 * (math.log(2 * math.pi * 0.9) + (1.7 + 0.5**2) / 0.9)
         assert dv.kl(p, q) == pytest.approx(cross_entropy - entropy, rel=1e-12)
         if alpha > 1.0:
-            assert dv.kl(p, q) == pytest.approx(dv.kl(_quadrature_only(p), _quadrature_only(q)), rel=1e-9)
+            assert dv.kl(p, q) == pytest.approx(dv.kl(_quadrature_view(p), _quadrature_view(q)), rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.8, 3.0])
     def test_t_entropy_in_two_dimensions(self, alpha):
@@ -300,7 +310,7 @@ class TestClosedForms:
         from scipy import integrate
 
         r = af.make_student_t(alpha, [0.0, 0.0], np.eye(2))
-        radius = math.sqrt(r.support.radius_sq) if alpha > 1.0 else math.inf
+        radius = math.sqrt(r.radius_sq) if alpha > 1.0 else math.inf
         p = lambda rho: af.density(r, [rho, 0.0])
         numeric, _ = integrate.quad(lambda rho: -p(rho) * math.log(p(rho)) * 2 * math.pi * rho if p(rho) > 0 else 0.0,
                                     0.0, radius, epsabs=1e-13, epsrel=1e-12)
@@ -315,7 +325,7 @@ class TestClosedForms:
                 q = af.make_student_t(3.0, rng.normal(size=d), b @ b.T + 0.3 * np.eye(d))
                 u = rng.normal(size=(20000, d))
                 u /= np.linalg.norm(u, axis=1, keepdims=True)
-                boundary = p.mu + u @ np.linalg.cholesky(p.support.radius_sq * p.sigma).T
+                boundary = p.mu + u @ np.linalg.cholesky(p.radius_sq * p.sigma).T
                 r = boundary - q.mu
                 sampled = float(np.max(np.einsum("ni,ij,nj->n", r, q.sigma_inv, r)))
                 got = dv._max_radius_sq(p, q)
@@ -341,6 +351,25 @@ class TestClosedForms:
         with pytest.raises(core.DimensionMismatchError, match="one dimension"):
             dv.i_alpha(g, dv.gaussian(0.0, 1.0), 0.8)
 
+    def test_a_handle_is_always_integrated(self, monkeypatch):
+        # The handles of records whose every term is closed form.
+        p, q = dv.Gaussian(0.0, 1.0), dv.Gaussian(0.5, 2.0)
+        calls = []
+        monkeypatch.setattr(dv, "quad", lambda *args, **kwargs: calls.append(args[1:3]) or (0.5, 0.0))
+        dv.i_alpha(p, q, 0.8)
+        dv.kl(p, q)
+        assert calls == []
+        dv.i_alpha(_quadrature_view(p), q, 0.8)
+        assert calls == [(-math.inf, math.inf)] * 2  # the cross term and Int p^alpha
+        dv.kl(p, _quadrature_view(q))
+        assert len(calls) == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_gaussian_whose_inverse_overflows_is_rejected(self):
+        with pytest.raises(core.ParameterError) as err:
+            dv.kl(dv.Gaussian([0.0, 0.0], np.eye(2)), dv.Gaussian([0.0, 0.0], 1e-308 * np.array([[1.0, 0.3], [0.3, 0.5]])))
+        assert err.value.code == core.SIGMA_INVERSE_NOT_FINITE
+
     def test_quadrature_failure_names_the_integral(self, monkeypatch):
         from scipy.integrate import IntegrationWarning
 
@@ -349,16 +378,16 @@ class TestClosedForms:
             return 0.0, 0.0
 
         monkeypatch.setattr(dv, "quad", failing)
-        p, q = _t(2.0, 0.0, 1.0), _t(2.0, 0.5, 1.0)
+        p, q = af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 0.5, 1.0)
         with pytest.raises(core.NumericalError) as err:
             dv.i_alpha(p, q, 2.0, epsabs=1e-11, epsrel=1e-9)
         root5 = math.sqrt(5.0)
         assert err.value.diagnostics == {"integral": "cross", "interval": [0.5 - root5, root5],
                                          "epsabs": 1e-11, "epsrel": 1e-9, "limit": 200}
         with pytest.raises(core.NumericalError) as err:
-            dv.i_alpha(_t(0.8, 0.0, 1.0), _t(0.6, 0.0, 1.0), 0.8)
+            dv.i_alpha(af.make_student_t(0.8, 0.0, 1.0), af.make_student_t(0.6, 0.0, 1.0), 0.8)
         assert err.value.diagnostics["integral"] == "cross"
-        # A power integral integrates only for a density without a record;
+        # A power integral integrates only for a handle;
         # let the cross term before it succeed.
         from scipy.integrate import quad as scipy_quad
 
@@ -370,16 +399,16 @@ class TestClosedForms:
 
         monkeypatch.setattr(dv, "quad", second_fails)
         with pytest.raises(core.NumericalError) as err:
-            dv.i_alpha(_quadrature_only(_t(0.6, 0.0, 1.0)), _t(0.8, 0.0, 1.0), 0.8)
+            dv.i_alpha(dv.student_t_1d(af.make_student_t(0.6, 0.0, 1.0)), af.make_student_t(0.8, 0.0, 1.0), 0.8)
         assert err.value.diagnostics["integral"] == "power_p" and len(calls) == 2
         with pytest.raises(core.NumericalError) as err:
-            dv.kl(_t(0.8, 0.0, 1.0), _t(0.8, 0.5, 1.0))
+            dv.kl(af.make_student_t(0.8, 0.0, 1.0), af.make_student_t(0.8, 0.5, 1.0))
         assert err.value.diagnostics["integral"] == "kl"
 
 
 class TestKL:
     def test_zero_on_identical(self):
-        g = dv.gaussian(1.0, 2.0)
+        g = dv.Gaussian(1.0, 2.0)
         assert abs(dv.kl(g, g)) <= 1e-9
 
     def test_bernoulli_two_term_sum(self):
@@ -388,21 +417,21 @@ class TestKL:
 
     def test_gaussian_closed_form(self):
         # equal variances: KL = (mu difference)^2 / 2
-        assert dv.kl(dv.gaussian(0.0, 1.0), dv.gaussian(0.5, 1.0)) == pytest.approx(0.125, abs=1e-9)
+        assert dv.kl(dv.Gaussian(0.0, 1.0), dv.Gaussian(0.5, 1.0)) == pytest.approx(0.125, abs=1e-9)
 
     def test_support_violation_infinite(self):
         p = dv.DiscreteDistribution(np.array([0.5, 0.5]))
         q = dv.DiscreteDistribution(np.array([1.0, 0.0]))
         assert dv.kl(p, q) == math.inf
-        wide = dv.gaussian(0.0, 1.0)
-        narrow = dv.student_t_1d(af.make_student_t(2.0, [0.0], [[1.0]]))
+        wide, narrow = dv.Gaussian(0.0, 1.0), af.make_student_t(2.0, 0.0, 1.0)
         assert dv.kl(wide, narrow) == math.inf
+        assert dv.kl(_quadrature_view(wide), _quadrature_view(narrow)) == math.inf
 
 
 class TestGeneralizedLogLikelihood:
     def test_alpha2_power_integral_closed_form(self):
         p = af.make_student_t(2.0, [0.0], [[1.0]])
-        assert math.log(studentt.density_power_integral(p)) == pytest.approx(
+        assert studentt.log_power_integral(p, 2.0) == pytest.approx(
             math.log(4.0 * N2 / 5.0), rel=1e-14
         )
 
@@ -412,18 +441,36 @@ class TestGeneralizedLogLikelihood:
         # matched mpmath's quadrature of p^alpha to every digit.  A sum of
         # lgamma terms near 1000 is off by about 2e-12 here.
         p = af.make_student_t(alpha, [0.0], [[1.2]])
-        assert studentt.density_power_integral(p) == pytest.approx(want, rel=4e-15, abs=0.0)
+        assert math.exp(studentt.log_power_integral(p, alpha)) == pytest.approx(want, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("power", [5.0, 2.0])
+    def test_power_integral_beyond_the_float_range(self, power):
+        # x -> c x scales Int p^power by c^(d (1 - power)); here the integral
+        # itself exceeds the float range, its log does not.
+        unit = af.make_student_t(5.0, np.zeros(3), np.eye(3))
+        tiny = af.make_student_t(5.0, np.zeros(3), 1e-100 * np.eye(3))
+        want = studentt.log_power_integral(unit, power) + 150.0 * (power - 1.0) * math.log(10.0)
+        assert studentt.log_power_integral(tiny, power) == pytest.approx(want, rel=1e-14)
+        if power == 5.0:
+            assert studentt.log_power_integral(tiny, power) == pytest.approx(1365.96, abs=0.01)
+
+    def test_reference_sample_near_one(self):
+        # mpmath at 50 digits: -2.01048250178544200; lgamma pairs near 5900
+        # in log N left 1.45e-12.
+        params = af.make_student_t(0.999, [7.0], [[2.0]])
+        got = dv.generalized_log_likelihood(params, af.SampleBatch(REFERENCE_SAMPLE))
+        assert abs(got - -2.01048250178544200) <= 3e-13
 
     @pytest.mark.parametrize("alpha,sigma2", [(0.6, 1.0), (0.8, 2.5), (2.0, 1.0), (3.0, 0.7)])
     def test_power_integral_matches_quadrature(self, alpha, sigma2):
         from scipy.integrate import quad
 
         p = af.make_student_t(alpha, [0.3], [[sigma2]])
-        closed = studentt.density_power_integral(p)
+        closed = math.exp(studentt.log_power_integral(p, alpha))
         if alpha < 1.0:
             lo, hi = -np.inf, np.inf
         else:
-            r = math.sqrt(p.support.radius_sq * sigma2)
+            r = math.sqrt(p.radius_sq * sigma2)
             lo, hi = 0.3 - r, 0.3 + r
         numeric = quad(lambda x: studentt.density(p, [x]) ** alpha, lo, hi, epsabs=1e-12, epsrel=1e-10)[0]
         assert abs(closed - numeric) < 1e-8
@@ -450,7 +497,7 @@ class TestGeneralizedLogLikelihood:
         params = af.make_student_t(alpha, [0.0], [[1.0]])
         log_p = np.array([studentt.log_density(params, [x]) for x in xs])
         want = (alpha / (alpha - 1.0) * math.log(np.mean(np.exp((alpha - 1.0) * log_p)))
-                - math.log(studentt.density_power_integral(params)))
+                - studentt.log_power_integral(params, alpha))
         got = dv.generalized_log_likelihood(params, af.SampleBatch(np.array(xs)))
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -62,7 +62,7 @@ def params_and_points(draw):
     m = draw(st.integers(1, 8))
     directions = rng.normal(size=(m, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    reach = math.sqrt(p.support.radius_sq) if alpha > 1.0 else 4.0
+    reach = math.sqrt(p.radius_sq) if alpha > 1.0 else 4.0
     radii = rng.uniform(0.0, 2.0 * reach, size=m)
     return p, p.mu + (directions * radii[:, None]) @ np.linalg.cholesky(p.sigma).T
 
@@ -200,14 +200,14 @@ class TestSample:
     def test_alpha2_draws_stay_in_support(self, d, alpha):
         p = random_params(d, alpha, 40 + d)
         draws = studentt.sample(p, 50_000, 3).data
-        assert np.all(mahalanobis_sq(p, draws) <= p.support.radius_sq)
+        assert np.all(mahalanobis_sq(p, draws) <= p.radius_sq)
         assert np.all(studentt.density_batch(p, draws) > 0.0)
 
     @pytest.mark.parametrize("d,alpha", COMPACT_GRID)
     def test_radial_law_is_beta(self, d, alpha):
         # Whitened squared radius over R^2 ~ Beta(d/2, 1/(alpha-1) + 1).
         p = random_params(d, alpha, 60 + d)
-        u = mahalanobis_sq(p, studentt.sample(p, 20_000, 8).data) / p.support.radius_sq
+        u = mahalanobis_sq(p, studentt.sample(p, 20_000, 8).data) / p.radius_sq
         law = stats.beta(0.5 * d, 1.0 / (alpha - 1.0) + 1.0)
         assert stats.kstest(u, law.cdf).pvalue > 1e-3
 
@@ -317,7 +317,7 @@ class TestLgammaMatchesGammaln:
             assert core.log_norm_const(alpha, logdet, d) == pytest.approx(want, rel=1e-13, abs=0.0)
             p = af.make_student_t(alpha, np.zeros(d), sigma)
             want_power = math.exp(_gammaln_log_power_integral(alpha, d, logdet))
-            assert studentt.density_power_integral(p) == pytest.approx(want_power, rel=1e-13, abs=0.0)
+            assert math.exp(studentt.log_power_integral(p, alpha)) == pytest.approx(want_power, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.995, 0.999, 1.001, 1.005])
