@@ -41,7 +41,6 @@ from .studentt import (
     score_batch,
 )
 from .divergence import (
-    ContinuousDistribution1D,
     DiscreteDistribution,
     Gaussian,
     InvalidDistributionError,
@@ -50,7 +49,6 @@ from .divergence import (
     generalized_log_likelihood,
     i_alpha,
     kl,
-    student_t_1d,
 )
 from .estimators import (
     ResidualReport,

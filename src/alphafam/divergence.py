@@ -1,11 +1,10 @@
 """Order-alpha divergence, KL divergence, and the generalized likelihood.
 
-Divergences take a probability vector over finitely many atoms, or a
-continuous distribution: a ``Gaussian`` or Student-t (``StudentTParams``)
-record in any dimension, or a 1-D handle with a density and an interval
-support.  A record is decided in closed form wherever one exists, and a
-handle is always integrated; ``gaussian`` and ``student_t_1d`` build the
-handle of a 1-D record, which is what quadrature integrates.
+Divergences take two distributions of one kind: probability vectors over
+one atom set, or two continuous records, each a ``Gaussian`` or a Student-t
+(``StudentTParams``) in any dimension.  Whether a term is finite is
+decided from the records alone, before anything is integrated; a finite
+term is closed form wherever one exists, and integrated otherwise.
 
 The paper's orthogonality gives most closed forms: for a t q of order
 alpha, q^(alpha-1) = N_q^(alpha-1) [1 + b_alpha r_q(x)^2] is affine in the
@@ -13,34 +12,49 @@ statistic f = (x, xx^T), so Int p q^(alpha-1) depends on p only through
 its mean and covariance when supp p lies in supp q.  The closed forms are
 
 - the cross term Int p q^(alpha-1) when q is a t of order alpha and
-  supp p lies in supp q (always so for alpha < 1); when p and q are
+  supp p lies in supp q (always so for alpha < 1), and when p and q are
   Gaussians, +inf unless Sigma_q + (alpha-1) Sigma_p is positive definite;
-  and +inf when q is a Gaussian, alpha < 1 and p is a t of order < 1,
-  whose polynomial tails outweigh q^(alpha-1);
 - the power integral Int p^alpha of a Gaussian and of any t (see
   ``studentt.log_power_integral``), +inf where it diverges;
 - KL(p || q) for a Gaussian q and p a Gaussian or any t, as the
-  cross-entropy less p's entropy, and +inf whenever supp p leaves supp q.
+  cross-entropy less p's entropy.
 
-They load no scipy.  Every other term, such as KL between two t's,
-alpha > 1 with supp p outside supp q, the cross term against a t of
-another order, or any term with a handle, is integrated by
-adaptive quadrature (QUADPACK via scipy, imported on first use, which
-transforms infinite tails internally) in d = 1; in d > 1 it raises
-DimensionMismatchError.  The quadrature tolerances apply only to those
-terms.  A divergent integral gives +inf, and so does a divergence with an
-infinite term; a failed one raises NumericalError whose diagnostics name
-the integral.  The generalized likelihood takes a Student-t model, whose
-order is its own alpha and whose power integral is closed form, so it
-never integrates.
+The finiteness rules, with nu = 2/(1-a) - d for a t of order a, whose
+density falls like |x|^-(nu+d) when a < 1:
+
+- For alpha < 1 the cross term is +inf when supp p leaves supp q.
+- Against a t q of order a_q < 1 other than alpha, for alpha < 1,
+  q^(alpha-1) grows like |x|^((nu_q+d)(1-alpha)), so the cross term is
+  +inf iff e_p - (nu_q+d)(1-alpha) <= d, where e_p = nu_p + d for a t p of
+  order < 1 and +inf for a Gaussian or compact p.  Within
+  ``MIN_TAIL_EXCESS`` above that border the integrand falls too slowly
+  for quadrature, and the term raises NumericalError.  Against a
+  Gaussian q, whose q^(alpha-1) grows like exp(c |x|^2), it is +inf iff p
+  is a t of order < 1.
+- Against a compact q (a_q > 1), for alpha < 1 and d = 1, q^(alpha-1)
+  grows like s^((alpha-1)/(a_q-1)) at distance s from an end of supp q,
+  and a compact p vanishes like s^(1/(a_p-1)) at its own ends.  Where the
+  two supports share an end, the cross term is +inf iff 1/(a_p-1) +
+  (alpha-1)/(a_q-1) <= -1.
+- For alpha > 1, q^(alpha-1) is bounded, so the cross term is finite.
+- KL between records is +inf iff supp p leaves supp q.
+
+An exponent within ``EXPONENT_ATOL`` of a rule's border counts as on it.
+The terms left, KL into a t and the cross term against a t of another
+order or at alpha > 1 with supp p outside supp q, converge by these rules;
+in d = 1 ``quad`` integrates them over the overlap of the supports, and in
+d > 1 they raise DimensionMismatchError.  The quadrature tolerances apply
+only to those terms.  A divergence with an infinite term is +inf; a failed
+integral raises NumericalError whose diagnostics name it.  The generalized
+likelihood takes a Student-t model, whose order is its own alpha and whose
+power integral is closed form, so it never integrates.  No scipy is used.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -59,12 +73,11 @@ from . import studentt
 __all__ = [
     "InvalidDistributionError",
     "DiscreteDistribution",
-    "ContinuousDistribution1D",
     "Gaussian",
     "DistributionHandle",
     "gaussian",
     "bernoulli",
-    "student_t_1d",
+    "quad",
     "i_alpha",
     "kl",
     "generalized_log_likelihood",
@@ -77,10 +90,45 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Relative slack for one ellipsoid inside another; an overhang this small
 # changes the cross term by far less than rounding does.
 SUPPORT_RTOL = 1e-9
+# Slack on the finiteness rules' exponents.  Rounding of the orders moves
+# them by about 1e-14 at order 0.95, far less than this.
+EXPONENT_ATOL = 1e-9
+# An integrand falling like |x|^-(1 + g) leaves X^-g / g of its integral
+# beyond |x| = X, and the log densities overflow from X ~ 1e154; below this
+# g that part exceeds about 1e-14, so the term fails rather than read wrong.
+MIN_TAIL_EXCESS = 0.1
+
+# QUADPACK's 21-point Gauss-Kronrod pair (dqk21) on [-1, 1]: the Kronrod
+# nodes and weights, and the 10-point Gauss weights, zero off its nodes.
+_KRONROD_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
+])
+_KRONROD_WEIGHTS_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077482322519565, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GAUSS_WEIGHTS_HALF = np.zeros(11)
+_GAUSS_WEIGHTS_HALF[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+]
+_NODES = np.concatenate([-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_KRONROD_WEIGHTS_HALF[:-1], _KRONROD_WEIGHTS_HALF[::-1]])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF[:-1], _GAUSS_WEIGHTS_HALF[::-1]])
+_EPS = float(np.finfo(float).eps)
 
 
 class InvalidDistributionError(AlphaFamilyError):
-    """Handle fails its normalization or nonnegativity check."""
+    """Probability vector fails its normalization or nonnegativity check."""
 
 
 @dataclass(frozen=True)
@@ -125,44 +173,14 @@ class Gaussian:
         return self.mu.shape[0]
 
 
-@dataclass(frozen=True)
-class ContinuousDistribution1D:
-    """1-D density with an interval support (endpoints may be infinite); divergences integrate it."""
-
-    pdf: Callable[[float], float]
-    support: tuple
-
-    def __post_init__(self):
-        lo, hi = self.support
-        if not lo < hi:
-            raise InvalidDistributionError("support must be a nonempty interval")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def validate(self, epsabs: float = DEFAULT_EPSABS, epsrel: float = DEFAULT_EPSREL):
-        mass = _quad(self.pdf, *self.support, epsabs, epsrel, "mass")
-        if abs(mass - 1.0) > 1e-6:
-            raise InvalidDistributionError(f"density integrates to {mass}, not 1")
-        return self
-
-
 Record = Union[Gaussian, StudentTParams]
-DistributionHandle = Union[DiscreteDistribution, ContinuousDistribution1D, Gaussian, StudentTParams]
+DistributionHandle = Union[DiscreteDistribution, Gaussian, StudentTParams]
 _RECORDS = (Gaussian, StudentTParams)
-_CONTINUOUS = (ContinuousDistribution1D, *_RECORDS)
 
 
-def gaussian(mu: float, var: float) -> ContinuousDistribution1D:
-    """The quadrature handle of N(mu, var), with finite mean mu and finite variance var > 0."""
-    check_mean_covariance(mu, var)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-
-    def pdf(x: float) -> float:
-        return norm * math.exp(-0.5 * (x - mu) ** 2 / var)
-
-    return ContinuousDistribution1D(pdf=pdf, support=(-math.inf, math.inf))
+def gaussian(mu: float, var: float) -> Gaussian:
+    """N(mu, var) as a d = 1 record, with finite mean mu and finite variance var > 0."""
+    return Gaussian(mu, var)
 
 
 def bernoulli(p: float) -> DiscreteDistribution:
@@ -170,42 +188,116 @@ def bernoulli(p: float) -> DiscreteDistribution:
     return DiscreteDistribution(probs=np.array([1.0 - p, p]))
 
 
-def student_t_1d(params: StudentTParams) -> ContinuousDistribution1D:
-    """The quadrature handle of a d = 1 Student-t record, on its exact support."""
-    return ContinuousDistribution1D(pdf=lambda x: studentt.density(params, [x]), support=params.support_interval)
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Kronrod value and QUADPACK's error estimate on each interval [lo_i, hi_i], from one call of f."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = np.asarray(f((center[:, None] + half[:, None] * _NODES).ravel()), dtype=float).reshape(lo.size, -1)
+    kronrod = fx @ _KRONROD_WEIGHTS
+    scale = np.abs(half)
+    err = np.abs(kronrod - fx @ _GAUSS_WEIGHTS) * scale
+    spread = (np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS) * scale
+    ratio = 200.0 * err / np.where(spread > 0.0, spread, 1.0)
+    err = np.where(spread > 0.0, spread * np.minimum(1.0, ratio**1.5), err)
+    return kronrod * half, np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD_WEIGHTS) * scale)
 
 
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on first use."""
-    from scipy.integrate import quad as scipy_quad
+def _finite_range(f, a: float, b: float) -> tuple:
+    """(g, lo, hi) with a finite range and Int_lo^hi g = Int_a^b f, for a < b when either is infinite."""
+    if not (math.isinf(a) or math.isinf(b)):
+        return f, a, b
+    if math.isinf(a) and math.isinf(b):
+        def x_of(t):
+            u = 1.0 / (1.0 - t * t)
+            s = t * u
+            return np.sinh(s), np.cosh(s) * (1.0 + t * t) * u * u
 
-    return scipy_quad(func, a, b, **kwargs)
+        lo = -1.0
+    else:
+        end, sign = (a, 1.0) if math.isinf(b) else (b, -1.0)
+
+        def x_of(t):
+            u = 1.0 / (1.0 - t)
+            s = t * u
+            return end + sign * np.sinh(s), np.cosh(s) * u * u
+
+        lo = 0.0
+
+    def g(t):
+        # Points past the float range, where sinh overflows, count as 0.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x, jacobian = x_of(t)
+            fx = np.asarray(f(x), dtype=float)
+            return np.where(np.isfinite(x) & (fx != 0.0), fx * jacobian, 0.0)
+
+    return g, lo, 1.0
 
 
-def _quad(fn, lo, hi, epsabs: float, epsrel: float, integral: str) -> float:
-    """Adaptive quadrature; divergence and failure are reported distinctly.
+def quad(f, a: float, b: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = DEFAULT_EPSREL,
+         limit: int = QUAD_LIMIT) -> tuple:
+    """Int_a^b f by adaptive Gauss-Kronrod quadrature; returns (value, abserr, neval).
 
-    A failure raises NumericalError with diagnostics naming the integral
-    (``cross``, ``power_p``, ``power_q``, ``kl`` or ``mass``), the interval,
-    the tolerances and the subinterval limit.
+    ``f`` takes an array of points and returns its values there; either end
+    may be infinite.  Each round evaluates QUADPACK's 21-point Gauss-Kronrod
+    pair, with its error estimate, on every new subinterval in one call of
+    f, then bisects, in one batch, the subintervals of largest error that
+    together hold half the total.  It stops once the total error is at most
+    max(epsabs, epsrel |value|).  An infinite range maps to (-1, 1) by
+    x = sinh(t/(1 - t^2)), or to [0, 1) by x = a + sinh(t/(1 - t))
+    (b - sinh(t/(1 - t)) for a = -inf); the sinh turns a power-law tail
+    into an exponentially falling one, which bisection resolves.  ``neval``
+    counts the points f was evaluated at.
+
+    Raises
+    ------
+    NumericalError
+        When ``limit`` subintervals do not reach the tolerance, a
+        subinterval can no longer be halved, or f is not finite.  Its
+        diagnostics give the interval, the tolerances, the limit and the
+        error estimate and evaluation count reached.
     """
-    from scipy.integrate import IntegrationWarning
+    g, lo, hi = _finite_range(f, a, b)
+    los, his = np.array([float(lo)]), np.array([float(hi)])
+    values, errors = _gauss_kronrod(g, los, his)
+    neval = _NODES.size
 
-    diagnostics = {"integral": integral, "interval": [lo, hi], "epsabs": epsabs, "epsrel": epsrel,
-                   "limit": QUAD_LIMIT}
-    where = f"{integral} quadrature on [{lo}, {hi}]"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, _ = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=QUAD_LIMIT)
-        except IntegrationWarning as exc:
-            if "divergent" in str(exc):
-                return math.inf
-            raise NumericalError(f"{where} failed: {exc}", diagnostics) from exc
-        except Exception as exc:  # quadpack raises plain Exceptions on some inputs
-            raise NumericalError(f"{where} failed: {exc}", diagnostics) from exc
-    if math.isnan(value):
-        raise NumericalError(f"{where} returned NaN", diagnostics)
+    def failure(reason: str, abserr: float) -> NumericalError:
+        return NumericalError(reason, {"interval": [a, b], "epsabs": epsabs, "epsrel": epsrel, "limit": limit,
+                                       "abserr": abserr, "neval": neval})
+
+    while True:
+        value, abserr = float(values.sum()), float(errors.sum())
+        if not (math.isfinite(value) and math.isfinite(abserr)):
+            raise failure("the integrand is not finite", abserr)
+        if abserr <= max(epsabs, epsrel * abs(value)):
+            return value, abserr, neval
+        order = np.argsort(-errors)
+        count = int(np.searchsorted(np.cumsum(errors[order]), 0.5 * abserr)) + 1
+        if los.size + count > limit:
+            raise failure(f"the tolerance was not reached within {limit} subintervals", abserr)
+        split, keep = order[:count], order[count:]
+        mids = 0.5 * (los[split] + his[split])
+        if not np.all((mids != los[split]) & (mids != his[split])):
+            raise failure("a subinterval is too small to halve", abserr)
+        new_los, new_his = np.concatenate([los[split], mids]), np.concatenate([mids, his[split]])
+        new_values, new_errors = _gauss_kronrod(g, new_los, new_his)
+        neval += new_los.size * _NODES.size
+        los, his = np.concatenate([los[keep], new_los]), np.concatenate([his[keep], new_his])
+        values, errors = np.concatenate([values[keep], new_values]), np.concatenate([errors[keep], new_errors])
+
+
+def _quad(fn, lo: float, hi: float, epsabs: float, epsrel: float, integral: str) -> float:
+    """``quad`` of one divergence term; a failure raises NumericalError naming the integral.
+
+    Its diagnostics give the integral (``cross`` or ``kl``), the interval,
+    the tolerances and the subinterval limit, and ``quad``'s error
+    estimate and evaluation count.
+    """
+    try:
+        value, _, _ = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=QUAD_LIMIT)
+    except NumericalError as exc:
+        diagnostics = {"integral": integral, "interval": [lo, hi], "epsabs": epsabs, "epsrel": epsrel,
+                       "limit": QUAD_LIMIT, **exc.diagnostics}
+        raise NumericalError(f"{integral} quadrature on [{lo}, {hi}] failed: {exc}", diagnostics) from exc
     return value
 
 
@@ -225,23 +317,13 @@ def _digamma(x: float) -> float:
     return shift + math.log(x) - 0.5 / x - series
 
 
-def _handle(h, integral: str) -> ContinuousDistribution1D:
-    """The 1-D handle that quadrature integrates for a term without a closed form."""
-    if isinstance(h, ContinuousDistribution1D):
-        return h
-    if h.dim != 1:
-        raise DimensionMismatchError(
-            f"the {integral} integral has no closed form here, and quadrature needs d = 1, got d = {h.dim}"
-        )
-    if isinstance(h, Gaussian):
-        return gaussian(float(h.mu[0]), float(h.sigma[0, 0]))
-    return student_t_1d(h)
-
-
-def _check_continuous_pair(p, q) -> None:
-    if not (isinstance(p, _CONTINUOUS) and isinstance(q, _CONTINUOUS)):
+def _check_pair(p, q) -> None:
+    if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
+        if p.probs.shape != q.probs.shape:
+            raise DimensionMismatchError("handles must share one atom set")
+    elif not (isinstance(p, _RECORDS) and isinstance(q, _RECORDS)):
         raise DimensionMismatchError("handles must be the same kind")
-    if p.dim != q.dim:
+    elif p.dim != q.dim:
         raise DimensionMismatchError(f"handles must share one dimension, got {p.dim} and {q.dim}")
 
 
@@ -351,54 +433,103 @@ def _discrete_cross(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     return float(np.sum(p[both] * q[both] ** (alpha - 1.0)))
 
 
-def _log_cross(p, q, alpha: float, epsabs: float, epsrel: float) -> float:
-    """log Int p q^(alpha-1) for continuous arguments; -inf for an empty overlap."""
-    if isinstance(p, _RECORDS) and isinstance(q, _RECORDS):
-        within = _support_within(p, q)
-        if alpha < 1.0 and not within:
-            return math.inf
-        if isinstance(q, StudentTParams) and q.alpha == alpha and within:
-            return _log_t_cross(p, q)
-        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-            return _log_gaussian_cross(p, q, alpha)
-        if isinstance(q, Gaussian) and alpha < 1.0 and p.alpha < 1.0:
-            return math.inf
-    p, q = _handle(p, "cross"), _handle(q, "cross")
-    (plo, phi), (qlo, qhi) = p.support, q.support
-    if alpha < 1.0 and (plo < qlo or phi > qhi):
+def _log_pdf(r: Record, x: np.ndarray) -> np.ndarray:
+    """log density of a d = 1 record at the points x; -inf off its support."""
+    m = (x - r.mu[0]) ** 2 * r.sigma_inv[0, 0]
+    if isinstance(r, Gaussian):
+        return -0.5 * (LOG_2PI + r.logdet + m)
+    bm = r.b_alpha * m
+    out = np.full(x.shape, -math.inf)
+    on = bm > -1.0
+    out[on] = r.log_norm_const + np.log1p(bm[on]) / (r.alpha - 1.0)
+    return out
+
+
+def _interval(r: Record) -> tuple:
+    """The support of a d = 1 record."""
+    return r.support_interval if isinstance(r, StudentTParams) else (-math.inf, math.inf)
+
+
+def _integrate(p: Record, q: Record, term, integral: str, epsabs: float, epsrel: float) -> float:
+    """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1."""
+    if p.dim != 1:
+        raise DimensionMismatchError(
+            f"the {integral} integral has no closed form here, and quadrature needs d = 1, got d = {p.dim}"
+        )
+    (plo, phi), (qlo, qhi) = _interval(p), _interval(q)
+    lo, hi = float(max(plo, qlo)), float(min(phi, qhi))
+    if not lo < hi:
+        return 0.0
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        log_p = _log_pdf(p, x)
+        on = log_p > -math.inf
+        out = np.zeros(x.shape)
+        out[on] = term(log_p[on], _log_pdf(q, x[on]))
+        return out
+
+    return _quad(integrand, lo, hi, epsabs, epsrel, integral)
+
+
+def _tail_excess(p: Record, q: Record, alpha: float) -> float:
+    """For alpha < 1, how much faster than |x|^-d the cross integrand p q^(alpha-1) falls off.
+
+    In radial form it falls like |x|^-(e_p - (nu_q + d)(1 - alpha)), so the
+    excess is e_p - (nu_q + d)(1 - alpha) - d: +inf without a power tail
+    (a compact p or q, or a Gaussian p against a t), -inf for a t p of
+    order < 1 against a Gaussian q.
+    """
+    tail_p = p.nu + p.dim if isinstance(p, StudentTParams) and p.alpha < 1.0 else math.inf
+    if isinstance(q, Gaussian):
+        return -math.inf if tail_p < math.inf else math.inf
+    if q.alpha > 1.0:
         return math.inf
-    lo, hi = max(plo, qlo), min(phi, qhi)
+    return tail_p - (q.nu + q.dim) * (1.0 - alpha) - q.dim
 
-    def cross_integrand(x: float) -> float:
-        px = p.pdf(x)
-        if px <= 0.0:
-            return 0.0
-        qx = q.pdf(x)
-        if qx <= 0.0:
-            if alpha > 1.0:
-                return 0.0
-            # q is positive on its open support by convention, so a zero
-            # strictly inside is float underflow; floor it.
-            qx = 5e-324
-        return px * qx ** (alpha - 1.0)
 
-    cross = _quad(cross_integrand, lo, hi, epsabs, epsrel, "cross") if lo < hi else 0.0
+def _shared_end_diverges(p: Record, q: Record, alpha: float) -> bool:
+    """For alpha < 1 and supp p in a compact supp q, d = 1: whether the supports share an end where p q^(alpha-1) is not integrable."""
+    return (
+        isinstance(q, StudentTParams)
+        and q.alpha > 1.0
+        and p.dim == 1
+        and _max_radius_sq(p, q) >= q.radius_sq * (1.0 - SUPPORT_RTOL)
+        and 1.0 / (p.alpha - 1.0) + (alpha - 1.0) / (q.alpha - 1.0) <= -1.0 + EXPONENT_ATOL
+    )
+
+
+def _log_cross(p, q, alpha: float, epsabs: float, epsrel: float) -> float:
+    """log Int p q^(alpha-1); -inf for an empty overlap, +inf where it diverges."""
+    if isinstance(p, DiscreteDistribution):
+        cross = _discrete_cross(p.probs, q.probs, alpha)
+        return math.log(cross) if 0.0 < cross < math.inf else math.inf
+    within = _support_within(p, q)
+    if alpha < 1.0 and not within:
+        return math.inf
+    if isinstance(q, StudentTParams) and q.alpha == alpha and within:
+        return _log_t_cross(p, q)
+    if isinstance(q, Gaussian) and isinstance(p, Gaussian):
+        return _log_gaussian_cross(p, q, alpha)
+    if alpha < 1.0:
+        excess = _tail_excess(p, q, alpha)
+        if excess <= EXPONENT_ATOL or _shared_end_diverges(p, q, alpha):
+            return math.inf
+        if excess < MIN_TAIL_EXCESS:
+            raise NumericalError(
+                f"the cross integrand falls off like |x|^-(d + {excess:.3g}), too slowly for quadrature",
+                {"integral": "cross", "interval": [-math.inf, math.inf], "tail_excess": excess},
+            )
+    cross = _integrate(p, q, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q), "cross", epsabs, epsrel)
     return math.log(cross) if cross > 0.0 else -math.inf
 
 
-def _log_power(h, alpha: float, integral: str, epsabs: float, epsrel: float) -> float:
-    """log Int h^alpha: a sum over atoms, closed form for a Gaussian or any t, else quadrature; +inf if it diverges."""
+def _log_power(h, alpha: float) -> float:
+    """log Int h^alpha: a sum over atoms, else closed form; +inf where it diverges."""
     if isinstance(h, DiscreteDistribution):
         return math.log(float(np.sum(h.probs[h.probs > 0.0] ** alpha)))
     if isinstance(h, Gaussian):
         return -0.5 * (alpha - 1.0) * (h.dim * LOG_2PI + h.logdet) - 0.5 * h.dim * math.log(alpha)
-    if isinstance(h, StudentTParams):
-        return studentt.log_power_integral(h, alpha)
-    h = _handle(h, integral)
-    value = _quad(lambda x: h.pdf(x) ** alpha, *h.support, epsabs, epsrel, integral)
-    if not value > 0.0:
-        raise NumericalError("power integral is not positive", {"integral": integral})
-    return math.log(value)
+    return studentt.log_power_integral(h, alpha)
 
 
 def i_alpha(
@@ -416,26 +547,19 @@ def i_alpha(
     failure, which raises NumericalError).  A -inf reading would need
     Int p^alpha infinite with the other terms finite for alpha < 1, or the
     cross term infinite with the power terms finite for alpha > 1; Hoelder's
-    inequality rules out both.  Each term is closed
-    form where the arguments allow (see the module docstring); the
-    tolerances apply to the terms that are integrated.
+    inequality rules out both.  The power terms are closed form and come
+    first, so a divergence they decide integrates nothing; the cross term
+    is closed form where the arguments allow (see the module docstring),
+    and the tolerances apply when it is integrated.
     """
     check_alpha(alpha)
-    if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
-        if p.probs.shape != q.probs.shape:
-            raise DimensionMismatchError("handles must share one atom set")
-        cross = _discrete_cross(p.probs, q.probs, alpha)
-        log_cross = math.log(cross) if 0.0 < cross < math.inf else math.inf
-    else:
-        _check_continuous_pair(p, q)
-        log_cross = _log_cross(p, q, alpha, epsabs, epsrel)
+    _check_pair(p, q)
+    log_power_p = _log_power(p, alpha)
+    log_power_q = _log_power(q, alpha)
+    if math.isinf(log_power_p) or math.isinf(log_power_q):
+        return math.inf
+    log_cross = _log_cross(p, q, alpha, epsabs, epsrel)
     if math.isinf(log_cross):
-        return math.inf
-    log_power_p = _log_power(p, alpha, "power_p", epsabs, epsrel)
-    if math.isinf(log_power_p):
-        return math.inf
-    log_power_q = _log_power(q, alpha, "power_q", epsabs, epsrel)
-    if math.isinf(log_power_q):
         return math.inf
     return alpha / (1.0 - alpha) * log_cross - 1.0 / (1.0 - alpha) * log_power_p + log_power_q
 
@@ -448,36 +572,21 @@ def kl(
 ) -> float:
     """Kullback-Leibler divergence Int p log(p/q); +inf on support violation.
 
-    Closed form when q is a Gaussian record and p a Gaussian or a t
-    record; otherwise 1-D quadrature at the given tolerances.
+    Closed form when q is a Gaussian record; into a t, 1-D quadrature at the
+    given tolerances.
     """
-    if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
-        if p.probs.shape != q.probs.shape:
-            raise DimensionMismatchError("handles must share one atom set")
+    _check_pair(p, q)
+    if isinstance(p, DiscreteDistribution):
         pv, qv = p.probs, q.probs
         mass = pv > 0.0
         if np.any(qv[mass] == 0.0):
             return math.inf
         return float(np.sum(pv[mass] * np.log(pv[mass] / qv[mass])))
-    _check_continuous_pair(p, q)
-    if isinstance(p, _RECORDS) and isinstance(q, _RECORDS):
-        if not _support_within(p, q):
-            return math.inf
-        if isinstance(q, Gaussian):
-            return _gaussian_cross_entropy(p, q) - _entropy(p)
-    p, q = _handle(p, "kl"), _handle(q, "kl")
-    (plo, phi), (qlo, qhi) = p.support, q.support
-    if plo < qlo or phi > qhi:
+    if not _support_within(p, q):
         return math.inf
-
-    def integrand(x: float) -> float:
-        px = p.pdf(x)
-        if px <= 0.0:
-            return 0.0
-        qx = max(q.pdf(x), 5e-324)  # underflow floor, as in the cross term
-        return px * (math.log(px) - math.log(qx))
-
-    return _quad(integrand, plo, phi, epsabs, epsrel, "kl")
+    if isinstance(q, Gaussian):
+        return _gaussian_cross_entropy(p, q) - _entropy(p)
+    return _integrate(p, q, lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", epsabs, epsrel)
 
 
 def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> float:

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .core import (
+    LOG_FLOAT_MAX,
     DimensionMismatchError,
     MAlphaDescriptor,
     SampleBatch,
@@ -116,7 +117,9 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
         sign, logdet = np.linalg.slogdet(l)
         if sign <= 0:
             raise ValueError("Sigma^{-1} block must have positive determinant")
-        return math.exp(-(shape_log_n + 0.5 * logdet))
+        log_z = -(shape_log_n + 0.5 * logdet)
+        # Z = 1/N overflows where N underflows; the density there is 0, as 1/inf reads.
+        return math.exp(log_z) if log_z < LOG_FLOAT_MAX else math.inf
 
     return MAlphaDescriptor(
         k=k,

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -504,10 +503,19 @@ class TestVerifyCommand:
         assert abs(result.objective_over_n2 - 6.42) <= 0.05
 
 
-class TestScipyOffTheColdPath:
-    """Only quadrature needs scipy, so no other command may import it.
+# The mixed-order cross terms that diverge: p's tail outweighs q^(alpha-1).
+_DIVERGENT_CROSS_TERMS = [
+    ["divergence", "--alpha", "0.6", "--p", "t:0.6,0,1", "--q", "t:0.95,0.5,2"],
+    ["divergence", "--alpha", "0.6", "--p", "t:0.8,0,1", "--q", "t:0.95,0.5,2"],
+    ["divergence", "--alpha", "0.8", "--p", "t:0.6,0,1", "--q", "t:0.95,0.5,2"],
+]
 
-    Nor may a divergence whose terms are all closed form.  Nor may any
+
+class TestScipyOffTheColdPath:
+    """No command imports scipy, which is only the tests' oracle.
+
+    Every command runs with a ``scipy`` package first on the path whose
+    import raises, so loading any part of it fails the command.  Nor may any
     command import ``numpy.ma``, which numpy loads lazily from helpers such
     as ``np.median`` and ``np.unique``.
     """
@@ -525,7 +533,10 @@ class TestScipyOffTheColdPath:
     )
 
     def loaded_modules(self, tmp_path, argv):
-        env = dict(os.environ, PYTHONPATH=self.SRC)
+        stub = tmp_path / "no_scipy" / "scipy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("raise ImportError('scipy is not a runtime dependency')\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(stub.parent), self.SRC]))
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env, cwd=str(tmp_path),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
@@ -534,7 +545,9 @@ class TestScipyOffTheColdPath:
 
     @pytest.mark.parametrize("command", ["import", "estimate", "simulate", "loglik", "compact-fit",
                                          "verify-paper-example", "divergence-normal-normal",
-                                         "divergence-t-normal"])
+                                         "divergence-t-normal", "divergence-kl-integrates",
+                                         "divergence-cross-integrates", "divergence-mixed-0",
+                                         "divergence-mixed-1", "divergence-mixed-2"])
     def test_command_never_imports_scipy(self, tmp_path, command):
         data = reference_csv(tmp_path)
         argv = {
@@ -548,28 +561,26 @@ class TestScipyOffTheColdPath:
             "divergence-normal-normal": ["divergence", "--alpha", "0.999", "--p", "normal:0,1",
                                          "--q", "normal:0.5,1"],
             "divergence-t-normal": ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "normal:0.5,1"],
+            "divergence-kl-integrates": ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
+            "divergence-cross-integrates": ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1"],
+            **{f"divergence-mixed-{i}": argv for i, argv in enumerate(_DIVERGENT_CROSS_TERMS)},
         }[command]
         assert self.loaded_modules(tmp_path, argv) == []
 
-    def test_divergence_still_integrates_through_a_hookable_quad(self, tmp_path, monkeypatch):
-        from scipy.integrate import quad as scipy_quad
-
+    def test_divergence_still_integrates_through_a_hookable_quad(self, monkeypatch):
+        value, abserr, neval = af.divergence.quad(lambda x: np.exp(-x * x), -math.inf, math.inf)
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12) and abserr <= 1e-8 * value and neval > 0
         # Shifted order-2 supports overlap without nesting, so the cross term
         # has no closed form; the power integrals do.
-        assert "scipy.integrate" in self.loaded_modules(
-            tmp_path, ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1"])
-        def bell(x):
-            return math.exp(-x * x)
-
-        assert af.divergence.quad(bell, -math.inf, math.inf) == scipy_quad(bell, -math.inf, math.inf)
         p = af.make_student_t(2.0, [0.0], [[1.0]])
         q = af.make_student_t(2.0, [0.5], [[1.0]])
         plain = af.i_alpha(p, q, 2.0)
+        real_quad = af.divergence.quad
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[1:3])
-            return scipy_quad(*args, **kwargs)
+            return real_quad(*args, **kwargs)
 
         monkeypatch.setattr(af.divergence, "quad", counted)
         assert af.i_alpha(p, q, 2.0) == plain
@@ -577,11 +588,8 @@ class TestScipyOffTheColdPath:
         assert calls == [(0.5 - math.sqrt(5.0), math.sqrt(5.0))]
 
     def test_quadrature_failure_exits_20_with_diagnostics(self, monkeypatch, capsys):
-        from scipy.integrate import IntegrationWarning
-
         def failing(func, a, b, **kwargs):
-            warnings.warn("The maximum number of subdivisions (200) has been achieved.", IntegrationWarning)
-            return 0.0, 0.0
+            raise af.NumericalError("did not converge", {"abserr": 0.25, "neval": 4221})
 
         monkeypatch.setattr(af.divergence, "quad", failing)
         argv = ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1", "--quad-tol", "1e-9"]
@@ -589,4 +597,9 @@ class TestScipyOffTheColdPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'integral': 'cross'" in captured.err
-        assert "'epsabs': 1e-09, 'epsrel': 1e-08, 'limit': 200" in captured.err
+        assert "'epsabs': 1e-09, 'epsrel': 1e-08, 'limit': 200, 'abserr': 0.25, 'neval': 4221" in captured.err
+
+    @pytest.mark.parametrize("argv", _DIVERGENT_CROSS_TERMS)
+    def test_divergent_cross_term_prints_infinity(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert '"i_alpha":Infinity' in capsys.readouterr().out

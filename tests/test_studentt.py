@@ -124,6 +124,15 @@ class TestDecompose:
             rv = af.reconstruct_density(desc, theta, x)
             assert abs(rv - dv) / dv < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_reconstruction_where_the_normalizer_underflows(self):
+        # N < 1e-308, so Z = 1/N overflows; the density is 0.0 there, not an OverflowError.
+        p = af.make_student_t(0.8, np.zeros(3), 1e300 * np.eye(3))
+        desc = studentt.decompose(p)
+        theta = af.pack_theta(p.mu, p.sigma_inv)
+        assert desc.z_fn(theta) == math.inf
+        assert af.reconstruct_density(desc, theta, np.zeros(3)) == studentt.density(p, np.zeros(3)) == 0.0
+
     def test_jacobian_blocks(self):
         p = random_params(2, 0.8, 11)
         desc = studentt.decompose(p)
