@@ -313,7 +313,6 @@ def _cmd_compact_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_divergence(args: argparse.Namespace) -> int:
-    epsabs, epsrel = args.quad_tol, max(args.quad_tol, 1e-8)
     p = _parse_handle(args.p)
     q = _parse_handle(args.q)
     report = {
@@ -322,8 +321,8 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "p": args.p,
         "q": args.q,
-        "i_alpha": divergence.i_alpha(p, q, args.alpha, epsabs=epsabs, epsrel=epsrel),
-        "kl": divergence.kl(p, q, epsabs=epsabs, epsrel=epsrel),
+        "i_alpha": divergence.i_alpha(p, q, args.alpha),
+        "kl": divergence.kl(p, q),
     }
     _emit(dumps_report(report), args.output)
     return EXIT_OK
@@ -431,8 +430,6 @@ def run(args: argparse.Namespace) -> int:
             raise ValueError("--seed must be >= 0")
         if getattr(args, "n", 1) < 1:
             raise ValueError("simulate requires --n >= 1")
-        if not 0.0 < getattr(args, "quad_tol", 1.0) < math.inf:
-            raise ValueError("--quad-tol must be finite and > 0")
         return args.handler(args)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -483,8 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first distribution: normal:MU,VAR | bernoulli:P | t:ALPHA,MU,VAR")
     p.add_argument("--q", required=True, help="second distribution (same syntax)")
     p.add_argument("--output", **output)
-    p.add_argument("--quad-tol", type=float, default=1e-10,
-                   help="absolute quadrature tolerance, for terms without a closed form")
 
     p = sub.add_parser("loglik", help="generalized log-likelihood of a batch")
     p.set_defaults(handler=_cmd_loglik)

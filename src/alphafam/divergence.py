@@ -43,11 +43,14 @@ An exponent within ``EXPONENT_ATOL`` of a rule's border counts as on it.
 The terms left, KL into a t and the cross term against a t of another
 order or at alpha > 1 with supp p outside supp q, converge by these rules;
 in d = 1 ``quad`` integrates them over the overlap of the supports, and in
-d > 1 they raise DimensionMismatchError.  The quadrature tolerances apply
-only to those terms.  A divergence with an infinite term is +inf; a failed
-integral raises NumericalError whose diagnostics name it.  The generalized
-likelihood takes a Student-t model, whose order is its own alpha and whose
-power integral is closed form, so it never integrates.  No scipy is used.
+d > 1 they raise DimensionMismatchError.  Each integrated term sets its
+own tolerance (``I_ALPHA_TOL``, ``KL_TOL``), and a whole-line overlap is
+integrated in p's standardized coordinate, so the result does not depend
+on where the records sit.  A divergence with an infinite term is +inf; a
+failed integral raises NumericalError whose diagnostics name it.  The
+generalized likelihood takes a Student-t model, whose order is its own
+alpha and whose power integral is closed form, so it never integrates.  No
+scipy is used.
 """
 
 from __future__ import annotations
@@ -83,9 +86,15 @@ __all__ = [
     "generalized_log_likelihood",
 ]
 
-DEFAULT_EPSABS = 1e-10
-DEFAULT_EPSREL = 1e-8
 QUAD_LIMIT = 200
+# I_alpha weighs the log of the positive cross term by alpha/(1 - alpha), so
+# that term is integrated to relative I_ALPHA_TOL |1 - alpha| / alpha, but no
+# tighter than CROSS_EPSREL, near rounding; a singular shared end of compact
+# supports reaches that floor only slowly.  KL's integrand changes sign and
+# KL can be near 0, so KL_TOL, its (epsabs, epsrel), has an absolute floor.
+I_ALPHA_TOL = 5e-11
+CROSS_EPSREL = 5e-14
+KL_TOL = (1e-13, 1e-12)
 LOG_2PI = math.log(2.0 * math.pi)
 # Relative slack for one ellipsoid inside another; an overhang this small
 # changes the cross term by far less than rounding does.
@@ -232,8 +241,7 @@ def _finite_range(f, a: float, b: float) -> tuple:
     return g, lo, 1.0
 
 
-def quad(f, a: float, b: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = DEFAULT_EPSREL,
-         limit: int = QUAD_LIMIT) -> tuple:
+def quad(f, a: float, b: float, epsabs: float, epsrel: float) -> tuple:
     """Int_a^b f by adaptive Gauss-Kronrod quadrature; returns (value, abserr, neval).
 
     ``f`` takes an array of points and returns its values there; either end
@@ -241,16 +249,17 @@ def quad(f, a: float, b: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = 
     pair, with its error estimate, on every new subinterval in one call of
     f, then bisects, in one batch, the subintervals of largest error that
     together hold half the total.  It stops once the total error is at most
-    max(epsabs, epsrel |value|).  An infinite range maps to (-1, 1) by
-    x = sinh(t/(1 - t^2)), or to [0, 1) by x = a + sinh(t/(1 - t))
-    (b - sinh(t/(1 - t)) for a = -inf); the sinh turns a power-law tail
-    into an exponentially falling one, which bisection resolves.  ``neval``
-    counts the points f was evaluated at.
+    max(epsabs, epsrel |value|), or fails past ``QUAD_LIMIT`` subintervals.
+    An infinite range maps to (-1, 1) by x = sinh(t/(1 - t^2)), or to [0, 1)
+    by x = a + sinh(t/(1 - t)) (b - sinh(t/(1 - t)) for a = -inf); the sinh
+    turns a power-law tail into an exponentially falling one, which
+    bisection resolves, and spreads its nodes around 0 at unit scale, where
+    f should have its mass.  ``neval`` counts the points f was evaluated at.
 
     Raises
     ------
     NumericalError
-        When ``limit`` subintervals do not reach the tolerance, a
+        When ``QUAD_LIMIT`` subintervals do not reach the tolerance, a
         subinterval can no longer be halved, or f is not finite.  Its
         diagnostics give the interval, the tolerances, the limit and the
         error estimate and evaluation count reached.
@@ -261,7 +270,7 @@ def quad(f, a: float, b: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = 
     neval = _NODES.size
 
     def failure(reason: str, abserr: float) -> NumericalError:
-        return NumericalError(reason, {"interval": [a, b], "epsabs": epsabs, "epsrel": epsrel, "limit": limit,
+        return NumericalError(reason, {"interval": [a, b], "epsabs": epsabs, "epsrel": epsrel, "limit": QUAD_LIMIT,
                                        "abserr": abserr, "neval": neval})
 
     while True:
@@ -272,8 +281,8 @@ def quad(f, a: float, b: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = 
             return value, abserr, neval
         order = np.argsort(-errors)
         count = int(np.searchsorted(np.cumsum(errors[order]), 0.5 * abserr)) + 1
-        if los.size + count > limit:
-            raise failure(f"the tolerance was not reached within {limit} subintervals", abserr)
+        if los.size + count > QUAD_LIMIT:
+            raise failure(f"the tolerance was not reached within {QUAD_LIMIT} subintervals", abserr)
         split, keep = order[:count], order[count:]
         mids = 0.5 * (los[split] + his[split])
         if not np.all((mids != los[split]) & (mids != his[split])):
@@ -283,22 +292,6 @@ def quad(f, a: float, b: float, epsabs: float = DEFAULT_EPSABS, epsrel: float = 
         neval += new_los.size * _NODES.size
         los, his = np.concatenate([los[keep], new_los]), np.concatenate([his[keep], new_his])
         values, errors = np.concatenate([values[keep], new_values]), np.concatenate([errors[keep], new_errors])
-
-
-def _quad(fn, lo: float, hi: float, epsabs: float, epsrel: float, integral: str) -> float:
-    """``quad`` of one divergence term; a failure raises NumericalError naming the integral.
-
-    Its diagnostics give the integral (``cross`` or ``kl``), the interval,
-    the tolerances and the subinterval limit, and ``quad``'s error
-    estimate and evaluation count.
-    """
-    try:
-        value, _, _ = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=QUAD_LIMIT)
-    except NumericalError as exc:
-        diagnostics = {"integral": integral, "interval": [lo, hi], "epsabs": epsabs, "epsrel": epsrel,
-                       "limit": QUAD_LIMIT, **exc.diagnostics}
-        raise NumericalError(f"{integral} quadrature on [{lo}, {hi}] failed: {exc}", diagnostics) from exc
-    return value
 
 
 def _digamma(x: float) -> float:
@@ -450,8 +443,13 @@ def _interval(r: Record) -> tuple:
     return r.support_interval if isinstance(r, StudentTParams) else (-math.inf, math.inf)
 
 
-def _integrate(p: Record, q: Record, term, integral: str, epsabs: float, epsrel: float) -> float:
-    """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1."""
+def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
+    """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1.
+
+    ``quad`` runs at ``tol`` = (epsabs, epsrel), and its failure gains the
+    integral's name.  An infinite overlap is the whole line, the same in
+    u = (x - mu_p) / sqrt(sigma_p), where p's mass sits at quad's nodes.
+    """
     if p.dim != 1:
         raise DimensionMismatchError(
             f"the {integral} integral has no closed form here, and quadrature needs d = 1, got d = {p.dim}"
@@ -460,15 +458,22 @@ def _integrate(p: Record, q: Record, term, integral: str, epsabs: float, epsrel:
     lo, hi = float(max(plo, qlo)), float(min(phi, qhi))
     if not lo < hi:
         return 0.0
+    center, scale = (float(p.mu[0]), math.sqrt(p.sigma[0, 0])) if math.isinf(lo) or math.isinf(hi) else (0.0, 1.0)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(u: np.ndarray) -> np.ndarray:
+        x = center + scale * u
         log_p = _log_pdf(p, x)
         on = log_p > -math.inf
         out = np.zeros(x.shape)
-        out[on] = term(log_p[on], _log_pdf(q, x[on]))
+        out[on] = scale * term(log_p[on], _log_pdf(q, x[on]))
         return out
 
-    return _quad(integrand, lo, hi, epsabs, epsrel, integral)
+    try:
+        value, _, _ = quad(integrand, (lo - center) / scale, (hi - center) / scale, epsabs=tol[0], epsrel=tol[1])
+    except NumericalError as exc:
+        raise NumericalError(f"{integral} quadrature on [{lo}, {hi}] failed: {exc}",
+                             {"integral": integral, **exc.diagnostics}) from exc
+    return value
 
 
 def _tail_excess(p: Record, q: Record, alpha: float) -> float:
@@ -498,7 +503,7 @@ def _shared_end_diverges(p: Record, q: Record, alpha: float) -> bool:
     )
 
 
-def _log_cross(p, q, alpha: float, epsabs: float, epsrel: float) -> float:
+def _log_cross(p, q, alpha: float) -> float:
     """log Int p q^(alpha-1); -inf for an empty overlap, +inf where it diverges."""
     if isinstance(p, DiscreteDistribution):
         cross = _discrete_cross(p.probs, q.probs, alpha)
@@ -519,7 +524,8 @@ def _log_cross(p, q, alpha: float, epsabs: float, epsrel: float) -> float:
                 f"the cross integrand falls off like |x|^-(d + {excess:.3g}), too slowly for quadrature",
                 {"integral": "cross", "interval": [-math.inf, math.inf], "tail_excess": excess},
             )
-    cross = _integrate(p, q, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q), "cross", epsabs, epsrel)
+    cross = _integrate(p, q, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q), "cross",
+                       (0.0, max(CROSS_EPSREL, I_ALPHA_TOL * abs(1.0 - alpha) / alpha)))
     return math.log(cross) if cross > 0.0 else -math.inf
 
 
@@ -532,13 +538,7 @@ def _log_power(h, alpha: float) -> float:
     return studentt.log_power_integral(h, alpha)
 
 
-def i_alpha(
-    p: DistributionHandle,
-    q: DistributionHandle,
-    alpha: float,
-    epsabs: float = DEFAULT_EPSABS,
-    epsrel: float = DEFAULT_EPSREL,
-) -> float:
+def i_alpha(p: DistributionHandle, q: DistributionHandle, alpha: float) -> float:
     """Order-alpha divergence between two distributions of one kind.
 
     Evaluates alpha/(1-alpha) log Int p q^(alpha-1) - 1/(1-alpha) log Int
@@ -550,7 +550,9 @@ def i_alpha(
     inequality rules out both.  The power terms are closed form and come
     first, so a divergence they decide integrates nothing; the cross term
     is closed form where the arguments allow (see the module docstring),
-    and the tolerances apply when it is integrated.
+    and integrated otherwise, to a relative tolerance that shrinks with
+    |1 - alpha| / alpha so that the error in the result stays near
+    ``I_ALPHA_TOL``, down to ``CROSS_EPSREL``.
     """
     check_alpha(alpha)
     _check_pair(p, q)
@@ -558,22 +560,17 @@ def i_alpha(
     log_power_q = _log_power(q, alpha)
     if math.isinf(log_power_p) or math.isinf(log_power_q):
         return math.inf
-    log_cross = _log_cross(p, q, alpha, epsabs, epsrel)
+    log_cross = _log_cross(p, q, alpha)
     if math.isinf(log_cross):
         return math.inf
     return alpha / (1.0 - alpha) * log_cross - 1.0 / (1.0 - alpha) * log_power_p + log_power_q
 
 
-def kl(
-    p: DistributionHandle,
-    q: DistributionHandle,
-    epsabs: float = DEFAULT_EPSABS,
-    epsrel: float = DEFAULT_EPSREL,
-) -> float:
+def kl(p: DistributionHandle, q: DistributionHandle) -> float:
     """Kullback-Leibler divergence Int p log(p/q); +inf on support violation.
 
-    Closed form when q is a Gaussian record; into a t, 1-D quadrature at the
-    given tolerances.
+    Closed form when q is a Gaussian record; into a t, 1-D quadrature at
+    ``KL_TOL``, absolute as well as relative since KL can be near 0.
     """
     _check_pair(p, q)
     if isinstance(p, DiscreteDistribution):
@@ -586,7 +583,7 @@ def kl(
         return math.inf
     if isinstance(q, Gaussian):
         return _gaussian_cross_entropy(p, q) - _entropy(p)
-    return _integrate(p, q, lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", epsabs, epsrel)
+    return _integrate(p, q, lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", KL_TOL)
 
 
 def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> float:

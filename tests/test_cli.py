@@ -389,11 +389,11 @@ SURFACE = {
         [["--alpha", "2"], ["--alpha", "3"], ["--format", "json"], ["--quad-tol", "1e-3"]],
     ),
     "divergence": (
-        {"--alpha": True, "--p": True, "--q": True, "--output": False, "--quad-tol": False},
+        {"--alpha": True, "--p": True, "--q": True, "--output": False},
         ["--alpha", "1.5", "--p", "normal:0,1", "--q", "normal:0.5,2"],
         [["--p", "normal:0,1e-20"], ["--p", "normal:0,1e300"]],
-        [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"], ["--quad-tol", "nan"],
-         ["--quad-tol", "inf"], ["--quad-tol", "-1"], ["--quad-tol", "0"], ["--p", "t:0.8,nan,1"],
+        [["--input", "/nonexistent"], ["--seed", "9"], ["--format", "json"], ["--quad-tol", "1e-9"],
+         ["--p", "t:0.8,nan,1"],
          ["--p", "normal:0,inf"], ["--p", "normal:inf,1"], ["--p", "normal:nan,1"], ["--p", "t:0.8,0,1e-309"]],
     ),
     "loglik": (
@@ -426,7 +426,7 @@ class TestSurface:
         parser = cli._build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(commands.choices) == list(SURFACE)
-        assert sum(len(flags) for flags, _, _, _ in SURFACE.values()) == 25
+        assert sum(len(flags) for flags, _, _, _ in SURFACE.values()) == 24
         data, out = reference_csv(tmp_path), tmp_path / "out"
         for command, (flags, valid, accepted, rejected) in SURFACE.items():
             declared = {a.option_strings[0]: a.required for a in commands.choices[command]._actions
@@ -568,7 +568,8 @@ class TestScipyOffTheColdPath:
         assert self.loaded_modules(tmp_path, argv) == []
 
     def test_divergence_still_integrates_through_a_hookable_quad(self, monkeypatch):
-        value, abserr, neval = af.divergence.quad(lambda x: np.exp(-x * x), -math.inf, math.inf)
+        value, abserr, neval = af.divergence.quad(lambda x: np.exp(-x * x), -math.inf, math.inf,
+                                                  epsabs=0.0, epsrel=1e-8)
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12) and abserr <= 1e-8 * value and neval > 0
         # Shifted order-2 supports overlap without nesting, so the cross term
         # has no closed form; the power integrals do.
@@ -589,15 +590,15 @@ class TestScipyOffTheColdPath:
 
     def test_quadrature_failure_exits_20_with_diagnostics(self, monkeypatch, capsys):
         def failing(func, a, b, **kwargs):
-            raise af.NumericalError("did not converge", {"abserr": 0.25, "neval": 4221})
+            raise af.NumericalError("did not converge", {"interval": [a, b], **kwargs, "abserr": 0.25, "neval": 4221})
 
         monkeypatch.setattr(af.divergence, "quad", failing)
-        argv = ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1", "--quad-tol", "1e-9"]
+        argv = ["divergence", "--alpha", "2", "--p", "t:2,0,1", "--q", "t:2,0.5,1"]
         assert cli.main(argv) == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'integral': 'cross'" in captured.err
-        assert "'epsabs': 1e-09, 'epsrel': 1e-08, 'limit': 200, 'abserr': 0.25, 'neval': 4221" in captured.err
+        assert "'epsabs': 0.0, 'epsrel': 2.5e-11, 'abserr': 0.25, 'neval': 4221" in captured.err
 
     @pytest.mark.parametrize("argv", _DIVERGENT_CROSS_TERMS)
     def test_divergent_cross_term_prints_infinity(self, capsys, argv):

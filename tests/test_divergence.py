@@ -391,16 +391,15 @@ class TestClosedForms:
 
     def test_quadrature_failure_names_the_integral(self, monkeypatch):
         def failing(func, a, b, **kwargs):
-            raise core.NumericalError("did not converge", {"abserr": 0.25, "neval": 4221})
+            raise core.NumericalError("did not converge", {"interval": [a, b], **kwargs, "abserr": 0.25, "neval": 4221})
 
         monkeypatch.setattr(dv, "quad", failing)
         p, q = af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 0.5, 1.0)
         with pytest.raises(core.NumericalError) as err:
-            dv.i_alpha(p, q, 2.0, epsabs=1e-11, epsrel=1e-9)
+            dv.i_alpha(p, q, 2.0)
         root5 = math.sqrt(5.0)
         assert err.value.diagnostics == {"integral": "cross", "interval": [0.5 - root5, root5],
-                                         "epsabs": 1e-11, "epsrel": 1e-9, "limit": 200,
-                                         "abserr": 0.25, "neval": 4221}
+                                         "epsabs": 0.0, "epsrel": 2.5e-11, "abserr": 0.25, "neval": 4221}
         with pytest.raises(core.NumericalError) as err:
             dv.i_alpha(af.make_student_t(0.8, 0.0, 1.0), af.make_student_t(0.6, 0.0, 1.0), 0.8)
         assert err.value.diagnostics["integral"] == "cross"
@@ -409,11 +408,13 @@ class TestClosedForms:
         assert err.value.diagnostics["integral"] == "kl"
         assert err.value.diagnostics["interval"] == [-math.inf, math.inf]
 
-    def test_real_quadrature_failure_carries_its_estimate(self):
-        # Too few subintervals for the tolerance: quad's own failure, named.
+    def test_real_quadrature_failure_carries_its_estimate(self, monkeypatch):
+        # Too few subintervals for a zero tolerance: quad's own failure, named.
+        real_quad = dv.quad
+        monkeypatch.setattr(dv, "quad", lambda f, a, b, **kwargs: real_quad(f, a, b, epsabs=0.0, epsrel=0.0))
         p, q = af.make_student_t(0.8, 0.0, 1.0), af.make_student_t(0.6, 0.0, 1.0)
         with pytest.raises(core.NumericalError) as err:
-            dv.i_alpha(p, q, 0.8, epsabs=0.0, epsrel=0.0)
+            dv.i_alpha(p, q, 0.8)
         diagnostics = err.value.diagnostics
         assert diagnostics["integral"] == "cross" and diagnostics["limit"] == 200
         assert diagnostics["abserr"] > 0.0 and diagnostics["neval"] % 21 == 0
@@ -447,13 +448,13 @@ class TestQuad:
 
     def test_non_convergent_integrand_raises_with_diagnostics(self):
         with pytest.raises(core.NumericalError, match="200 subintervals") as err:
-            dv.quad(lambda x: 1.0 / x, 0.0, 1.0)
+            dv.quad(lambda x: 1.0 / x, 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
         diagnostics = err.value.diagnostics
         assert {k: diagnostics[k] for k in ("interval", "epsabs", "epsrel", "limit")} == {
-            "interval": [0.0, 1.0], "epsabs": dv.DEFAULT_EPSABS, "epsrel": dv.DEFAULT_EPSREL, "limit": 200}
+            "interval": [0.0, 1.0], "epsabs": 1e-10, "epsrel": 1e-8, "limit": 200}
         assert diagnostics["abserr"] > 1.0 and diagnostics["neval"] > 200 * 21 // 2
         with pytest.raises(core.NumericalError, match="not finite"):
-            dv.quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+            dv.quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
 
 
 _GRID_ORDERS = [None, 0.6, 0.8, 0.95, 1.5, 2.0, 5.0]  # None: a Gaussian
@@ -486,10 +487,9 @@ def _infinite_by_rule(p, q, alpha):
 class TestFinitenessRules:
     @pytest.mark.parametrize("alpha", [0.6, 0.8, 0.999, 1.5, 2.0])
     def test_record_grid_is_finite_and_right_or_infinite_by_rule(self, alpha):
-        tight = dict(epsabs=1e-14, epsrel=1e-12)
         for order_p, order_q in itertools.product(_GRID_ORDERS, repeat=2):
             p, q = _grid_record(order_p, 0.0, 1.0), _grid_record(order_q, 0.5, 2.0)
-            got, got_kl = dv.i_alpha(p, q, alpha, **tight), dv.kl(p, q, **tight)
+            got, got_kl = dv.i_alpha(p, q, alpha), dv.kl(p, q)
             if _infinite_by_rule(p, q, alpha):
                 assert got == math.inf, (order_p, order_q)
             else:
@@ -518,7 +518,7 @@ class TestFinitenessRules:
                 dv.i_alpha(p, q, alpha)
             assert err.value.diagnostics["tail_excess"] == pytest.approx(excess, rel=1e-9)
         else:
-            got = dv.i_alpha(p, q, alpha, epsabs=1e-14, epsrel=1e-12)
+            got = dv.i_alpha(p, q, alpha)
             assert got == pytest.approx(_quadrature_i_alpha(p, q, alpha), rel=1e-9)
 
     def test_shared_end_of_compact_supports(self, monkeypatch):
@@ -530,12 +530,61 @@ class TestFinitenessRules:
         with monkeypatch.context() as patch:
             patch.setattr(dv, "quad", _refuse_quad)
             assert dv.i_alpha(p, q, 0.8) == math.inf  # exponent -1.75
-        got = dv.i_alpha(p, q, 0.95, epsabs=1e-14, epsrel=1e-12)  # exponent -0.25: integrable
+        got = dv.i_alpha(p, q, 0.95)  # exponent -0.25: integrable
         assert got == pytest.approx(_quadrature_i_alpha(p, q, 0.95), rel=1e-9)
         # Moved inside, the supports no longer share an end, and the term is finite.
         inner = af.make_student_t(5.0, q.support_interval[0] + half_p + 0.1, 0.5)
-        assert dv.i_alpha(inner, q, 0.8, epsabs=1e-14, epsrel=1e-12) == pytest.approx(
+        assert dv.i_alpha(inner, q, 0.8) == pytest.approx(
             _quadrature_i_alpha(inner, q, 0.8), rel=1e-9)
+
+
+def _pushed(r, a, s):
+    """The d = 1 record r pushed through x -> a + s x."""
+    mu, var = a + s * float(r.mu[0]), s * s * float(r.sigma[0, 0])
+    return dv.Gaussian(mu, var) if isinstance(r, dv.Gaussian) else af.make_student_t(r.alpha, mu, var)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except core.AlphaFamilyError as exc:
+        return type(exc)
+
+
+_records = st.builds(
+    _grid_record,
+    st.one_of(st.none(), st.floats(0.4, 0.99), st.floats(1.05, 6.0)),
+    st.floats(-3.0, 3.0),
+    st.floats(0.2, 5.0),
+)
+
+
+class TestAffineInvariance:
+    @pytest.mark.parametrize("p,q,alpha,want", [
+        ((0.8, 1000.0, 1.0), (0.8, 1000.5, 2.0), 0.8, {"kl": 0.15376533699632}),
+        ((0.8, 1000.0, 1.0), (0.6, 1000.5, 2.0), 1.5, {"i_alpha": 0.13827124472494}),
+    ])
+    def test_records_far_from_the_origin(self, p, q, alpha, want):
+        # Whole-line integrals; the values are those of the same pairs moved to mean 0.
+        p, q = af.make_student_t(*p), af.make_student_t(*q)
+        got = {"kl": dv.kl(p, q), "i_alpha": dv.i_alpha(p, q, alpha)}
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, abs=1e-12)
+
+    @given(_records, _records, st.one_of(st.floats(0.3, 0.99), st.floats(1.01, 3.0)),
+           st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_one_affine_map_of_both_records_keeps_the_divergences(self, p, q, alpha, a, log_s):
+        s = math.exp(log_s)
+        p2, q2 = _pushed(p, a, s), _pushed(q, a, s)
+        for fn, args, moved in [(dv.i_alpha, (p, q, alpha), (p2, q2, alpha)), (dv.kl, (p, q), (p2, q2))]:
+            got, want = _outcome(fn, *moved), _outcome(fn, *args)
+            if isinstance(want, float) and math.isfinite(want):
+                assert isinstance(got, float), (fn.__name__, got, want)
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (fn.__name__, got, want)
+            else:
+                assert got == want, (fn.__name__, got, want)
 
 
 class TestKL:
