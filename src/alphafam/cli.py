@@ -230,6 +230,19 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {"input_sha256": digest, "library_version": __version__, "seed": args.seed}
 
 
+def _report(args: argparse.Namespace, **fields) -> int:
+    """Emit ``fields`` as the command's JSON report and return EXIT_OK.
+
+    The report gains the schema version, the command's name and, for a
+    command that reads --input, its provenance.
+    """
+    fields.update(schema_version=SCHEMA_VERSION, command=args.command)
+    if "input" in args:
+        fields["provenance"] = _provenance(args)
+    _emit(dumps_report(fields), args.output)
+    return EXIT_OK
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split(",")], dtype=float)
 
@@ -266,20 +279,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         pop = estimators.student_t_population_moments(params)
         theta = pack_theta(est.mu_hat, params.sigma_inv)
         residual_norm = estimators.residual_regular_malpha(desc, theta, stats, pop).norm
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "estimate",
-        "alpha": args.alpha,
-        "n": batch.n,
-        "d": batch.dim,
-        "mu_hat": est.mu_hat.tolist(),
-        "sigma_hat": est.sigma_hat.tolist(),
-        "singular_flag": est.singular,
-        "residual_norm": residual_norm,
-        "provenance": _provenance(args),
-    }
-    _emit(dumps_report(report), args.output)
-    return EXIT_OK
+    return _report(args, alpha=args.alpha, n=batch.n, d=batch.dim, mu_hat=est.mu_hat.tolist(),
+                   sigma_hat=est.sigma_hat.tolist(), singular_flag=est.singular, residual_norm=residual_norm)
 
 
 def _candidate_dict(cand: compact.SegmentCandidate) -> dict:
@@ -296,53 +297,23 @@ def _candidate_dict(cand: compact.SegmentCandidate) -> dict:
 def _cmd_compact_fit(args: argparse.Namespace) -> int:
     batch = ingest_csv(args.input)
     result = compact.maximize_l2(batch)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compact-fit",
-        "alpha": 2.0,
-        "n": batch.n,
-        "mu_hat": result.mu_hat,
-        "objective_over_n2": result.objective_over_n2,
-        "sample_mean": float(batch.scalars().mean()),
-        "ties": list(result.ties),
-        "candidates": [_candidate_dict(c) for c in result.candidates],
-        "provenance": _provenance(args),
-    }
-    _emit(dumps_report(report), args.output)
-    return EXIT_OK
+    return _report(args, alpha=2.0, n=batch.n, mu_hat=result.mu_hat, objective_over_n2=result.objective_over_n2,
+                   sample_mean=float(batch.scalars().mean()), ties=list(result.ties),
+                   candidates=[_candidate_dict(c) for c in result.candidates])
 
 
 def _cmd_divergence(args: argparse.Namespace) -> int:
     p = _parse_handle(args.p)
     q = _parse_handle(args.q)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "divergence",
-        "alpha": args.alpha,
-        "p": args.p,
-        "q": args.q,
-        "i_alpha": divergence.i_alpha(p, q, args.alpha),
-        "kl": divergence.kl(p, q),
-    }
-    _emit(dumps_report(report), args.output)
-    return EXIT_OK
+    return _report(args, alpha=args.alpha, p=args.p, q=args.q, i_alpha=divergence.i_alpha(p, q, args.alpha),
+                   kl=divergence.kl(p, q))
 
 
 def _cmd_loglik(args: argparse.Namespace) -> int:
     batch = ingest_csv(args.input)
     params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "loglik",
-        "alpha": args.alpha,
-        "n": batch.n,
-        "mu": params.mu.tolist(),
-        "sigma": params.sigma.tolist(),
-        "value": divergence.generalized_log_likelihood(params, batch),
-        "provenance": _provenance(args),
-    }
-    _emit(dumps_report(report), args.output)
-    return EXIT_OK
+    return _report(args, alpha=args.alpha, n=batch.n, mu=params.mu.tolist(), sigma=params.sigma.tolist(),
+                   value=divergence.generalized_log_likelihood(params, batch))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -353,16 +324,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # where "%g" and _format_float agree.
         row = ",".join(["%.17g"] * batch.dim) + "\n"
         _emit(row * batch.n % tuple(batch.data.ravel().tolist()), args.output)
-    else:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "alpha": args.alpha,
-            "seed": args.seed,
-            "draws": batch.data.tolist(),
-        }
-        _emit(dumps_report(report), args.output)
-    return EXIT_OK
+        return EXIT_OK
+    return _report(args, alpha=args.alpha, seed=args.seed, draws=batch.data.tolist())
 
 
 def verify_reference_example(out=None) -> int:

@@ -103,8 +103,9 @@ SUPPORT_RTOL = 1e-9
 # them by about 1e-14 at order 0.95, far less than this.
 EXPONENT_ATOL = 1e-9
 # An integrand falling like |x|^-(1 + g) leaves X^-g / g of its integral
-# beyond |x| = X, and the log densities overflow from X ~ 1e154; below this
-# g that part exceeds about 1e-14, so the term fails rather than read wrong.
+# beyond |x| = X, and quadrature reads nothing past X ~ 1e308, where sinh
+# overflows.  Below this g that part exceeds about 1e-14 at X ~ 1e154, so
+# the term fails rather than read wrong; at 1e308 about 0.05 would do.
 MIN_TAIL_EXCESS = 0.1
 
 # QUADPACK's 21-point Gauss-Kronrod pair (dqk21) on [-1, 1]: the Kronrod
@@ -428,14 +429,9 @@ def _discrete_cross(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
 
 def _log_pdf(r: Record, x: np.ndarray) -> np.ndarray:
     """log density of a d = 1 record at the points x; -inf off its support."""
-    m = (x - r.mu[0]) ** 2 * r.sigma_inv[0, 0]
     if isinstance(r, Gaussian):
-        return -0.5 * (LOG_2PI + r.logdet + m)
-    bm = r.b_alpha * m
-    out = np.full(x.shape, -math.inf)
-    on = bm > -1.0
-    out[on] = r.log_norm_const + np.log1p(bm[on]) / (r.alpha - 1.0)
-    return out
+        return -0.5 * (LOG_2PI + r.logdet + (x - r.mu[0]) ** 2 * r.sigma_inv[0, 0])
+    return studentt.log_density_batch(r, x[:, None])
 
 
 def _interval(r: Record) -> tuple:
@@ -592,19 +588,22 @@ def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> fl
     With alpha = params.alpha, evaluates alpha/(alpha-1) log[(1/n) sum_j
     p(X_j)^(alpha-1)] minus log Int p^alpha, the latter in closed form.
     Since p^(alpha-1) = N^(alpha-1) [1 + b r^2]_+, the mean is N^(alpha-1)
-    times the mean bracket, which neither over- nor underflows where the
-    density would.  For alpha > 1 a batch with every point off the support
-    gives -inf (empty overlap), returned as a value, never raised.
+    times the mean bracket, which does not underflow where the density
+    would; where the mean bracket overflows, its log is taken from the log
+    brackets, shifted by their largest.  For alpha > 1 a batch with every
+    point off the support gives -inf (empty overlap), returned as a value,
+    never raised.
     """
     if batch.dim != params.dim:
         raise DimensionMismatchError("batch dimension must match the model")
     alpha = params.alpha
-    _, bracket = studentt._brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
-    mean_bracket = float(np.mean(np.maximum(bracket, 0.0)))
+    _, m, log_bracket = studentt._log_brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
+    mean_bracket = float(np.mean(np.maximum(1.0 + m, 0.0)))
     if mean_bracket == 0.0:
         return -math.inf
-    return (
-        alpha * params.log_norm_const
-        + alpha / (alpha - 1.0) * math.log(mean_bracket)
-        - studentt.log_power_integral(params, alpha)
-    )
+    if mean_bracket < math.inf:
+        log_mean = math.log(mean_bracket)
+    else:
+        top = float(log_bracket.max())
+        log_mean = top + math.log(float(np.mean(np.exp(log_bracket - top))))
+    return alpha * params.log_norm_const + alpha / (alpha - 1.0) * log_mean - studentt.log_power_integral(params, alpha)

@@ -36,6 +36,7 @@ from .core import (
 __all__ = [
     "density",
     "log_density",
+    "log_density_batch",
     "decompose",
     "log_power_integral",
     "sample",
@@ -52,38 +53,45 @@ def _check_point(params: StudentTParams, x) -> np.ndarray:
     return x
 
 
-def _brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
-    """Residuals r = x - mu and brackets 1 + b r^T lam r for the rows of ``points``."""
+def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
+    """Residuals r = x - mu, m = b r^T lam r and log(1 + m) for the rows of ``points``.
+
+    The log is -inf off the support.  Where m overflows it reads +-inf, and
+    for b > 0 its log is log m, taken with r scaled by a power of two, which
+    is exact; every other row takes log1p(m).
+    """
     r = np.atleast_2d(np.asarray(points, dtype=float)) - mu
-    return r, 1.0 + b * np.einsum("ni,ij,nj->n", r, lam, r)
+    m = b * np.einsum("ni,ij,nj->n", r, lam, r)
+    far = ~np.isfinite(m)
+    m[far] = math.copysign(math.inf, b)
+    with np.errstate(divide="ignore"):
+        log_bracket = np.log1p(np.maximum(m, -1.0))
+    if b > 0.0 and far.any():
+        _, exponent = np.frexp(np.max(np.abs(r[far]), axis=1))
+        scaled = np.ldexp(r[far], -exponent[:, None])
+        log_bracket[far] = np.log(b * np.einsum("ni,ij,nj->n", scaled, lam, scaled)) + exponent * math.log(4.0)
+    return r, m, log_bracket
+
+
+def log_density_batch(params: StudentTParams, points) -> np.ndarray:
+    """log density over the rows of an (n, d) array; -inf off the support."""
+    log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)[2]
+    return params.log_norm_const + log_bracket / (params.alpha - 1.0)
+
+
+def log_density(params: StudentTParams, x) -> float:
+    """log density at a single point; -inf outside the support."""
+    return float(log_density_batch(params, _check_point(params, x))[0])
+
+
+def density_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
+    """Vectorized density over rows of an (n, d) array; exactly 0 outside an alpha > 1 support."""
+    return np.exp(log_density_batch(params, points))
 
 
 def density(params: StudentTParams, x) -> float:
     """Density at a single point; exactly 0 outside an alpha > 1 support."""
     return float(density_batch(params, _check_point(params, x))[0])
-
-
-def _log_density(x: np.ndarray, mu, lam, b: float, alpha: float, log_n: float) -> float:
-    """log N + log(bracket)/(alpha - 1) at one point; -inf off the support."""
-    bracket = _brackets(x, mu, lam, b)[1][0]
-    if bracket <= 0.0:
-        return -math.inf
-    return log_n + math.log(bracket) / (alpha - 1.0)
-
-
-def log_density(params: StudentTParams, x) -> float:
-    """log density at a single point; -inf outside the support."""
-    x = _check_point(params, x)
-    return _log_density(x, params.mu, params.sigma_inv, params.b_alpha, params.alpha, params.log_norm_const)
-
-
-def density_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
-    """Vectorized density over rows of an (n, d) array."""
-    _, bracket = _brackets(points, params.mu, params.sigma_inv, params.b_alpha)
-    out = np.zeros(len(bracket))
-    pos = bracket > 0.0
-    out[pos] = params.norm_const * bracket[pos] ** (1.0 / (params.alpha - 1.0))
-    return out
 
 
 def decompose(params: StudentTParams) -> MAlphaDescriptor:
@@ -203,11 +211,11 @@ def score(params: StudentTParams, x) -> np.ndarray:
 
 def score_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
     """Scores for all rows of an (n, d) array; rows off support get NaN."""
-    r, bracket = _brackets(points, params.mu, params.sigma_inv, params.b_alpha)
+    r, m, log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)
     n, d = r.shape
     out = np.full((n, d + d * d), np.nan)
-    ok = bracket > 0.0
-    c = params.b_alpha / ((params.alpha - 1.0) * bracket[ok])
+    ok = log_bracket > -math.inf
+    c = params.b_alpha / ((params.alpha - 1.0) * (1.0 + m[ok]))
     out[ok, :d] = -2.0 * c[:, None] * (r[ok] @ params.sigma_inv)
     outer = np.einsum("n,ni,nj->nij", c, r[ok], r[ok])
     out[ok, d:] = (0.5 * params.sigma + outer).reshape(ok.sum(), d * d)
@@ -225,6 +233,9 @@ def log_density_given_theta(theta: np.ndarray, alpha: float, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
     mu, lam = unpack_theta(np.asarray(theta, dtype=float), d)
+    log_bracket = float(_log_brackets(x, mu, lam, b_alpha(alpha, d))[2][0])
+    if log_bracket == -math.inf:
+        return -math.inf
     sign, logdet = np.linalg.slogdet(lam)
     log_n = _log_norm_const_shape(alpha, d) + 0.5 * logdet if sign > 0 else math.nan
-    return _log_density(x, mu, lam, b_alpha(alpha, d), alpha, log_n)
+    return log_n + log_bracket / (alpha - 1.0)

@@ -318,6 +318,11 @@ class TestCommands:
         expected = 2.0 * math.log(compact.N2 * ell / 10.0) - math.log(4.0 * compact.N2 / 5.0)
         assert report["value"] == pytest.approx(expected, rel=1e-12)
 
+    def test_loglik_of_a_far_outlier_is_finite(self, tmp_path, capsys):
+        path = write(tmp_path, "far.csv", "0\n1e160\n0.5\n")
+        assert cli.main(["loglik", "--alpha", "0.8", "--mu", "0", "--sigma", "1", "--input", path]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(-2936.085363432056973, rel=1e-15)
+
     def test_simulate_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "draws.csv")
         code = cli.main([

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 import alphafam as af
-from alphafam import core, studentt
+from alphafam import core, divergence, studentt
 
 N2 = 3.0 / (4.0 * math.sqrt(5.0))
 
@@ -49,8 +49,9 @@ class TestDensity:
 
 @st.composite
 def params_and_points(draw):
-    """A Student-t of d in {1, 2, 3} with alpha on either side of 1, and rows
-    at Mahalanobis radii up to twice the alpha > 1 support radius."""
+    """A Student-t of d in {1, 2, 3} with alpha on either side of 1, rows
+    at Mahalanobis radii up to twice the alpha > 1 support radius, and one
+    far row at a radius up to 1e300."""
     d = draw(st.sampled_from([1, 2, 3]))
     lo = d / (d + 2.0)
     if draw(st.booleans()):
@@ -60,10 +61,10 @@ def params_and_points(draw):
     p = random_params(d, alpha, draw(st.integers(0, 2**16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     m = draw(st.integers(1, 8))
-    directions = rng.normal(size=(m, d))
+    directions = rng.normal(size=(m + 1, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     reach = math.sqrt(p.radius_sq) if alpha > 1.0 else 4.0
-    radii = rng.uniform(0.0, 2.0 * reach, size=m)
+    radii = np.append(rng.uniform(0.0, 2.0 * reach, size=m), 10.0 ** draw(st.floats(0.0, 300.0)))
     return p, p.mu + (directions * radii[:, None]) @ np.linalg.cholesky(p.sigma).T
 
 
@@ -73,17 +74,57 @@ class TestPointWrappersMatchBatchKernels:
     def test_density_log_density_and_score_equal_the_batch_rows(self, case):
         p, pts = case
         densities = studentt.density_batch(p, pts)
+        log_densities = studentt.log_density_batch(p, pts)
         scores = studentt.score_batch(p, pts)
-        assert np.all(np.isnan(scores[densities == 0.0]))
-        for x, dens, row in zip(pts, densities, scores):
+        assert np.all(np.isnan(scores[log_densities == -math.inf]))
+        for x, dens, log_dens, row in zip(pts, densities, log_densities, scores):
             assert studentt.density(p, x) == pytest.approx(dens, rel=1e-13, abs=0.0)
-            if dens == 0.0:
-                assert studentt.log_density(p, x) == -math.inf
+            assert studentt.log_density(p, x) == studentt.log_density_batch(p, [x])[0]
+            assert studentt.log_density(p, x) == pytest.approx(log_dens, rel=1e-13, abs=1e-13)
+            if log_dens == -math.inf:
+                assert p.alpha > 1.0 and dens == 0.0
                 with pytest.raises(core.UndefinedScoreError):
                     studentt.score(p, x)
                 continue
-            assert studentt.log_density(p, x) == pytest.approx(math.log(dens), rel=1e-12, abs=1e-12)
+            assert math.isfinite(log_dens)
             assert np.allclose(studentt.score(p, x), row, rtol=1e-13, atol=1e-13)
+
+
+class TestFarOutliers:
+    # t(0.8, 0, Sigma) with Sigma = 1 in d = 1 and [[1, 0.5], [0.5, 1]] in
+    # d = 2, at x = t (1, ..., 1).  mpmath at 50 digits from the same float
+    # inputs: log p at t = 1e160 and 1e300, and the likelihood of the rows
+    # at t = 0, far, 0.5 with far = 1e160 and 1e150.  Squaring x - mu
+    # overflows past 1e154; the 1e150 value keeps the direct mean bracket's bits.
+    CASES = {
+        1: ([[1.0]], -3675.2276008031441956, -6898.8467309948088695,
+            -2936.085363432056973, -2751.8785559925332669, -2751.8785559925332),
+        2: ([[1.0, 0.5], [0.5, 1.0]], -3678.0221157643242128, -6901.6412459559888867,
+            -2938.5921963207852092, -2754.3853888812615032, -2754.3853888812614),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pinned_values(self, d):
+        sigma, at_160, at_300, loglik_160, loglik_150, loglik_150_bits = self.CASES[d]
+        p = af.make_student_t(0.8, np.zeros(d), sigma)
+        ones = np.ones(d)
+        assert studentt.log_density(p, 1e160 * ones) == pytest.approx(at_160, rel=1e-15, abs=0.0)
+        assert studentt.log_density(p, 1e300 * ones) == pytest.approx(at_300, rel=1e-15, abs=0.0)
+        at = {}
+        for far in (1e160, 1e150):
+            at[far] = divergence.generalized_log_likelihood(p, af.SampleBatch(np.outer([0.0, far, 0.5], ones)))
+            assert type(at[far]) is float
+        assert at[1e160] == pytest.approx(loglik_160, rel=1e-15, abs=0.0)
+        assert at[1e150] == pytest.approx(loglik_150, rel=1e-15, abs=0.0)
+        assert at[1e150] == loglik_150_bits
+
+    @pytest.mark.filterwarnings("error")
+    def test_compact_member_is_zero_far_out(self):
+        p = af.make_student_t(2.0, [0.0], [[1.0]])
+        assert studentt.log_density(p, [1e160]) == -math.inf
+        assert studentt.density(p, [1e160]) == 0.0
+        assert divergence.generalized_log_likelihood(p, af.SampleBatch(np.array([[1e160]]))) == -math.inf
 
 
 class TestDecompose:
