@@ -44,13 +44,13 @@ The terms left, KL into a t and the cross term against a t of another
 order or at alpha > 1 with supp p outside supp q, converge by these rules;
 in d = 1 ``quad`` integrates them over the overlap of the supports, and in
 d > 1 they raise DimensionMismatchError.  Each integrated term sets its
-own tolerance (``I_ALPHA_TOL``, ``KL_TOL``), and a whole-line overlap is
-integrated in p's standardized coordinate, so the result does not depend
-on where the records sit.  A divergence with an infinite term is +inf; a
-failed integral raises NumericalError whose diagnostics name it.  The
-generalized likelihood takes a Student-t model, whose order is its own
-alpha and whose power integral is closed form, so it never integrates.  No
-scipy is used.
+own tolerance (``I_ALPHA_TOL``, ``KL_TOL``), and every overlap is
+integrated in p's standardized coordinate, so the result depends neither
+on where the records sit nor on how narrow p is.  A divergence with an
+infinite term is +inf; a failed integral raises NumericalError whose
+diagnostics name it.  The generalized likelihood takes a Student-t model,
+whose order is its own alpha and whose power integral is closed form, so
+it never integrates.  No scipy is used.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ SUPPORT_RTOL = 1e-9
 EXPONENT_ATOL = 1e-9
 # An integrand falling like |x|^-(1 + g) leaves X^-g / g of its integral
 # beyond |x| = X, and quadrature reads nothing past X ~ 1e308, where sinh
-# overflows.  Below this g that part exceeds about 1e-14 at X ~ 1e154, so
-# the term fails rather than read wrong; at 1e308 about 0.05 would do.
-MIN_TAIL_EXCESS = 0.1
+# overflows.  Below this g that part exceeds about 1e-14 (8e-15 at g =
+# 0.05), so the term fails rather than read wrong.
+MIN_TAIL_EXCESS = 0.05
 
 # QUADPACK's 21-point Gauss-Kronrod pair (dqk21) on [-1, 1]: the Kronrod
 # nodes and weights, and the 10-point Gauss weights, zero off its nodes.
@@ -201,7 +201,7 @@ def bernoulli(p: float) -> DiscreteDistribution:
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Kronrod value and QUADPACK's error estimate on each interval [lo_i, hi_i], from one call of f."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = np.asarray(f((center[:, None] + half[:, None] * _NODES).ravel()), dtype=float).reshape(lo.size, -1)
+    fx = np.asarray(f((center[:, None] + half[:, None] * _NODES).ravel()), dtype=float).reshape(lo.size, _NODES.size)
     kronrod = fx @ _KRONROD_WEIGHTS
     scale = np.abs(half)
     err = np.abs(kronrod - fx @ _GAUSS_WEIGHTS) * scale
@@ -211,64 +211,51 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return kronrod * half, np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD_WEIGHTS) * scale)
 
 
-def _finite_range(f, a: float, b: float) -> tuple:
-    """(g, lo, hi) with a finite range and Int_lo^hi g = Int_a^b f, for a < b when either is infinite."""
-    if not (math.isinf(a) or math.isinf(b)):
-        return f, a, b
-    if math.isinf(a) and math.isinf(b):
-        def x_of(t):
-            u = 1.0 / (1.0 - t * t)
-            s = t * u
-            return np.sinh(s), np.cosh(s) * (1.0 + t * t) * u * u
-
-        lo = -1.0
-    else:
-        end, sign = (a, 1.0) if math.isinf(b) else (b, -1.0)
-
-        def x_of(t):
-            u = 1.0 / (1.0 - t)
-            s = t * u
-            return end + sign * np.sinh(s), np.cosh(s) * u * u
-
-        lo = 0.0
-
-    def g(t):
-        # Points past the float range, where sinh overflows, count as 0.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x, jacobian = x_of(t)
-            fx = np.asarray(f(x), dtype=float)
-            return np.where(np.isfinite(x) & (fx != 0.0), fx * jacobian, 0.0)
-
-    return g, lo, 1.0
-
-
 def quad(f, a: float, b: float, epsabs: float, epsrel: float) -> tuple:
     """Int_a^b f by adaptive Gauss-Kronrod quadrature; returns (value, abserr, neval).
 
     ``f`` takes an array of points and returns its values there; either end
-    may be infinite.  Each round evaluates QUADPACK's 21-point Gauss-Kronrod
-    pair, with its error estimate, on every new subinterval in one call of
-    f, then bisects, in one batch, the subintervals of largest error that
-    together hold half the total.  It stops once the total error is at most
-    max(epsabs, epsrel |value|), or fails past ``QUAD_LIMIT`` subintervals.
-    An infinite range maps to (-1, 1) by x = sinh(t/(1 - t^2)), or to [0, 1)
-    by x = a + sinh(t/(1 - t)) (b - sinh(t/(1 - t)) for a = -inf); the sinh
-    turns a power-law tail into an exponentially falling one, which
-    bisection resolves, and spreads its nodes around 0 at unit scale, where
-    f should have its mass.  ``neval`` counts the points f was evaluated at.
+    may be infinite, and b < a gives -Int_b^a f.  The range is split at c,
+    its point nearest 0, and a side ending at c + sinh(S) (S = +-inf at an
+    infinite end) is mapped from t in [0, 1), or (-1, 0] below c, by x = c +
+    sinh(S tanh(m v / |S|)), v = |t| / (1 - |t|), m = min(|S|, 1).  Near c
+    the nodes sit at unit scale (|S| on a shorter side), where f should
+    have its mass; an infinite end gets x = c + sinh(t / (1 - |t|)), which
+    turns a power-law tail into an exponential one; and at a finite end f's
+    weight falls double-exponentially, so a kink there cannot hide past the
+    outermost node.  Starting from the (at most two) sides, each round
+    evaluates QUADPACK's 21-point Gauss-Kronrod pair and its error estimate
+    on every new subinterval in one call of f, then bisects, in one batch,
+    the subintervals of largest error that together hold half the total,
+    until that total is at most max(epsabs, epsrel |value|).  ``neval``
+    counts the points f was evaluated at.
 
     Raises
     ------
     NumericalError
-        When ``QUAD_LIMIT`` subintervals do not reach the tolerance, a
-        subinterval can no longer be halved, or f is not finite.  Its
-        diagnostics give the interval, the tolerances, the limit and the
-        error estimate and evaluation count reached.
+        Past ``QUAD_LIMIT`` subintervals, when a subinterval can no longer
+        be halved, or when f is not finite; its diagnostics give the
+        interval, tolerances, limit, error estimate and evaluation count.
     """
-    g, lo, hi = _finite_range(f, a, b)
-    los, his = np.array([float(lo)]), np.array([float(hi)])
+    c = min(max(0.0, min(a, b)), max(a, b))
+    ends = math.asinh(a - c), math.asinh(b - c)
+
+    def g(t):
+        # Nodes that round onto an end of the range, or past it where sinh overflows, count as 0.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            end = np.where(t < 0.0, ends[0], ends[1])
+            v, m = np.abs(t) / (1.0 - np.abs(t)), np.minimum(np.abs(end), 1.0)
+            w = m * v / np.abs(end)
+            s = np.where(np.isinf(end), np.sign(end) * v, end * np.tanh(w))
+            x = c + np.sinh(s)
+            fx = np.asarray(f(x), dtype=float)
+            jacobian = np.sign(t * end) * m * np.cosh(s) * ((1.0 + v) / np.cosh(w)) ** 2
+            return np.where(((x - a) * (b - x) > 0.0) & (fx != 0.0), fx * jacobian, 0.0)
+
+    sides = np.array(ends) != 0.0
+    los, his = np.array([-1.0, 0.0])[sides], np.array([0.0, 1.0])[sides]
     values, errors = _gauss_kronrod(g, los, his)
-    neval = _NODES.size
+    neval = los.size * _NODES.size
 
     def failure(reason: str, abserr: float) -> NumericalError:
         return NumericalError(reason, {"interval": [a, b], "epsabs": epsabs, "epsrel": epsrel, "limit": QUAD_LIMIT,
@@ -434,27 +421,23 @@ def _log_pdf(r: Record, x: np.ndarray) -> np.ndarray:
     return studentt.log_density_batch(r, x[:, None])
 
 
-def _interval(r: Record) -> tuple:
-    """The support of a d = 1 record."""
-    return r.support_interval if isinstance(r, StudentTParams) else (-math.inf, math.inf)
-
-
 def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
     """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1.
 
-    ``quad`` runs at ``tol`` = (epsabs, epsrel), and its failure gains the
-    integral's name.  An infinite overlap is the whole line, the same in
-    u = (x - mu_p) / sqrt(sigma_p), where p's mass sits at quad's nodes.
+    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's standardized
+    coordinate u = (x - mu_p) / sqrt(sigma_p), so it splits the overlap at
+    p's mean (or the end nearest it) and p's mass sits at its first nodes.
+    Its failure gains the integral's name, and its interval is the overlap in x.
     """
     if p.dim != 1:
         raise DimensionMismatchError(
             f"the {integral} integral has no closed form here, and quadrature needs d = 1, got d = {p.dim}"
         )
-    (plo, phi), (qlo, qhi) = _interval(p), _interval(q)
+    (plo, phi), (qlo, qhi) = (getattr(r, "support_interval", (-math.inf, math.inf)) for r in (p, q))
     lo, hi = float(max(plo, qlo)), float(min(phi, qhi))
     if not lo < hi:
         return 0.0
-    center, scale = (float(p.mu[0]), math.sqrt(p.sigma[0, 0])) if math.isinf(lo) or math.isinf(hi) else (0.0, 1.0)
+    center, scale = float(p.mu[0]), math.sqrt(p.sigma[0, 0])
 
     def integrand(u: np.ndarray) -> np.ndarray:
         x = center + scale * u
@@ -468,7 +451,7 @@ def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
         value, _, _ = quad(integrand, (lo - center) / scale, (hi - center) / scale, epsabs=tol[0], epsrel=tol[1])
     except NumericalError as exc:
         raise NumericalError(f"{integral} quadrature on [{lo}, {hi}] failed: {exc}",
-                             {"integral": integral, **exc.diagnostics}) from exc
+                             {"integral": integral, **exc.diagnostics, "interval": [lo, hi]}) from exc
     return value
 
 

@@ -53,12 +53,19 @@ def _check_point(params: StudentTParams, x) -> np.ndarray:
     return x
 
 
+def _scaled(r: np.ndarray, lam: np.ndarray, b: float):
+    """r_s = r 2^-e, exactly, with 2^e just above each row's largest |r_i|; e; and b r_s^T lam r_s."""
+    _, exponent = np.frexp(np.max(np.abs(r), axis=1))
+    scaled = np.ldexp(r, -exponent[:, None])
+    return scaled, exponent, b * np.einsum("ni,ij,nj->n", scaled, lam, scaled)
+
+
 def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
     """Residuals r = x - mu, m = b r^T lam r and log(1 + m) for the rows of ``points``.
 
     The log is -inf off the support.  Where m overflows it reads +-inf, and
-    for b > 0 its log is log m, taken with r scaled by a power of two, which
-    is exact; every other row takes log1p(m).
+    for b > 0 its log is log m, taken from ``_scaled`` residuals as
+    log(b r_s^T lam r_s) + e log 4; every other row takes log1p(m).
     """
     r = np.atleast_2d(np.asarray(points, dtype=float)) - mu
     m = b * np.einsum("ni,ij,nj->n", r, lam, r)
@@ -67,9 +74,8 @@ def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
     with np.errstate(divide="ignore"):
         log_bracket = np.log1p(np.maximum(m, -1.0))
     if b > 0.0 and far.any():
-        _, exponent = np.frexp(np.max(np.abs(r[far]), axis=1))
-        scaled = np.ldexp(r[far], -exponent[:, None])
-        log_bracket[far] = np.log(b * np.einsum("ni,ij,nj->n", scaled, lam, scaled)) + exponent * math.log(4.0)
+        _, exponent, m_scaled = _scaled(r[far], lam, b)
+        log_bracket[far] = np.log(m_scaled) + exponent * math.log(4.0)
     return r, m, log_bracket
 
 
@@ -210,15 +216,24 @@ def score(params: StudentTParams, x) -> np.ndarray:
 
 
 def score_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
-    """Scores for all rows of an (n, d) array; rows off support get NaN."""
+    """Scores for all rows of an (n, d) array; rows off support get NaN.
+
+    The blocks are -2 c Sigma^-1 r and Sigma/2 + c r r^T, c = b/((alpha - 1)(1 + m)).
+    Where m overflowed, they read c r r^T = c_s r_s r_s^T and c r = c_s r_s 2^-e
+    from the ``_scaled`` residual r_s = r 2^-e, c_s = b/((alpha - 1)(4^-e + m_s)).
+    """
     r, m, log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)
     n, d = r.shape
     out = np.full((n, d + d * d), np.nan)
     ok = log_bracket > -math.inf
-    c = params.b_alpha / ((params.alpha - 1.0) * (1.0 + m[ok]))
-    out[ok, :d] = -2.0 * c[:, None] * (r[ok] @ params.sigma_inv)
-    outer = np.einsum("n,ni,nj->nij", c, r[ok], r[ok])
-    out[ok, d:] = (0.5 * params.sigma + outer).reshape(ok.sum(), d * d)
+    r, m, shrink = r[ok], m[ok], np.ones(int(ok.sum()))
+    far = np.isinf(m)
+    r[far], exponent, m[far] = _scaled(r[far], params.sigma_inv, params.b_alpha)
+    shrink[far] = np.ldexp(1.0, -exponent)
+    c = params.b_alpha / ((params.alpha - 1.0) * (shrink * shrink + m))
+    out[ok, :d] = -2.0 * (c * shrink)[:, None] * (r @ params.sigma_inv)
+    outer = np.einsum("n,ni,nj->nij", c, r, r)
+    out[ok, d:] = (0.5 * params.sigma + outer).reshape(r.shape[0], d * d)
     return out
 
 

@@ -296,6 +296,11 @@ class TestCommands:
         assert cli.main(argv) == cli.EXIT_OK
         assert '"i_alpha":Infinity' in capsys.readouterr().out
 
+    def test_narrow_p_in_a_wide_compact_q_is_finite(self, capsys):
+        argv = ["divergence", "--alpha", "3", "--p", "normal:500,1", "--q", "t:2,0,1e6"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["i_alpha"] == pytest.approx(6.583150919397308, rel=1e-9)
+
     def test_loglik_rejects_sigma_whose_inverse_overflows(self, tmp_path, capsys):
         path = write(tmp_path, "two.csv", "0,0\n1,1\n")
         argv = ["loglik", "--alpha", "0.8", "--mu", "0,0", "--sigma", "1e-308,3e-309;3e-309,5e-309", "--input", path]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alphafam as af
@@ -429,7 +429,9 @@ class TestQuad:
         (lambda x: x**-0.5, 0.0, 1.0),
         (lambda x: (1.0 + x * x) ** -0.6, -math.inf, math.inf),
         (lambda x: x**-1.25, 1.0, math.inf),
-    ], ids=["finite", "to-inf", "from-inf", "whole-line", "endpoint-singular", "slow-tails", "slow-tail"])
+        (lambda x: (1.0 - x) ** -0.25, 0.0, 1.0),
+    ], ids=["finite", "to-inf", "from-inf", "whole-line", "endpoint-singular", "slow-tails", "slow-tail",
+            "far-end-singular"])
     def test_agrees_with_scipy(self, f, a, b):
         from scipy import integrate
 
@@ -445,6 +447,16 @@ class TestQuad:
         assert abserr <= max(1e-13, 1e-12 * abs(value))
         # One call of f per round, on 21 nodes of every new subinterval.
         assert neval == sum(sizes) and all(size % 21 == 0 for size in sizes)
+
+    @pytest.mark.parametrize("a,b", [(3.0, -1.0), (2.0, 2.0)], ids=["reversed", "empty"])
+    def test_reversed_and_empty_ranges(self, a, b):
+        from scipy import integrate
+
+        f = lambda x: np.cos(3.0 * x) * np.exp(-x)
+        value, abserr, _ = dv.quad(f, a, b, epsabs=1e-13, epsrel=1e-12)
+        want = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert abserr <= max(1e-13, 1e-12 * abs(value))
 
     def test_non_convergent_integrand_raises_with_diagnostics(self):
         with pytest.raises(core.NumericalError, match="200 subintervals") as err:
@@ -508,7 +520,7 @@ class TestFinitenessRules:
         p, q = af.make_student_t(order_p, 0.0, 1.0), af.make_student_t(0.95, 0.5, 2.0)
         assert dv.i_alpha(p, q, alpha) == math.inf
 
-    @pytest.mark.parametrize("excess", [0.2, 0.5, 0.05, 0.001])
+    @pytest.mark.parametrize("excess", [0.2, 0.5, 0.08, 0.06, 0.04, 0.001])
     def test_slowly_falling_tails(self, excess):
         # p t(0.6), q t(0.8): the integrand falls like |x|^-(5 - 10 (1 - alpha)) = |x|^-(1 + excess).
         alpha = 1.0 - (4.0 - excess) / 10.0
@@ -585,6 +597,73 @@ class TestAffineInvariance:
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (fn.__name__, got, want)
             else:
                 assert got == want, (fn.__name__, got, want)
+
+
+def _u_quad(fn, lo, hi):
+    """Int_lo^hi fn by scipy quadrature, split at 0, +-1, +-10, ..., +-1e16 inside (lo, hi)."""
+    marks = [0.0] + [sign * 10.0**k for k in range(17) for sign in (-1.0, 1.0)]
+    cuts = sorted({lo, hi, *(m for m in marks if lo < m < hi)})
+    return sum(_scipy_quad(fn, x0, x1) for x0, x1 in zip(cuts, cuts[1:]))
+
+
+def _standardized_i_alpha(p, q, alpha):
+    """I_alpha of two d = 1 records from scipy quadrature of each term in a standardized coordinate.
+
+    The cross term and Int p^alpha run in p's u = (x - mu_p)/sqrt(sigma_p),
+    Int q^alpha in q's, each with log-spaced breakpoints, so no term misses
+    a peak however narrow it is.
+    """
+    def log_integral(r, lo, hi, log_f):
+        mu, s = float(r.mu[0]), math.sqrt(float(r.sigma[0, 0]))
+        return math.log(s * _u_quad(lambda u: math.exp(log_f(mu + s * u)), (lo - mu) / s, (hi - mu) / s))
+
+    (log_p, (plo, phi)), (log_q, (qlo, qhi)) = _law(p), _law(q)
+    cross = log_integral(p, max(plo, qlo), min(phi, qhi), lambda x: log_p(x) + (alpha - 1.0) * log_q(x))
+    power_p = log_integral(p, plo, phi, lambda x: alpha * log_p(x))
+    power_q = log_integral(q, qlo, qhi, lambda x: alpha * log_q(x))
+    return alpha / (1.0 - alpha) * cross - power_p / (1.0 - alpha) + power_q
+
+
+class TestNarrowPeaks:
+    # scipy quadrature with the range split at mu_p (and at mu_p +- sd).
+    WIDE_Q = (2.0, 0.0, 1e6)
+    LOG_CROSS = {(500.0, 1.0): -16.102899580808277, (0.3, 0.01): -16.000312655301936}
+    I_ALPHA = 6.583150919397308
+
+    @pytest.mark.parametrize("mu,var", list(LOG_CROSS))
+    def test_narrow_p_in_a_wide_compact_q(self, mu, var):
+        q = af.make_student_t(*self.WIDE_Q)
+        assert dv._log_cross(dv.Gaussian(mu, var), q, 3.0) == pytest.approx(self.LOG_CROSS[mu, var], abs=1e-12)
+        if var == 1.0:
+            assert dv.i_alpha(dv.Gaussian(mu, var), q, 3.0) == pytest.approx(self.I_ALPHA, rel=1e-9)
+
+    @given(st.one_of(st.none(), st.floats(0.4, 0.99)), st.floats(-16.0, 0.0), st.floats(-0.9, 0.9),
+           st.floats(1.05, 6.0), st.floats(1.05, 3.0))
+    # p's tail meets q's end 60 sd out, where q^(alpha-1) has a kink that an
+    # unfolded finite end hides past the outermost node (off by 3.7e-9).
+    @example(0.4, -8.2734375, 0.197265625, 5.625, 1.875)
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_standardized_quadrature(self, order_p, log_var, where, order_q, alpha):
+        q = af.make_student_t(order_q, 0.0, 1.0)
+        p = _grid_record(order_p, where * q.support_interval[1], math.exp(log_var))
+        want = _standardized_i_alpha(p, q, alpha)
+        assert abs(dv.i_alpha(p, q, alpha) - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_failure_names_the_overlap_in_x(self, monkeypatch):
+        seen = []
+
+        def failing(func, a, b, **kwargs):
+            seen.append((a, b))
+            raise core.NumericalError("did not converge", {"interval": [a, b], **kwargs, "abserr": 0.25, "neval": 4221})
+
+        monkeypatch.setattr(dv, "quad", failing)
+        q = af.make_student_t(*self.WIDE_Q)
+        lo, hi = q.support_interval
+        with pytest.raises(core.NumericalError) as err:
+            dv.i_alpha(dv.Gaussian(500.0, 4.0), q, 3.0)
+        assert err.value.diagnostics["interval"] == [lo, hi]
+        # quad itself ran in p's standardized coordinate.
+        assert seen == [((lo - 500.0) / 2.0, (hi - 500.0) / 2.0)]
 
 
 class TestKL:

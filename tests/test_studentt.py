@@ -120,6 +120,15 @@ class TestFarOutliers:
         assert at[1e150] == loglik_150_bits
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d,block", [(1, [-4.5]), (2, [-3.25, -3.5, -3.5, -3.25])])
+    def test_score_of_a_far_row_keeps_its_limit(self, d, block):
+        # The Sigma^-1 block tends to Sigma/2 + r r^T / ((alpha - 1) r^T Sigma^-1 r).
+        p = af.make_student_t(0.8, np.zeros(d), self.CASES[d][0])
+        far, near = studentt.score(p, 1e160 * np.ones(d)), studentt.score(p, 1e10 * np.ones(d))
+        assert far[d:] == pytest.approx(near[d:], rel=1e-12, abs=0.0)
+        assert far[d:] == pytest.approx(block, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
     def test_compact_member_is_zero_far_out(self):
         p = af.make_student_t(2.0, [0.0], [[1.0]])
         assert studentt.log_density(p, [1e160]) == -math.inf
