@@ -81,10 +81,34 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+# One compact-fit candidate as a JSON object, keys in sorted order.
+_SEGMENT_ROW = (
+    '{"active_set":[%d,%d],"hi":%.17g,"lo":%.17g,"maximizer":%.17g,'
+    '"objective_over_n2":%.17g,"unconstrained_max":%.17g},'
+)
+
+
+def _render_segments(table: compact.SegmentTable) -> str:
+    """The candidate table as a JSON array, in one %-format over all rows."""
+    columns = (table.start, table.stop, table.hi, table.lo, table.maximizer, table.objective,
+               table.unconstrained_max)
+    # A finite sample gives finite columns, where "%.17g" and _format_float agree.
+    assert all(np.isfinite(column).all() for column in columns)
+    values = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    return "[" + (_SEGMENT_ROW * len(table) % values)[:-1] + "]"
+
+
 def dumps_report(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    A ``compact.SegmentTable`` renders as the array of its candidate
+    objects, with keys ``active_set`` ([start, stop]), ``hi``, ``lo``,
+    ``maximizer``, ``objective_over_n2`` and ``unconstrained_max``.
+    """
 
     def render(node) -> str:
+        if isinstance(node, compact.SegmentTable):
+            return _render_segments(node)
         if isinstance(node, dict):
             items = (f"{json.dumps(str(k))}:{render(node[k])}" for k in sorted(node))
             return "{" + ",".join(items) + "}"
@@ -283,23 +307,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                    sigma_hat=est.sigma_hat.tolist(), singular_flag=est.singular, residual_norm=residual_norm)
 
 
-def _candidate_dict(cand: compact.SegmentCandidate) -> dict:
-    return {
-        "lo": cand.lo,
-        "hi": cand.hi,
-        "active_set": [cand.active_set.start, cand.active_set.stop],
-        "unconstrained_max": cand.unconstrained_max,
-        "maximizer": cand.maximizer,
-        "objective_over_n2": cand.objective,
-    }
-
-
 def _cmd_compact_fit(args: argparse.Namespace) -> int:
     batch = ingest_csv(args.input)
     result = compact.maximize_l2(batch)
     return _report(args, alpha=2.0, n=batch.n, mu_hat=result.mu_hat, objective_over_n2=result.objective_over_n2,
                    sample_mean=float(batch.scalars().mean()), ties=list(result.ties),
-                   candidates=[_candidate_dict(c) for c in result.candidates])
+                   candidates=result.candidates)
 
 
 def _cmd_divergence(args: argparse.Namespace) -> int:

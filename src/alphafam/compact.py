@@ -18,6 +18,11 @@ are kept in double-double arithmetic, relative to the first point of each
 cell of width just over 2 sqrt(5), which keeps means and objectives within
 about an ulp of their exact values at any offset of the sample.
 
+The sweep's result stays columnar: a ``SegmentTable`` holds one numpy array
+per field, ``maximize_l2`` picks the optimum and its ties on those arrays,
+and a ``SegmentCandidate`` row is built only when the table is indexed or
+iterated.
+
 General (alpha > 1, sigma) fitting is a documented extension point, not
 implemented.
 """
@@ -25,6 +30,8 @@ implemented.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,7 @@ __all__ = [
     "N2",
     "REFERENCE_SAMPLE",
     "SegmentCandidate",
+    "SegmentTable",
     "CompactFitResult",
     "enumerate_segments",
     "maximize_l2",
@@ -75,17 +83,58 @@ class SegmentCandidate:
     objective: float
 
 
+@dataclass(frozen=True, eq=False)
+class SegmentTable(Sequence):
+    """The segment candidates in breakpoint order, one read-only numpy column per field.
+
+    ``start``/``stop`` bound each active set, the rest are the fields of
+    ``SegmentCandidate``.  As a sequence it has a length and yields
+    ``SegmentCandidate`` rows (Python floats and a ``range``), built only
+    when indexed or iterated; an index out of range raises ``IndexError``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    unconstrained_max: np.ndarray
+    maximizer: np.ndarray
+    objective: np.ndarray
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> tuple:
+        return self.lo, self.hi, self.start, self.stop, self.unconstrained_max, self.maximizer, self.objective
+
+    @staticmethod
+    def _row(lo, hi, start, stop, unconstrained_max, maximizer, objective) -> SegmentCandidate:
+        return SegmentCandidate(lo, hi, range(start, stop), unconstrained_max, maximizer, objective)
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    def __getitem__(self, index) -> SegmentCandidate:
+        index = operator.index(index)  # one row: no slices
+        return self._row(*(column[index].item() for column in self._columns()))
+
+    def __iter__(self):
+        return map(self._row, *(column.tolist() for column in self._columns()))
+
+
 @dataclass(frozen=True)
 class CompactFitResult:
     """Global fit: argmax over all segment candidates.
 
-    ``ties`` lists every co-optimal maximizer in increasing order; ``mu_hat``
-    is the smallest of them.
+    ``candidates`` is the ``SegmentTable`` of every segment, columnar, with
+    rows built on access.  ``ties`` lists every co-optimal maximizer in
+    increasing order; ``mu_hat`` is the smallest of them.
     """
 
     mu_hat: float
     objective_over_n2: float
-    candidates: tuple
+    candidates: SegmentTable
     ties: tuple
 
 
@@ -188,7 +237,7 @@ def _parts(xs, cell_start, sums, first, last):
     return parts
 
 
-def _sweep(xs: np.ndarray) -> list:
+def _sweep(xs: np.ndarray) -> SegmentTable:
     """Segment candidates of the sorted sample ``xs`` in one vectorized pass."""
     r5 = ROOT5
     r2 = r5 * r5
@@ -245,14 +294,10 @@ def _sweep(xs: np.ndarray) -> list:
     s, e = _two_sum((last - first).astype(float), -qh)
     objective = s + (e - ql)
 
-    columns = (lo, hi, start, stop, mean, maximizer, objective)
-    return [
-        SegmentCandidate(lo=a, hi=b, active_set=range(i, j), unconstrained_max=u, maximizer=m, objective=o)
-        for a, b, i, j, u, m, o in zip(*(c.tolist() for c in columns))
-    ]
+    return SegmentTable(lo, hi, start, stop, mean, maximizer, objective)
 
 
-def enumerate_segments(batch) -> list:
+def enumerate_segments(batch) -> SegmentTable:
     """Segment candidates between consecutive breakpoints {X_i +- sqrt(5)}.
 
     Sorts the sample internally (duplicates allowed; they weight the
@@ -260,7 +305,8 @@ def enumerate_segments(batch) -> list:
     segments whose active set is empty, and determines each active set at
     the segment midpoint.  O(n log n): each active set is a contiguous run
     of the sorted sample found by ``searchsorted``, and each segment's mean
-    and objective come in O(1) from prefix sums.
+    and objective come in O(1) from prefix sums.  Returns the columns as a
+    ``SegmentTable``, whose ``SegmentCandidate`` rows are built on access.
     """
     return _sweep(_as_scalars(batch))
 
@@ -275,13 +321,15 @@ def maximize_l2(batch) -> CompactFitResult:
     and rounding the objective itself (at most k) adds eps * k, so two
     maxima closer than this cannot be told apart.  Ties resolve to the
     smallest maximizer; all co-optima are reported in increasing order.
+    The best objective, the widest active set and the ties are read off
+    the table's columns; ``candidates`` is that ``SegmentTable``.
     """
     xs = _as_scalars(batch)
     candidates = _sweep(xs)
-    best = max(c.objective for c in candidates)
-    widest = max(len(c.active_set) for c in candidates)
+    best = float(candidates.objective.max())
+    widest = int((candidates.stop - candidates.start).max())
     tol = 4.0 * widest * _EPS * max(1.0, -xs[0], xs[-1])
-    ties = sorted(c.maximizer for c in candidates if best - c.objective <= tol)
+    ties = np.sort(candidates.maximizer[best - candidates.objective <= tol], kind="stable").tolist()
     deduped = [ties[0]]
     for mu in ties[1:]:
         if mu - deduped[-1] > _slack(mu):
@@ -289,6 +337,6 @@ def maximize_l2(batch) -> CompactFitResult:
     return CompactFitResult(
         mu_hat=deduped[0],
         objective_over_n2=best,
-        candidates=tuple(candidates),
+        candidates=candidates,
         ties=tuple(deduped),
     )

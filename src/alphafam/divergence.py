@@ -202,6 +202,9 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Kronrod value and QUADPACK's error estimate on each interval [lo_i, hi_i], from one call of f."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fx = np.asarray(f((center[:, None] + half[:, None] * _NODES).ravel()), dtype=float).reshape(lo.size, _NODES.size)
+    if not np.isfinite(fx).all():
+        # No arithmetic on inf or NaN, which would warn; quad reports the NaN total as not finite.
+        return np.full(lo.size, np.nan), np.full(lo.size, np.nan)
     kronrod = fx @ _KRONROD_WEIGHTS
     scale = np.abs(half)
     err = np.abs(kronrod - fx @ _GAUSS_WEIGHTS) * scale

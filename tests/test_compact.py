@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphafam as af
-from alphafam import compact
+from alphafam import cli, compact
 
 ROOT5 = math.sqrt(5.0)
 N2 = 3.0 / (4.0 * ROOT5)
@@ -75,6 +78,56 @@ def assert_matches_reference(xs):
         assert tuple(cand.active_set) == active
         assert abs(cand.maximizer - maximizer) <= 1e-12 * max(1.0, abs(maximizer))
         assert abs(cand.objective - objective) <= 1e-10 * max(1.0, abs(objective))
+
+
+def reference_ties(xs):
+    """Test-only oracle: the row-by-row tie computation the columnar one replaced.
+
+    Returns (best objective, co-optimal maximizers sorted and de-duplicated).
+    """
+    xs = np.sort(np.asarray(xs, dtype=float).ravel())
+    rows = list(compact.enumerate_segments(xs))
+    best = max(c.objective for c in rows)
+    widest = max(len(c.active_set) for c in rows)
+    tol = 4.0 * widest * math.ulp(1.0) * max(1.0, -xs[0], xs[-1])
+    ties = sorted(c.maximizer for c in rows if best - c.objective <= tol)
+    deduped = [ties[0]]
+    for mu in ties[1:]:
+        if mu - deduped[-1] > 1e-12 * (1.0 + abs(mu)):
+            deduped.append(mu)
+    return best, tuple(deduped)
+
+
+def reference_report(text, xs):
+    """Test-only oracle: the compact-fit report with each candidate as a dict on dumps_report's generic path.
+
+    Every other field is read back from ``text``; integers are read as
+    floats, which render to the same bytes and keep a -0.
+    """
+    report = json.loads(text, parse_int=float)
+    report["candidates"] = [
+        {
+            "lo": c.lo,
+            "hi": c.hi,
+            "active_set": [c.active_set.start, c.active_set.stop],
+            "unconstrained_max": c.unconstrained_max,
+            "maximizer": c.maximizer,
+            "objective_over_n2": c.objective,
+        }
+        for c in compact.maximize_l2(xs).candidates
+    ]
+    return cli.dumps_report(report)
+
+
+def compact_fit_report(xs):
+    """The bytes `alphafam compact-fit` writes for the sample ``xs``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = os.path.join(tmp, "xs.csv"), os.path.join(tmp, "fit.json")
+        with open(data, "w") as handle:
+            handle.write("".join(f"{x!r}\n" for x in np.asarray(xs, dtype=float).tolist()))
+        assert cli.main(["compact-fit", "--input", data, "--output", out]) == cli.EXIT_OK
+        with open(out) as handle:
+            return handle.read()
 
 
 def layout_sample(layout, n, seed, shift=0.0):
@@ -178,6 +231,76 @@ class TestEnumerateSegments:
         assert len(cands) == 1
         assert cands[0].objective == pytest.approx(3.0, abs=1e-12)
         assert cands[0].active_set == range(0, 3)
+
+
+class TestSegmentTable:
+    @pytest.fixture
+    def table(self):
+        return compact.enumerate_segments(np.array(compact.REFERENCE_SAMPLE))
+
+    def test_length(self, table):
+        assert len(table) == 19 == table.objective.size
+
+    def test_indexing(self, table):
+        n = len(table)
+        for i in (0, -1, n - 1):
+            row, j = table[i], i % n
+            assert (row.lo, row.hi, row.unconstrained_max, row.maximizer, row.objective) == (
+                table.lo[j], table.hi[j], table.unconstrained_max[j], table.maximizer[j], table.objective[j])
+            assert row.active_set == range(table.start[j], table.stop[j])
+        assert table[-1] == table[n - 1]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[0:1]
+
+    def test_iteration_equals_indexing(self, table):
+        assert list(table) == [table[i] for i in range(len(table))]
+
+    def test_rows_hold_python_scalars(self, table):
+        for row in (table[3], list(table)[3]):
+            for value in (row.lo, row.hi, row.unconstrained_max, row.maximizer, row.objective):
+                assert type(value) is float
+            assert type(row.active_set) is range
+            assert type(row.active_set.start) is int and type(row.active_set.stop) is int
+
+    def test_columns_are_read_only(self, table):
+        with pytest.raises(ValueError):
+            table.objective[0] = 0.0
+
+
+class TestColumnarFitMatchesRows:
+    """The fit's ties and its compact-fit report against the row-by-row code they replaced."""
+
+    @given(
+        st.sampled_from(["clustered", "spread", "mixed", "duplicates", "lattice"]),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_layouts(self, layout, n, seed, shift):
+        self.check(layout_sample(layout, n, seed, shift))
+
+    @pytest.mark.parametrize("xs", [
+        np.array(compact.REFERENCE_SAMPLE),
+        np.array([0.0, 10.0, 25.0, 40.0]),
+        np.concatenate([layout_sample("clustered", 2000, 0), layout_sample("clustered", 2000, 0) + 1e4]),
+    ], ids=["reference", "far-apart", "identical-clusters"])
+    def test_cases(self, xs):
+        self.check(xs)
+
+    @staticmethod
+    def check(xs):
+        result = compact.maximize_l2(xs)
+        best, ties = reference_ties(xs)
+        assert (result.objective_over_n2, result.ties, result.mu_hat) == (best, ties, ties[0])
+        text = compact_fit_report(xs)
+        expected = reference_report(text, xs)
+        if text != expected:  # pytest's own diff of two long reports takes minutes
+            i = next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+            pytest.fail(f"reports differ at {i}: {text[max(0, i - 60):i + 60]!r} != {expected[max(0, i - 60):i + 60]!r}")
 
 
 class TestSweepMatchesReference:

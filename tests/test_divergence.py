@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,16 @@ class TestQuad:
         assert diagnostics["abserr"] > 1.0 and diagnostics["neval"] > 200 * 21 // 2
         with pytest.raises(core.NumericalError, match="not finite"):
             dv.quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
+
+    def test_infinite_values_raise_the_classified_failure_without_a_warning(self):
+        # inf on part of the first round: its Kronrod and Gauss sums would give inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(core.NumericalError, match="not finite") as err:
+                dv.quad(lambda x: np.where(x < 0.3, np.inf, 1.0), 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
+        diagnostics = err.value.diagnostics
+        assert {k: diagnostics[k] for k in ("interval", "epsabs", "epsrel", "limit", "neval")} == {
+            "interval": [0.0, 1.0], "epsabs": 1e-10, "epsrel": 1e-8, "limit": 200, "neval": 21}
 
 
 _GRID_ORDERS = [None, 0.6, 0.8, 0.95, 1.5, 2.0, 5.0]  # None: a Gaussian
