@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .core import (
 )
 from . import compact, divergence, estimators, studentt
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,6 +72,13 @@ class IngestError(AlphaFamilyError):
         self.exit_code = exit_code
 
 
+@dataclass(frozen=True)
+class CsvBatch(SampleBatch):
+    """A ``SampleBatch`` read by ``ingest_csv``, with the SHA-256 of the bytes it read."""
+
+    sha256: str
+
+
 def _format_float(value: float) -> str:
     if math.isnan(value):
         return "NaN"
@@ -81,34 +89,20 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-# One compact-fit candidate as a JSON object, keys in sorted order.
-_SEGMENT_ROW = (
-    '{"active_set":[%d,%d],"hi":%.17g,"lo":%.17g,"maximizer":%.17g,'
-    '"objective_over_n2":%.17g,"unconstrained_max":%.17g},'
-)
-
-
-def _render_segments(table: compact.SegmentTable) -> str:
-    """The candidate table as a JSON array, in one %-format over all rows."""
-    columns = (table.start, table.stop, table.hi, table.lo, table.maximizer, table.objective,
-               table.unconstrained_max)
-    # A finite sample gives finite columns, where "%.17g" and _format_float agree.
-    assert all(np.isfinite(column).all() for column in columns)
-    values = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
-    return "[" + (_SEGMENT_ROW * len(table) % values)[:-1] + "]"
-
-
 def dumps_report(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    A ``compact.SegmentTable`` renders as the array of its candidate
-    objects, with keys ``active_set`` ([start, stop]), ``hi``, ``lo``,
-    ``maximizer``, ``objective_over_n2`` and ``unconstrained_max``.
+    A finite 1-D numpy array of floats or integers renders in one
+    %-format over all its values, as a JSON array; its bytes equal those of
+    the same values as a list.  That is how ``compact-fit`` writes its
+    candidate columns.
     """
 
     def render(node) -> str:
-        if isinstance(node, compact.SegmentTable):
-            return _render_segments(node)
+        if isinstance(node, np.ndarray) and node.ndim == 1 and node.dtype.kind in "fiu" and np.isfinite(node).all():
+            # Finite values, where "%.17g" and _format_float agree.
+            value = "%.17g" if node.dtype.kind == "f" else "%d"
+            return "[" + ",".join([value] * node.size) % tuple(node.tolist()) + "]"
         if isinstance(node, dict):
             items = (f"{json.dumps(str(k))}:{render(node[k])}" for k in sorted(node))
             return "{" + ",".join(items) + "}"
@@ -133,8 +127,11 @@ def _parse_row(row) -> list:
     return [float(cell.strip()) for cell in row]
 
 
-def ingest_csv(path: str) -> SampleBatch:
+def ingest_csv(path: str) -> CsvBatch:
     """Read a UTF-8 CSV of observations, one row per observation.
+
+    The file is read once, so a pipe works too, and the returned batch
+    carries the SHA-256 of exactly those bytes.
 
     A leading byte-order mark is dropped.  A single non-numeric first row is
     treated as a header.  Ragged rows, non-numeric (or non-finite) cells, and
@@ -145,14 +142,16 @@ def ingest_csv(path: str) -> SampleBatch:
     first bad row.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        text = raw.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
+    sha256 = hashlib.sha256(raw).hexdigest()
 
     data = _parse_unquoted(text)
     if data is not None:
-        return SampleBatch(data)
+        return CsvBatch(data, sha256)
 
     rows = list(csv.reader(io.StringIO(text, newline="")))
     # Drop blank rows: those whose joined cells are all whitespace.
@@ -177,7 +176,7 @@ def ingest_csv(path: str) -> SampleBatch:
         except ValueError:
             data = None
         if data is not None and np.isfinite(data).all():
-            return SampleBatch(data.reshape(len(body), width))
+            return CsvBatch(data.reshape(len(body), width), sha256)
     raise _row_error(path, body, start, width)
 
 
@@ -243,26 +242,18 @@ def _emit(text: str, output_path: str):
             handle.write(text)
 
 
-def _provenance(args: argparse.Namespace) -> dict:
-    from . import __version__
-
-    try:
-        with open(args.input, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-    except OSError:
-        digest = None
-    return {"input_sha256": digest, "library_version": __version__, "seed": args.seed}
-
-
-def _report(args: argparse.Namespace, **fields) -> int:
+def _report(args: argparse.Namespace, batch: CsvBatch | None = None, **fields) -> int:
     """Emit ``fields`` as the command's JSON report and return EXIT_OK.
 
     The report gains the schema version, the command's name and, for a
-    command that reads --input, its provenance.
+    command that read ``batch`` from --input, its provenance: the digest of
+    the bytes read, the library version and the seed.
     """
+    from . import __version__
+
     fields.update(schema_version=SCHEMA_VERSION, command=args.command)
-    if "input" in args:
-        fields["provenance"] = _provenance(args)
+    if batch is not None:
+        fields["provenance"] = {"input_sha256": batch.sha256, "library_version": __version__, "seed": args.seed}
     _emit(dumps_report(fields), args.output)
     return EXIT_OK
 
@@ -303,16 +294,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         pop = estimators.student_t_population_moments(params)
         theta = pack_theta(est.mu_hat, params.sigma_inv)
         residual_norm = estimators.residual_regular_malpha(desc, theta, stats, pop).norm
-    return _report(args, alpha=args.alpha, n=batch.n, d=batch.dim, mu_hat=est.mu_hat.tolist(),
+    return _report(args, batch, alpha=args.alpha, n=batch.n, d=batch.dim, mu_hat=est.mu_hat.tolist(),
                    sigma_hat=est.sigma_hat.tolist(), singular_flag=est.singular, residual_norm=residual_norm)
 
 
 def _cmd_compact_fit(args: argparse.Namespace) -> int:
     batch = ingest_csv(args.input)
     result = compact.maximize_l2(batch)
-    return _report(args, alpha=2.0, n=batch.n, mu_hat=result.mu_hat, objective_over_n2=result.objective_over_n2,
-                   sample_mean=float(batch.scalars().mean()), ties=list(result.ties),
-                   candidates=result.candidates)
+    table = result.candidates
+    candidates = {"active_start": table.start, "active_stop": table.stop, "hi": table.hi, "lo": table.lo,
+                  "maximizer": table.maximizer, "objective_over_n2": table.objective,
+                  "unconstrained_max": table.unconstrained_max}
+    return _report(args, batch, alpha=2.0, n=batch.n, mu_hat=result.mu_hat, objective_over_n2=result.objective_over_n2,
+                   sample_mean=float(batch.scalars().mean()), ties=list(result.ties), candidates=candidates)
 
 
 def _cmd_divergence(args: argparse.Namespace) -> int:
@@ -325,7 +319,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 def _cmd_loglik(args: argparse.Namespace) -> int:
     batch = ingest_csv(args.input)
     params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
-    return _report(args, alpha=args.alpha, n=batch.n, mu=params.mu.tolist(), sigma=params.sigma.tolist(),
+    return _report(args, batch, alpha=args.alpha, n=batch.n, mu=params.mu.tolist(), sigma=params.sigma.tolist(),
                    value=divergence.generalized_log_likelihood(params, batch))
 
 

@@ -21,7 +21,8 @@ about an ulp of their exact values at any offset of the sample.
 The sweep's result stays columnar: a ``SegmentTable`` holds one numpy array
 per field, ``maximize_l2`` picks the optimum and its ties on those arrays,
 and a ``SegmentCandidate`` row is built only when the table is indexed or
-iterated.
+iterated.  The ``compact-fit`` report keeps the columns too, one JSON array
+per field, so that row i is entry i of every array.
 
 General (alpha > 1, sigma) fitting is a documented extension point, not
 implemented.

@@ -199,19 +199,24 @@ def bernoulli(p: float) -> DiscreteDistribution:
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Kronrod value and QUADPACK's error estimate on each interval [lo_i, hi_i], from one call of f."""
+    """Kronrod value and QUADPACK's error estimate on each interval [lo_i, hi_i], from one call of f.
+
+    ``f(t, half)`` returns the integrand at the nodes t times their
+    interval's half-width, a product it can form without overflow where
+    the integrand alone is near the float maximum.
+    """
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = np.asarray(f((center[:, None] + half[:, None] * _NODES).ravel()), dtype=float).reshape(lo.size, _NODES.size)
+    nodes = (center[:, None] + half[:, None] * _NODES).ravel()
+    fx = np.asarray(f(nodes, np.repeat(half, _NODES.size)), dtype=float).reshape(lo.size, _NODES.size)
     if not np.isfinite(fx).all():
         # No arithmetic on inf or NaN, which would warn; quad reports the NaN total as not finite.
         return np.full(lo.size, np.nan), np.full(lo.size, np.nan)
     kronrod = fx @ _KRONROD_WEIGHTS
-    scale = np.abs(half)
-    err = np.abs(kronrod - fx @ _GAUSS_WEIGHTS) * scale
-    spread = (np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS) * scale
+    err = np.abs(kronrod - fx @ _GAUSS_WEIGHTS)
+    spread = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
     ratio = 200.0 * err / np.where(spread > 0.0, spread, 1.0)
     err = np.where(spread > 0.0, spread * np.minimum(1.0, ratio**1.5), err)
-    return kronrod * half, np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD_WEIGHTS) * scale)
+    return kronrod, np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD_WEIGHTS))
 
 
 def quad(f, a: float, b: float, epsabs: float, epsrel: float) -> tuple:
@@ -243,7 +248,7 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float) -> tuple:
     c = min(max(0.0, min(a, b)), max(a, b))
     ends = math.asinh(a - c), math.asinh(b - c)
 
-    def g(t):
+    def g(t, half):
         # Nodes that round onto an end of the range, or past it where sinh overflows, count as 0.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             end = np.where(t < 0.0, ends[0], ends[1])
@@ -252,7 +257,7 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float) -> tuple:
             s = np.where(np.isinf(end), np.sign(end) * v, end * np.tanh(w))
             x = c + np.sinh(s)
             fx = np.asarray(f(x), dtype=float)
-            jacobian = np.sign(t * end) * m * np.cosh(s) * ((1.0 + v) / np.cosh(w)) ** 2
+            jacobian = np.sign(t * end) * m * half * np.cosh(s) * ((1.0 + v) / np.cosh(w)) ** 2
             return np.where(((x - a) * (b - x) > 0.0) & (fx != 0.0), fx * jacobian, 0.0)
 
     sides = np.array(ends) != 0.0

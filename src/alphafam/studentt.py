@@ -53,11 +53,26 @@ def _check_point(params: StudentTParams, x) -> np.ndarray:
     return x
 
 
+def _quadratic_form(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """r^T lam r for each row of r, summed term by term, (r_i lam_ij) r_j, in a fixed order.
+
+    Elementwise operations only, so a row's bits do not depend on how many
+    rows come with it; einsum and BLAS products may group their sums by
+    the row count.  A far row's form overflows quietly, to +-inf or NaN,
+    as einsum's did; ``_log_brackets`` takes those rows from ``_scaled``.
+    """
+    total = np.zeros(r.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in np.ndindex(lam.shape):
+            total += r[:, i] * lam[i, j] * r[:, j]
+    return total
+
+
 def _scaled(r: np.ndarray, lam: np.ndarray, b: float):
     """r_s = r 2^-e, exactly, with 2^e just above each row's largest |r_i|; e; and b r_s^T lam r_s."""
     _, exponent = np.frexp(np.max(np.abs(r), axis=1))
     scaled = np.ldexp(r, -exponent[:, None])
-    return scaled, exponent, b * np.einsum("ni,ij,nj->n", scaled, lam, scaled)
+    return scaled, exponent, b * _quadratic_form(scaled, lam)
 
 
 def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
@@ -68,7 +83,7 @@ def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
     log(b r_s^T lam r_s) + e log 4; every other row takes log1p(m).
     """
     r = np.atleast_2d(np.asarray(points, dtype=float)) - mu
-    m = b * np.einsum("ni,ij,nj->n", r, lam, r)
+    m = b * _quadratic_form(r, lam)
     far = ~np.isfinite(m)
     m[far] = math.copysign(math.inf, b)
     with np.errstate(divide="ignore"):

@@ -1,11 +1,13 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +240,7 @@ class TestCommands:
         assert report["mu_hat"] == [7.45]
         assert report["singular_flag"] is False
         assert report["residual_norm"] <= 1e-8
-        assert report["schema_version"] == "2"
+        assert report["schema_version"] == "3"
         assert report["provenance"]["library_version"] == af.__version__
 
     def test_estimate_constant_column_singular(self, tmp_path, capsys):
@@ -254,13 +256,35 @@ class TestCommands:
         assert cli.main(["estimate", "--alpha", "1.5", "--input", reference_csv(tmp_path)]) == cli.EXIT_INVALID_CONFIG
         assert cli.main(["estimate", "--alpha", "0.2", "--input", reference_csv(tmp_path)]) == cli.EXIT_INVALID_CONFIG
 
+    def test_piped_input_is_read_once_and_hashed(self, tmp_path):
+        # A pipe yields its bytes once; a command that read it twice would hash nothing, or wait for a writer.
+        path = reference_csv(tmp_path)
+        data = Path(path).read_bytes()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        reports = [
+            subprocess.run([sys.executable, "-m", "alphafam.cli", "estimate", "--alpha", "0.5", "--input", str(source)],
+                           env=env, capture_output=True, check=True, timeout=60).stdout
+            for source in (fifo, path)
+        ]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert json.loads(reports[0])["provenance"]["input_sha256"] == hashlib.sha256(data).hexdigest()
+        assert reports[0] == reports[1]
+
     def test_compact_fit_reference_sample(self, tmp_path, capsys):
         code = cli.main(["compact-fit", "--input", reference_csv(tmp_path)])
         assert code == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert abs(report["mu_hat"] - 8.46) <= 0.01
         assert abs(report["objective_over_n2"] - 6.42) <= 0.05
-        assert len(report["candidates"]) == 19
+        candidates = report["candidates"]
+        assert sorted(candidates) == ["active_start", "active_stop", "hi", "lo", "maximizer", "objective_over_n2",
+                                      "unconstrained_max"]
+        assert {len(column) for column in candidates.values()} == {19}
         assert report["sample_mean"] == pytest.approx(7.45)
 
     def test_compact_fit_reports_half_open_active_ranges(self, tmp_path):
@@ -272,16 +296,18 @@ class TestCommands:
         out = str(tmp_path / "fit.json")
         assert cli.main(["compact-fit", "--input", path, "--output", out]) == cli.EXIT_OK
         raw = Path(out).read_bytes()
-        assert b'"schema_version":"2"' in raw
+        assert b'"schema_version":"3"' in raw
         report = json.loads(raw)
         ordered = np.sort(xs)
-        for cand in report["candidates"]:
-            mid = 0.5 * (cand["lo"] + cand["hi"])
+        candidates = report["candidates"]
+        count = len(candidates["lo"])
+        assert count == 3999 and {len(column) for column in candidates.values()} == {count}
+        for i in range(count):  # row i is entry i of every column
+            mid = 0.5 * (candidates["lo"][i] + candidates["hi"][i])
             members = np.flatnonzero(np.abs(ordered - mid) <= compact.ROOT5 + 1e-12 * (1.0 + abs(mid)))
-            assert cand["active_set"] == [int(members[0]), int(members[-1]) + 1]
+            assert [candidates["active_start"][i], candidates["active_stop"][i]] == [int(members[0]), int(members[-1]) + 1]
             assert members.size == members[-1] + 1 - members[0]
-        assert len(report["candidates"]) == 3999
-        assert len(raw) < 300 * len(report["candidates"])
+        assert len(raw) < 120 * count
 
     def test_divergence_command(self, capsys):
         code = cli.main(["divergence", "--alpha", "0.999", "--p", "normal:0,1", "--q", "normal:0.5,1"])
@@ -461,7 +487,7 @@ class TestDeterminism:
             assert cli.main(["compact-fit", "--input", path, "--output", out]) == cli.EXIT_OK
         a = Path(out1).read_bytes()
         assert a == Path(out2).read_bytes()
-        assert b'"schema_version":"2"' in a
+        assert b'"schema_version":"3"' in a
 
     def test_byte_identical_draws(self, tmp_path):
         args = ["simulate", "--alpha", "0.7", "--mu", "1", "--sigma", "2", "--n", "100", "--seed", "3"]
@@ -489,6 +515,17 @@ class TestDeterminism:
 
     def test_negative_infinity(self):
         assert cli.dumps_report({"v": float("-inf")}) == '{"v":-Infinity}\n'
+
+    @pytest.mark.parametrize("column", [
+        np.array([0.1, -0.0, 1e-310, -1.7976931348623157e308, 2.0**53 + 2.0]),
+        np.array([3, -1, 0, 2**62], dtype=np.int64),
+        np.array([7, 0], dtype=np.uint8),
+        np.array([1.5, math.inf, math.nan]),
+        np.array([], dtype=float),
+        np.array([True, False]),
+    ], ids=["floats", "int64", "uint8", "non-finite", "empty", "bool"])
+    def test_numpy_columns_render_as_their_lists(self, column):
+        assert cli.dumps_report({"c": column}) == cli.dumps_report({"c": column.tolist()})
 
 
 class TestVerifyCommand:

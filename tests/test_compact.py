@@ -99,23 +99,24 @@ def reference_ties(xs):
 
 
 def reference_report(text, xs):
-    """Test-only oracle: the compact-fit report with each candidate as a dict on dumps_report's generic path.
+    """Test-only oracle: the compact-fit report with each candidate column as a Python list.
 
-    Every other field is read back from ``text``; integers are read as
-    floats, which render to the same bytes and keep a -0.
+    The columns are read off the table's ``SegmentCandidate`` rows and go
+    through ``dumps_report``'s generic per-value path.  Every other field is
+    read back from ``text``; integers are read as floats, which render to
+    the same bytes and keep a -0.
     """
     report = json.loads(text, parse_int=float)
-    report["candidates"] = [
-        {
-            "lo": c.lo,
-            "hi": c.hi,
-            "active_set": [c.active_set.start, c.active_set.stop],
-            "unconstrained_max": c.unconstrained_max,
-            "maximizer": c.maximizer,
-            "objective_over_n2": c.objective,
-        }
-        for c in compact.maximize_l2(xs).candidates
-    ]
+    rows = list(compact.maximize_l2(xs).candidates)
+    report["candidates"] = {
+        "active_start": [c.active_set.start for c in rows],
+        "active_stop": [c.active_set.stop for c in rows],
+        "hi": [c.hi for c in rows],
+        "lo": [c.lo for c in rows],
+        "maximizer": [c.maximizer for c in rows],
+        "objective_over_n2": [c.objective for c in rows],
+        "unconstrained_max": [c.unconstrained_max for c in rows],
+    }
     return cli.dumps_report(report)
 
 

@@ -479,6 +479,14 @@ class TestQuad:
         assert {k: diagnostics[k] for k in ("interval", "epsabs", "epsrel", "limit", "neval")} == {
             "interval": [0.0, 1.0], "epsabs": 1e-10, "epsrel": 1e-8, "limit": 200, "neval": 21}
 
+    def test_integrand_near_the_float_maximum(self):
+        # each node value times its interval's half-width is finite, though the value times the map's Jacobian is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, abserr, _ = dv.quad(lambda x: np.full(x.shape, 1e308), 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
+        assert value == pytest.approx(1e308, rel=1e-12, abs=0.0)
+        assert abserr <= 1e-8 * value
+
 
 _GRID_ORDERS = [None, 0.6, 0.8, 0.95, 1.5, 2.0, 5.0]  # None: a Gaussian
 

@@ -89,6 +89,13 @@ class TestPointWrappersMatchBatchKernels:
             assert math.isfinite(log_dens)
             assert np.allclose(studentt.score(p, x), row, rtol=1e-13, atol=1e-13)
 
+    @given(params_and_points())
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_of_a_batch_is_its_one_row_call(self, case):
+        p, pts = case
+        rows = np.concatenate([studentt.log_density_batch(p, x[None]) for x in pts])
+        assert studentt.log_density_batch(p, pts).tobytes() == rows.tobytes()
+
 
 class TestFarOutliers:
     # t(0.8, 0, Sigma) with Sigma = 1 in d = 1 and [[1, 0.5], [0.5, 1]] in
