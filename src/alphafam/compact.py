@@ -54,7 +54,7 @@ __all__ = [
 # member, as the family derives them.
 _UNIT = make_student_t(2.0, 0.0, 1.0)
 ROOT5 = math.sqrt(_UNIT.radius_sq)
-N2 = _UNIT.norm_const
+N2 = math.exp(_UNIT.log_norm_const)
 
 # Built-in reference dataset for the end-to-end verification command.
 REFERENCE_SAMPLE = (4.6, 4.7, 6.0, 7.0, 8.2, 8.6, 8.7, 8.8, 8.9, 9.0)

@@ -160,24 +160,28 @@ def _stirling_tail(z: float) -> float:
     return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))))) / z
 
 
-def _log_norm_const_shape(alpha: float, dim: int) -> float:
-    """log of the normalizer without the |Sigma|^(1/2) factor."""
-    b = b_alpha(alpha, dim)
-    h = 0.5 * dim
+def _radial_gamma_arg(alpha: float, dim: int, power: float) -> float:
+    """x with Int [1 + b|u|^2]_+^(power/(alpha-1)) du = (pi/|b|)^(d/2) Gamma(x)/Gamma(x + d/2).
+
+    x = power/(1-alpha) - d/2 for alpha < 1, where x <= 0 means the integral
+    diverges, and x = (power + (alpha-1))/(alpha-1) for alpha > 1; at power 1
+    that is nu/2 and alpha/(alpha-1), the Beta parameters of the bracket's law.
+    """
     if alpha < 1.0:
-        z = 1.0 / (1.0 - alpha)
-        return h * math.log(b) + _log_gamma_ratio(z - h, h) - h * math.log(math.pi)
-    z = alpha / (alpha - 1.0)
-    return h * math.log(-b) + _log_gamma_ratio(z, h) - h * math.log(math.pi)
+        return power / (1.0 - alpha) - 0.5 * dim
+    return (power + (alpha - 1.0)) / (alpha - 1.0)
 
 
 def log_norm_const(alpha: float, sigma_logdet: float, dim: int) -> float:
     """log N for the Student-t density, computed in log space.
 
+    N is the reciprocal of the radial integral at power 1 times |Sigma|^(1/2).
     Gamma arguments grow like 1/|1-alpha|, so the two Gamma factors are
     combined via lgamma before exponentiation.
     """
-    return _log_norm_const_shape(alpha, dim) - 0.5 * sigma_logdet
+    h = 0.5 * dim
+    x = _radial_gamma_arg(alpha, dim, 1.0)
+    return h * math.log(abs(b_alpha(alpha, dim))) + _log_gamma_ratio(x, h) - h * math.log(math.pi) - 0.5 * sigma_logdet
 
 
 @dataclass(frozen=True)
@@ -196,12 +200,10 @@ class StudentTParams:
         Derived quadratic-form coefficient.
     nu : float
         Derived tail index 2/(1-alpha) - d.
-    norm_const : float
-        Normalizing constant N > 0.
     sigma_inv : np.ndarray
         Precision matrix Sigma^{-1}.
     log_norm_const : float
-        log N (kept alongside N to avoid re-deriving it in log space).
+        log N, the log of the normalizer; N itself can underflow.
     radius_sq : float
         Squared Mahalanobis radius -1/b_alpha of the support ellipsoid
         (x-mu)^T Sigma^{-1} (x-mu) <= radius_sq for alpha > 1; +inf, all
@@ -215,7 +217,6 @@ class StudentTParams:
     sigma: np.ndarray
     b_alpha: float
     nu: float
-    norm_const: float
     sigma_inv: np.ndarray
     log_norm_const: float
     radius_sq: float
@@ -327,7 +328,6 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
         sigma=sigma,
         b_alpha=b,
         nu=degrees_of_freedom(alpha, d),
-        norm_const=math.exp(log_n),
         sigma_inv=sigma_inv,
         log_norm_const=log_n,
         radius_sq=-1.0 / b if alpha > 1.0 else math.inf,

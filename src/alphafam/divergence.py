@@ -67,6 +67,7 @@ from .core import (
     NumericalError,
     SampleBatch,
     StudentTParams,
+    _radial_gamma_arg,
     check_alpha,
     check_mean_covariance,
 )
@@ -392,20 +393,16 @@ def _entropy(r: Record) -> float:
     """Differential entropy -E log r of a Gaussian or a Student-t.
 
     For a t, E log[1 + b r^2] comes from the Beta law of the bracket:
-    1/bracket ~ Beta(nu/2, d/2) for alpha < 1, and bracket ~
-    Beta(alpha/(alpha-1), d/2) for alpha > 1.
+    1/bracket ~ Beta(x, d/2) for alpha < 1 and bracket ~ Beta(x, d/2) for
+    alpha > 1, with x the radial law's Gamma argument at power 1
+    (``core._radial_gamma_arg``), nu/2 and alpha/(alpha-1).  Both give
+    -E log p = -log N + (psi(x + d/2) - psi(x))/|alpha - 1|.
     """
     d = r.dim
     if isinstance(r, Gaussian):
         return 0.5 * (d * (1.0 + LOG_2PI) + r.logdet)
-    alpha = r.alpha
-    if alpha < 1.0:
-        z = 1.0 / (1.0 - alpha)
-        mean_log_bracket = _digamma(z) - _digamma(z - 0.5 * d)
-    else:
-        z = alpha / (alpha - 1.0)
-        mean_log_bracket = _digamma(z) - _digamma(z + 0.5 * d)
-    return -r.log_norm_const - mean_log_bracket / (alpha - 1.0)
+    x = _radial_gamma_arg(r.alpha, d, 1.0)
+    return -r.log_norm_const + (_digamma(x + 0.5 * d) - _digamma(x)) / abs(r.alpha - 1.0)
 
 
 def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
@@ -588,7 +585,9 @@ def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> fl
     if batch.dim != params.dim:
         raise DimensionMismatchError("batch dimension must match the model")
     alpha = params.alpha
-    _, m, log_bracket = studentt._log_brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
+    _, shrink, m_s, log_bracket = studentt._log_brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
+    with np.errstate(over="ignore"):
+        m = m_s / shrink / shrink
     mean_bracket = float(np.mean(np.maximum(1.0 + m, 0.0)))
     if mean_bracket == 0.0:
         return -math.inf

@@ -195,6 +195,8 @@ def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
     def z_fn(theta: np.ndarray) -> float:
         m, l = unpack_theta(theta, d)
         sign, logdet = np.linalg.slogdet(l)
+        if sign <= 0:
+            raise ValueError("Sigma^{-1} block must have positive determinant")
         return -0.5 * (d * math.log(2.0 * math.pi) - logdet + float(m @ l @ m))
 
     return ExpFamilyDescriptor(

@@ -14,6 +14,7 @@ so one exact sampler draws every member in any dimension (see ``sample``).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,8 +28,9 @@ from .core import (
     UndefinedScoreError,
     b_alpha,
     _log_gamma_ratio,
-    _log_norm_const_shape,
     _quadratic_weights,
+    _radial_gamma_arg,
+    log_norm_const,
     moment_statistic,
     unpack_theta,
 )
@@ -58,45 +60,43 @@ def _quadratic_form(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     Elementwise operations only, so a row's bits do not depend on how many
     rows come with it; einsum and BLAS products may group their sums by
-    the row count.  A far row's form overflows quietly, to +-inf or NaN,
-    as einsum's did; ``_log_brackets`` takes those rows from ``_scaled``.
+    the row count.  ``_log_brackets`` passes scaled residuals, |r_i| < 1,
+    so the form overflows only where lam itself is near the float maximum.
     """
     total = np.zeros(r.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in np.ndindex(lam.shape):
-            total += r[:, i] * lam[i, j] * r[:, j]
+    for i, j in np.ndindex(lam.shape):
+        total += r[:, i] * lam[i, j] * r[:, j]
     return total
 
 
-def _scaled(r: np.ndarray, lam: np.ndarray, b: float):
-    """r_s = r 2^-e, exactly, with 2^e just above each row's largest |r_i|; e; and b r_s^T lam r_s."""
-    _, exponent = np.frexp(np.max(np.abs(r), axis=1))
-    scaled = np.ldexp(r, -exponent[:, None])
-    return scaled, exponent, b * _quadratic_form(scaled, lam)
-
-
 def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
-    """Residuals r = x - mu, m = b r^T lam r and log(1 + m) for the rows of ``points``.
+    """Scaled residuals, their scale, their form and log(1 + m) for the rows of ``points``.
 
-    The log is -inf off the support.  Where m overflows it reads +-inf, and
-    for b > 0 its log is log m, taken from ``_scaled`` residuals as
-    log(b r_s^T lam r_s) + e log 4; every other row takes log1p(m).
+    Each residual r = x - mu is scaled exactly, r_s = r 2^-e, with 2^e just
+    above the row's largest |r_i| and e >= 0, so a row near mu is never
+    scaled up.  Returns (r_s, 2^-e, m_s = b r_s^T lam r_s, log bracket).
+    m = m_s / 2^-e / 2^-e has the bits of b r^T lam r wherever that does not
+    overflow, and the log bracket is log1p(m), -inf off the support; where
+    m = +inf it is log m_s + e log 4.
     """
     r = np.atleast_2d(np.asarray(points, dtype=float)) - mu
-    m = b * _quadratic_form(r, lam)
-    far = ~np.isfinite(m)
-    m[far] = math.copysign(math.inf, b)
-    with np.errstate(divide="ignore"):
+    # A reduce across the d columns is much faster than np.max(..., axis=1) for small d.
+    _, exponent = np.frexp(functools.reduce(np.maximum, np.abs(r).T))
+    exponent = np.maximum(exponent, 0)
+    shrink = np.ldexp(1.0, -exponent)
+    r *= shrink[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m_s = b * _quadratic_form(r, lam)
+        m = m_s / shrink / shrink
         log_bracket = np.log1p(np.maximum(m, -1.0))
-    if b > 0.0 and far.any():
-        _, exponent, m_scaled = _scaled(r[far], lam, b)
-        log_bracket[far] = np.log(m_scaled) + exponent * math.log(4.0)
-    return r, m, log_bracket
+        far = m == math.inf
+        log_bracket[far] = np.log(m_s[far]) + exponent[far] * math.log(4.0)
+    return r, shrink, m_s, log_bracket
 
 
 def log_density_batch(params: StudentTParams, points) -> np.ndarray:
     """log density over the rows of an (n, d) array; -inf off the support."""
-    log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)[2]
+    log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)[3]
     return params.log_norm_const + log_bracket / (params.alpha - 1.0)
 
 
@@ -130,7 +130,6 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
     alpha = params.alpha
     b = params.b_alpha
     k = d + d * d
-    shape_log_n = _log_norm_const_shape(alpha, d)
     w_fn, w_jacobian = _quadratic_weights(b, d)
 
     def w0_fn(theta: np.ndarray) -> float:
@@ -146,7 +145,7 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
         sign, logdet = np.linalg.slogdet(l)
         if sign <= 0:
             raise ValueError("Sigma^{-1} block must have positive determinant")
-        log_z = -(shape_log_n + 0.5 * logdet)
+        log_z = -log_norm_const(alpha, -logdet, d)
         # Z = 1/N overflows where N underflows; the density there is 0, as 1/inf reads.
         return math.exp(log_z) if log_z < LOG_FLOAT_MAX else math.inf
 
@@ -170,44 +169,38 @@ def log_power_integral(params: StudentTParams, power: float) -> float:
     At power = alpha it is Int p p^(alpha-1) = N^(alpha-1) E_p[1 + b r^2]
     = N^(alpha-1) (1 + b d), since Cov p = Sigma; its log takes the rounding
     of log N only times alpha - 1.  For any other power, substituting
-    u = sqrt(|b|) L^-1 (x - mu), L L^T = Sigma, leaves a radial integral:
-    with s = power/(1 - alpha) for alpha < 1, Int (1 + |u|^2)^-s du =
-    pi^(d/2) Gamma(s - d/2) / Gamma(s), finite iff s > d/2; with g =
-    power/(alpha - 1) for alpha > 1, Int_{|u| < 1} (1 - |u|^2)^g du =
-    pi^(d/2) Gamma(g + 1) / Gamma(g + 1 + d/2), always finite.  It never
-    exponentiates, so a value beyond the float range is still returned.
+    u = L^-1 (x - mu), L L^T = Sigma, leaves the radial integral
+    Int [1 + b|u|^2]_+^(power/(alpha-1)) du = (pi/|b|)^(d/2) Gamma(x) /
+    Gamma(x + d/2), x from ``core._radial_gamma_arg``, which diverges
+    where x <= 0.  It never exponentiates, so a value beyond the float
+    range is still returned.
     """
     alpha, d, b = params.alpha, params.dim, params.b_alpha
     if power == alpha:
         return (alpha - 1.0) * params.log_norm_const + math.log1p(b * d)
-    if alpha < 1.0:
-        s = power / (1.0 - alpha)
-        if s <= 0.5 * d:
-            return math.inf
-        radial = -_log_gamma_ratio(s - 0.5 * d, 0.5 * d)
-    else:
-        g = power / (alpha - 1.0)
-        radial = -_log_gamma_ratio(g + 1.0, 0.5 * d)
-    return power * params.log_norm_const + 0.5 * params.logdet + 0.5 * d * math.log(math.pi / abs(b)) + radial
+    x = _radial_gamma_arg(alpha, d, power)
+    if x <= 0.0:
+        return math.inf
+    return (power * params.log_norm_const + 0.5 * params.logdet + 0.5 * d * math.log(math.pi / abs(b))
+            - _log_gamma_ratio(x, 0.5 * d))
 
 
 def sample(params: StudentTParams, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. observations, deterministically for a fixed seed.
 
     RNG: numpy ``default_rng`` (PCG64).  Every member is drawn as X = mu +
-    A Z sqrt(k/W) with Z standard normal in R^d, then W chi-squared(k):
-    for alpha < 1, k = nu and A A^T = Sigma*(nu-2)/nu; for alpha > 1,
-    k = 2 alpha/(alpha-1), W also gains |Z|^2, and A A^T = Sigma*R^2/k with
-    R^2 = ``radius_sq``, so the squared Mahalanobis radius over
-    R^2 is |Z|^2/W ~ Beta(d/2, 1/(alpha-1) + 1).  Either way Cov X = Sigma.
+    A Z sqrt(k/W) with Z standard normal in R^d, then W chi-squared(k), with
+    k twice the radial law's Gamma argument at power 1: for alpha < 1,
+    k = nu and A A^T = Sigma*(nu-2)/nu; for alpha > 1, k = 2 alpha/(alpha-1),
+    W also gains |Z|^2, and A A^T = Sigma*R^2/k with R^2 = ``radius_sq``, so
+    the squared Mahalanobis radius over R^2 is |Z|^2/W ~ Beta(d/2,
+    1/(alpha-1) + 1).  Either way Cov X = Sigma.
     """
     if n < 1:
         raise DimensionMismatchError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    if params.alpha < 1.0:
-        k, c = params.nu, params.nu - 2.0
-    else:
-        k, c = 2.0 * params.alpha / (params.alpha - 1.0), params.radius_sq
+    k = 2.0 * _radial_gamma_arg(params.alpha, params.dim, 1.0)
+    c = params.nu - 2.0 if params.alpha < 1.0 else params.radius_sq
     chol = np.linalg.cholesky(params.sigma * c / k)
     z = rng.standard_normal((n, params.dim))
     w = rng.chisquare(k, size=n)
@@ -234,21 +227,19 @@ def score_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
     """Scores for all rows of an (n, d) array; rows off support get NaN.
 
     The blocks are -2 c Sigma^-1 r and Sigma/2 + c r r^T, c = b/((alpha - 1)(1 + m)).
-    Where m overflowed, they read c r r^T = c_s r_s r_s^T and c r = c_s r_s 2^-e
-    from the ``_scaled`` residual r_s = r 2^-e, c_s = b/((alpha - 1)(4^-e + m_s)).
+    They are formed from the scaled residual r_s = r 2^-e of ``_log_brackets``
+    as c r = c_s r_s 2^-e and c r r^T = c_s r_s r_s^T, c_s = b/((alpha - 1)(4^-e + m_s)),
+    which are finite for every row on the support, however far.
     """
-    r, m, log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)
-    n, d = r.shape
+    r_s, shrink, m_s, log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)
+    n, d = r_s.shape
     out = np.full((n, d + d * d), np.nan)
     ok = log_bracket > -math.inf
-    r, m, shrink = r[ok], m[ok], np.ones(int(ok.sum()))
-    far = np.isinf(m)
-    r[far], exponent, m[far] = _scaled(r[far], params.sigma_inv, params.b_alpha)
-    shrink[far] = np.ldexp(1.0, -exponent)
-    c = params.b_alpha / ((params.alpha - 1.0) * (shrink * shrink + m))
-    out[ok, :d] = -2.0 * (c * shrink)[:, None] * (r @ params.sigma_inv)
-    outer = np.einsum("n,ni,nj->nij", c, r, r)
-    out[ok, d:] = (0.5 * params.sigma + outer).reshape(r.shape[0], d * d)
+    r_s, shrink = r_s[ok], shrink[ok]
+    c_s = params.b_alpha / ((params.alpha - 1.0) * (shrink * shrink + m_s[ok]))
+    out[ok, :d] = -2.0 * (c_s * shrink)[:, None] * (r_s @ params.sigma_inv)
+    outer = np.einsum("n,ni,nj->nij", c_s, r_s, r_s)
+    out[ok, d:] = (0.5 * params.sigma + outer).reshape(r_s.shape[0], d * d)
     return out
 
 
@@ -263,9 +254,9 @@ def log_density_given_theta(theta: np.ndarray, alpha: float, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
     mu, lam = unpack_theta(np.asarray(theta, dtype=float), d)
-    log_bracket = float(_log_brackets(x, mu, lam, b_alpha(alpha, d))[2][0])
+    log_bracket = float(_log_brackets(x, mu, lam, b_alpha(alpha, d))[3][0])
     if log_bracket == -math.inf:
         return -math.inf
     sign, logdet = np.linalg.slogdet(lam)
-    log_n = _log_norm_const_shape(alpha, d) + 0.5 * logdet if sign > 0 else math.nan
+    log_n = log_norm_const(alpha, -logdet, d) if sign > 0 else math.nan
     return log_n + log_bracket / (alpha - 1.0)

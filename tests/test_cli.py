@@ -354,6 +354,13 @@ class TestCommands:
         assert cli.main(["loglik", "--alpha", "0.8", "--mu", "0", "--sigma", "1", "--input", path]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(-2936.085363432056973, rel=1e-15)
 
+    def test_loglik_of_a_far_and_a_tiny_row(self, tmp_path, capsys):
+        # mpmath at 50 digits from the same float inputs gives -5516.6025280178215132.
+        # CI's no-scipy step asserts the same bits.
+        path = write(tmp_path, "far_tiny.csv", "1e300\n1e-200\n")
+        assert cli.main(["loglik", "--alpha", "0.8", "--mu", "0", "--sigma", "1", "--input", path]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["value"] == -5516.602528017821
+
     def test_simulate_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "draws.csv")
         code = cli.main([

@@ -14,7 +14,7 @@ class TestMakeStudentT:
     def test_alpha_2_unit_variance(self):
         p = af.make_student_t(2.0, [0.0], [[1.0]])
         assert p.b_alpha == pytest.approx(-0.2, abs=1e-15)
-        assert p.norm_const == pytest.approx(3.0 / (4.0 * math.sqrt(5.0)), rel=1e-14)
+        assert math.exp(p.log_norm_const) == pytest.approx(3.0 / (4.0 * math.sqrt(5.0)), rel=1e-14)
         assert p.radius_sq == pytest.approx(5.0, rel=1e-14)
         assert studentt.density(p, [math.sqrt(5.0) - 1e-9]) > 0.0
         assert studentt.density(p, [math.sqrt(5.0) + 1e-9]) == 0.0
@@ -45,7 +45,7 @@ class TestMakeStudentT:
         p5 = af.make_student_t(0.5, [5.0], [[1.0]])
         assert p5.b_alpha == p0.b_alpha
         assert p5.nu == p0.nu
-        assert p5.norm_const == p0.norm_const
+        assert math.exp(p5.log_norm_const) == math.exp(p0.log_norm_const)
 
     def test_rejects_alpha_at_or_below_threshold(self):
         with pytest.raises(core.ParameterError) as err:
@@ -169,12 +169,24 @@ class TestDerivedConstants:
     def test_b_negative_above_one(self, d, alpha):
         assert core.b_alpha(alpha, d) < 0.0
 
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=1.0, max_value=50.0, exclude_min=True),
+    )
+    def test_radial_gamma_argument_at_power_one(self, d, frac, above):
+        # The Beta parameters of the bracket's law: nu/2 below one, alpha/(alpha-1) above.
+        below = d / (d + 2.0) + frac * (1.0 - d / (d + 2.0))
+        if d / (d + 2.0) < below < 1.0:
+            assert core._radial_gamma_arg(below, d, 1.0) == core.degrees_of_freedom(below, d) / 2.0
+        assert core._radial_gamma_arg(above, d, 1.0) == above / (above - 1.0)
+
     @pytest.mark.parametrize("sigma2", [1.0, 2.5])
     def test_normalizer_continuity_at_one(self, sigma2):
         gauss = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
         for alpha in (1.0 - 1e-3, 1.0 + 1e-3):
             p = af.make_student_t(alpha, [0.0], [[sigma2]])
-            assert abs(p.norm_const - gauss) < 1e-3
+            assert abs(math.exp(p.log_norm_const) - gauss) < 1e-3
 
 
 class TestLogGammaRatio:

@@ -332,3 +332,14 @@ class TestResidualExponential:
         theta = af.pack_theta(np.array([mu]), np.array([[1.0 / var_hat]]))
         report = est.residual_exponential(desc, theta, stats, pop)
         assert report.residuals[0] == pytest.approx(0.37, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [[[-1.0]], [[0.0]], [[1.0, 0.0], [0.0, -2.0]]])
+    def test_normalizer_rejects_a_precision_block_without_positive_determinant(self, lam):
+        # The Student-t descriptor's z_fn applies the same rule.
+        lam = np.array(lam)
+        d = lam.shape[0]
+        theta = af.pack_theta(np.zeros(d), lam)
+        with pytest.raises(ValueError):
+            est.gaussian_exp_family(d).z_fn(theta)
+        with pytest.raises(ValueError):
+            studentt.decompose(af.make_student_t(0.8, np.zeros(d), np.eye(d))).z_fn(theta)

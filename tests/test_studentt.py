@@ -97,6 +97,60 @@ class TestPointWrappersMatchBatchKernels:
         assert studentt.log_density_batch(p, pts).tobytes() == rows.tobytes()
 
 
+def _unscaled_rows(p, pts):
+    """log density and score rows from the unscaled bracket m = b r^T Sigma^-1 r,
+    summed term by term as the kernels sum it, with c = b/((alpha - 1)(1 + m));
+    NaN scores off the support."""
+    r = pts - p.mu
+    n, d = r.shape
+    total = np.zeros(n)
+    with np.errstate(all="ignore"):
+        for i, j in np.ndindex(p.sigma_inv.shape):
+            total += r[:, i] * p.sigma_inv[i, j] * r[:, j]
+        m = p.b_alpha * total
+        log_density = p.log_norm_const + np.log1p(np.maximum(m, -1.0)) / (p.alpha - 1.0)
+        c = p.b_alpha / ((p.alpha - 1.0) * (1.0 + m))
+        outer = 0.5 * p.sigma + np.einsum("n,ni,nj->nij", c, r, r)
+        score = np.concatenate([-2.0 * c[:, None] * (r @ p.sigma_inv), outer.reshape(n, d * d)], axis=1)
+    score[log_density == -math.inf] = math.nan
+    return log_density, score
+
+
+@st.composite
+def params_and_residuals(draw):
+    """A Student-t of d in {1, 2, 3} on either side of 1, and rows whose
+    residual components are 10^U(-300, 150) with either sign.  mu is 0 or
+    random: a residual below the ulp of a random mu rounds to 0."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    lo = d / (d + 2.0)
+    alpha = draw(st.floats(lo + 0.02, 0.98) | st.floats(1.02, 5.0))
+    p = random_params(d, alpha, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        p = af.make_student_t(alpha, np.zeros(d), p.sigma)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 8))
+    residuals = 10.0 ** rng.uniform(-300.0, 150.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+    return p, p.mu + residuals
+
+
+class TestScaledBracket:
+    @given(params_and_residuals())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_unscaled_bracket_wherever_it_is_finite(self, case):
+        p, pts = case
+        want_log_density, want_score = _unscaled_rows(p, pts)
+        log_density, score = studentt.log_density_batch(p, pts), studentt.score_batch(p, pts)
+        finite = np.isfinite(want_log_density)
+        assert log_density[finite].tobytes() == want_log_density[finite].tobytes()
+        finite = np.isfinite(want_score)
+        assert score[finite].tobytes() == want_score[finite].tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_row_near_mu_is_never_scaled_up(self):
+        p = af.make_student_t(0.8, 0.0, 1.0)
+        assert studentt.score(p, [1e-200]) == pytest.approx([1e-200 / 0.7, 0.5], rel=1e-15, abs=0.0)
+
+
 class TestFarOutliers:
     # t(0.8, 0, Sigma) with Sigma = 1 in d = 1 and [[1, 0.5], [0.5, 1]] in
     # d = 2, at x = t (1, ..., 1).  mpmath at 50 digits from the same float
