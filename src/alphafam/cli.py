@@ -92,17 +92,20 @@ def _format_float(value: float) -> str:
 def dumps_report(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    A finite 1-D numpy array of floats or integers renders in one
-    %-format over all its values, as a JSON array; its bytes equal those of
-    the same values as a list.  That is how ``compact-fit`` writes its
-    candidate columns.
+    A finite 1-D numpy array of floats or integers renders as a JSON array
+    in one pass over all its values (floats through ``_codec.format_rows``);
+    its bytes equal those of the same values as a list.  That is how
+    ``compact-fit`` writes its candidate columns.
     """
 
     def render(node) -> str:
         if isinstance(node, np.ndarray) and node.ndim == 1 and node.dtype.kind in "fiu" and np.isfinite(node).all():
+            if node.dtype.kind != "f":
+                return "[" + ",".join(map(str, node.tolist())) + "]"
+            from . import _codec
+
             # Finite values, where "%.17g" and _format_float agree.
-            value = "%.17g" if node.dtype.kind == "f" else "%d"
-            return "[" + ",".join([value] * node.size) % tuple(node.tolist()) + "]"
+            return "[" + _codec.format_rows(node[:, None]).replace(b"\n", b",")[:-1].decode("ascii") + "]"
         if isinstance(node, dict):
             items = (f"{json.dumps(str(k))}:{render(node[k])}" for k in sorted(node))
             return "{" + ",".join(items) + "}"
@@ -135,19 +138,29 @@ def ingest_csv(path: str) -> CsvBatch:
 
     A leading byte-order mark is dropped.  A single non-numeric first row is
     treated as a header.  Ragged rows, non-numeric (or non-finite) cells, and
-    inputs without data rows are rejected with distinct exit codes.  An
-    ASCII text without quotes goes to numpy's C reader first (see
-    ``_parse_unquoted``); any other text, or one that reader cannot decide,
-    goes through csv.reader, which gives the same values and names the
-    first bad row.
+    inputs without data rows are rejected with distinct exit codes.  The
+    values are the ones ``float`` gives each cell, read in one of three
+    tiers.  Plain decimal cells, as ``simulate`` writes them, are read from
+    the bytes as integers and placed exactly (``_codec.parse_rows``).  Any
+    other ASCII text without quotes is decoded and goes to numpy's C reader
+    (``_parse_unquoted``).  Any other text, or one that reader cannot
+    decide, goes through csv.reader, which names the first bad row.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        text = raw.decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
     sha256 = hashlib.sha256(raw).hexdigest()
+    from . import _codec
+
+    data = _codec.parse_rows(raw)
+    if data is not None:
+        return CsvBatch(data, sha256)
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
     del raw  # the parsers need only the text; freeing the bytes lowers the peak memory
 
     data = _parse_unquoted(text)
@@ -235,12 +248,16 @@ def _row_error(path: str, body: list, start: int, width: int) -> IngestError:
     raise AssertionError("bulk parse rejected rows that parse one by one")
 
 
-def _emit(text: str, output_path: str):
-    if output_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(data: bytes, output_path: str):
+    """Write ``data`` as it is to the output path, or to stdout for "-"."""
+    if output_path != "-":
+        with open(output_path, "wb") as handle:
+            handle.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream standing in for stdout
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _report(args: argparse.Namespace, batch: CsvBatch | None = None, **fields) -> int:
@@ -255,7 +272,7 @@ def _report(args: argparse.Namespace, batch: CsvBatch | None = None, **fields) -
     fields.update(schema_version=SCHEMA_VERSION, command=args.command)
     if batch is not None:
         fields["provenance"] = {"input_sha256": batch.sha256, "library_version": __version__, "seed": args.seed}
-    _emit(dumps_report(fields), args.output)
+    _emit(dumps_report(fields).encode("utf-8"), args.output)
     return EXIT_OK
 
 
@@ -328,10 +345,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
     batch = studentt.sample(params, args.n, args.seed)
     if args.format == "csv":
-        # One %-format over all draws; SampleBatch guarantees they are finite,
-        # where "%g" and _format_float agree.
-        row = ",".join(["%.17g"] * batch.dim) + "\n"
-        _emit(row * batch.n % tuple(batch.data.ravel().tolist()), args.output)
+        from . import _codec
+
+        # SampleBatch guarantees finite draws, where "%.17g" and _format_float agree.
+        _emit(_codec.format_rows(batch.data), args.output)
         return EXIT_OK
     return _report(args, alpha=args.alpha, seed=args.seed, draws=batch.data.tolist())
 

@@ -78,10 +78,14 @@ def parse_outcome(parser, path):
 
 
 _ASCII_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c"]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _ASCII_NUMBERS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _FLOATS.map(repr),
+    _FLOATS.map(lambda v: "%.17g" % v),
+    _FLOATS.map(lambda v: "%.16g" % v),
+    _FLOATS.map(lambda v: "%.3e" % v),
     st.integers(-10**20, 10**20).map(str),
-    st.sampled_from(["1_0", "-0", "+.5", "1.", "-.0e-5", "1e308", "1e309", "4.9e-324"]),
+    st.sampled_from(["1_0", "-0", "-0.0", "+.5", "1.", "-.0e-5", "1e308", "1e309", "4.9e-324"]),
 )
 _NUMBERS = st.one_of(_ASCII_NUMBERS, st.sampled_from(["\uff11\uff12", "\u0663.5"]))
 _ASCII_OTHERS = ["x", "1,5", "1__0", "_1", "", "1.2.3", "0x10", "1e", "."]
@@ -91,11 +95,18 @@ _ENDINGS = ["\n", "\r\n", "\r"]
 
 @st.composite
 def csv_texts(draw):
-    """CSV texts across both ingest paths: ASCII or not, quoted or not, clean or noisy, any line ends."""
+    """CSV texts across the three ingest paths: ASCII or not, plain, quoted or not, clean or noisy, any line ends.
+
+    A plain text has no spaces, quotes or leading blank rows, as the plain
+    decimal reader takes them.
+    """
     ascii_only = draw(st.sampled_from([True, True, False]))
-    quoted, noisy = draw(st.booleans()), draw(st.booleans())
+    plain, noisy = draw(st.booleans()), draw(st.booleans())
+    quoted = not plain and draw(st.booleans())
     width = draw(st.integers(1, 3))
     spaces = st.sampled_from(_ASCII_SPACES if ascii_only else _ASCII_SPACES + ["\xa0", "\u2003"])
+    if plain:
+        spaces = st.just("")
     numbers = _ASCII_NUMBERS if ascii_only else _NUMBERS
     others = st.sampled_from(_ASCII_OTHERS if ascii_only else _ASCII_OTHERS + ["\ufeff1"])
     cell = st.tuples(spaces, st.one_of(numbers, numbers, numbers, others) if noisy else numbers, spaces)
@@ -107,7 +118,7 @@ def csv_texts(draw):
         quote = draw(st.booleans()) or "," in text
         return '"' + text.replace('"', '""') + '"' if quote else text
 
-    lines = [draw(blanks) for _ in range(draw(st.integers(0, 2)))]
+    lines = [draw(blanks) for _ in range(draw(st.integers(0, 0 if plain else 2)))]
     if draw(st.booleans()):
         lines.append(",".join(render(h) for h in draw(st.lists(st.sampled_from(["x", "y", " z "]), min_size=1, max_size=3))))
     # A clean file has at most one bad cell, a non-finite one; a noisy file
@@ -146,6 +157,21 @@ class TestIngest:
         monkeypatch.setattr(cli.csv, "reader", refuse)
         path = write(tmp_path, "u.csv", "\n , \t\nx,y\r\n1,2\r\n\r\n 3.5 ,\t-4e-3\r\n")
         assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, -0.004]]
+
+    def test_plain_decimal_file_skips_both_text_readers(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a text reader called for a plain decimal file")
+
+        monkeypatch.setattr(cli.np, "loadtxt", refuse)
+        monkeypatch.setattr(cli.csv, "reader", refuse)
+        draws = np.random.default_rng(2).standard_t(3, size=(500, 2)) * [1.0, 1e-3]
+        draws[:3] = [[-0.0, 1e-7], [2.0**60, -5e-324], [0.1, -1e16]]
+        text = "x,y\r\n" + "".join("%.17g,%.17g\r\n" % tuple(row) for row in draws.tolist())
+        path = tmp_path / "draws.csv"
+        path.write_bytes(text.encode("ascii"))
+        batch = cli.ingest_csv(str(path))
+        assert batch.data.tobytes() == draws.tobytes()
+        assert batch.sha256 == hashlib.sha256(text.encode("ascii")).hexdigest()
 
     @pytest.mark.parametrize("text", ['"x","y"\n"1",2\n"3.5"," 4"\n', "x,y\n1,2\n3.5,\xa04\n", "x,y\r1,2\r3.5,4\r"],
                              ids=["quoted", "non-ascii", "lone-cr"])
@@ -360,6 +386,14 @@ class TestCommands:
         path = write(tmp_path, "far_tiny.csv", "1e300\n1e-200\n")
         assert cli.main(["loglik", "--alpha", "0.8", "--mu", "0", "--sigma", "1", "--input", path]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["value"] == -5516.602528017821
+
+    def test_estimate_of_a_covariance_past_the_float_range_exits_2_without_a_warning(self, tmp_path):
+        path = write(tmp_path, "over.csv", "0.1,0.2\n1e200,-1e200\n3,4\n")
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "alphafam.cli", "estimate",
+                               "--alpha", "0.8", "--input", path], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_INVALID_CONFIG, "")
+        assert proc.stderr == "invalid configuration: sigma must be finite\n"
 
     def test_simulate_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "draws.csv")
