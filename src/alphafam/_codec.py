@@ -6,8 +6,7 @@ cells, and ``parse_rows`` reads a CSV of plain decimal cells to the values
 rest on ``digits17``: the 17 significant digits of each value, computed
 exactly from Dekker's error-free product with a power of ten.  Cells outside
 fixed notation, and cells the arithmetic cannot decide, go through Python's
-own conversion; a block made mostly of them goes there whole.  Both work in
-blocks, so that their temporaries stay small.
+own conversion.  Both work in blocks, so that their temporaries stay small.
 """
 
 from __future__ import annotations
@@ -140,10 +139,6 @@ def _format_block(rows) -> bytes:
     # ``_KEEP[k]`` masks the bytes each cell prints.
     x = rows.ravel()
     digits, e, ok = digits17(x)
-    if 2 * np.count_nonzero(ok) < x.size:
-        # Mostly cells outside fixed notation, which Python formats faster alone.
-        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        return (row * rows.shape[0] % tuple(x.tolist())).encode("ascii")
     e = np.clip(e, -4, 16)
     scale = _POW10_INT[np.minimum(16 - e, 17)]
     whole = digits // scale
@@ -197,8 +192,7 @@ def parse_rows(raw: bytes):
     towards the cell, are the cell's own: the cell then lies strictly within
     half an ulp of that double.  Cells with an exponent, and cells still
     undecided, go through ``float``.  Blank rows, spaces, quotes, ragged
-    rows and non-finite values return None, and so does a block of mostly
-    exponent cells, which numpy's float reader reads faster.
+    rows and non-finite values return None.
     """
     if raw.startswith(b"\xef\xbb\xbf"):
         raw = raw[3:]
@@ -260,8 +254,6 @@ def _parse_block(block: bytes):
     has_dot = kinds[last - 1] == ord(".")
     negative = kinds[last - 1 - has_dot] == ord("-")
     n = last.size
-    if other and 2 * letters.size > n:
-        return None  # mostly exponents, which numpy's float reader reads faster
     if (
         marks.size - 1 != n + has_dot.sum() + negative.sum()  # a mark in the wrong place
         or (marks[last - 1 - has_dot][negative] != starts[negative]).any()

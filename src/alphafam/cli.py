@@ -253,11 +253,9 @@ def _emit(data: bytes, output_path: str):
     if output_path != "-":
         with open(output_path, "wb") as handle:
             handle.write(data)
-    elif hasattr(sys.stdout, "buffer"):
+    else:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
-    else:  # a text-only stream standing in for stdout
-        sys.stdout.write(data.decode("utf-8"))
 
 
 def _report(args: argparse.Namespace, batch: CsvBatch | None = None, **fields) -> int:

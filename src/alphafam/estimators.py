@@ -158,25 +158,19 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
     whole valid range (d/(d+2), 1); alpha is validated and recorded only.
     The covariance divisor is 1/n.
 
-    A column with an entry past 2^480 is scaled down by a power of two for
-    both moments and scaled back.  That is exact, so no sum of squares
-    overflows on the way to a finite result; a covariance beyond the float
-    range raises ParameterError ``sigma_not_finite``.
+    A mean or covariance beyond the float range raises ParameterError
+    ``sigma_not_finite``, without numpy's overflow warning.
     """
     d = batch.dim
     if alpha >= 1.0:
         raise ParameterError(ALPHA_NOT_BELOW_ONE, f"estimator requires alpha < 1, got {alpha}")
     check_alpha(alpha, d)
-    largest = [max(column.max(), -column.min()) for column in batch.data.T]  # faster than a reduction along axis 0
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(largest)[1] - 480, 0))
-    scaled = batch.data * scale if (scale < 1.0).any() else batch.data
-    mu_scaled = scaled.mean(axis=0)
-    centered = scaled - mu_scaled
-    mu_hat = mu_scaled / scale
-    sigma_scaled = (centered.T @ centered) / batch.n
-    with np.errstate(over="ignore"):
-        sigma_hat = 0.5 * (sigma_scaled + sigma_scaled.T) / scale[:, None] / scale
-    if not np.isfinite(sigma_hat).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_hat = batch.data.mean(axis=0)
+        centered = batch.data - mu_hat
+        sigma_hat = (centered.T @ centered) / batch.n
+        sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
+    if not np.isfinite(sigma_hat).all():  # also where mu_hat overflowed: centered then holds an inf or nan
         raise ParameterError(SIGMA_NOT_FINITE, "sigma must be finite")
     eigvals = np.linalg.eigvalsh(sigma_hat)
     singular = (

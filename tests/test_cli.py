@@ -387,8 +387,10 @@ class TestCommands:
         assert cli.main(["loglik", "--alpha", "0.8", "--mu", "0", "--sigma", "1", "--input", path]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["value"] == -5516.602528017821
 
-    def test_estimate_of_a_covariance_past_the_float_range_exits_2_without_a_warning(self, tmp_path):
-        path = write(tmp_path, "over.csv", "0.1,0.2\n1e200,-1e200\n3,4\n")
+    # A 1-column file of +-1e154 used to print sigma_hat as a bare Infinity, which is not JSON.
+    @pytest.mark.parametrize("text", ["0.1,0.2\n1e200,-1e200\n3,4\n", "1e154\n-1e154\n1e154\n-1e154\n"])
+    def test_estimate_of_a_covariance_past_the_float_range_exits_2_without_a_warning(self, tmp_path, text):
+        path = write(tmp_path, "over.csv", text)
         env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "alphafam.cli", "estimate",
                                "--alpha", "0.8", "--input", path], env=env, capture_output=True, text=True, timeout=60)

@@ -140,30 +140,17 @@ class TestEstimateStudentT:
             est.estimate_student_t(batch, 0.3)
         assert err.value.code == core.ALPHA_BELOW_THRESHOLD
 
-    @given(st.integers(1, 3), st.integers(2, 40), st.lists(st.floats(-150.0, 146.0), min_size=3, max_size=3),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_scaled_moments_equal_the_plain_formulas(self, d, n, exponents, seed):
-        # Column scales 1e-150 to 1e146, some past 2^480: the power-of-two scaling keeps every bit.
-        data = np.random.default_rng(seed).standard_t(3, size=(n, d)) * 10.0 ** np.array(exponents[:d])
-        fit = est.estimate_student_t(af.SampleBatch(data), 0.8)
-        centered = data - data.mean(axis=0)
-        sigma = centered.T @ centered / n
-        assert fit.mu_hat.tobytes() == data.mean(axis=0).tobytes()
-        assert fit.sigma_hat.tobytes() == (0.5 * (sigma + sigma.T)).tobytes()
-
-    @pytest.mark.filterwarnings("error")
-    def test_sums_past_the_float_range_give_a_finite_fit(self):
-        # The plain sum of squares is 4e308, past the float range; sigma is 1e308.
-        fit = est.estimate_student_t(af.SampleBatch(np.array([1e154, -1e154, 1e154, -1e154])), 0.5)
-        assert fit.mu_hat[0] == 0.0
-        assert fit.sigma_hat[0, 0] == pytest.approx(1e308, rel=1e-15)
-
     @pytest.mark.filterwarnings("error")
     def test_covariance_past_the_float_range_is_a_parameter_error(self):
         batch = af.SampleBatch(np.array([[0.1, 0.2], [1e200, -1e200], [3.0, 4.0]]))
         with pytest.raises(core.ParameterError) as err:
             est.estimate_student_t(batch, 0.8)
+        assert err.value.code == core.SIGMA_NOT_FINITE
+
+    @pytest.mark.filterwarnings("error")
+    def test_mean_past_the_float_range_is_a_parameter_error(self):
+        with pytest.raises(core.ParameterError) as err:
+            est.estimate_student_t(af.SampleBatch(np.array([1.5e308, 1.5e308, -1e308])), 0.5)
         assert err.value.code == core.SIGMA_NOT_FINITE
 
     def test_n_not_above_d_flagged_singular(self):
