@@ -12,28 +12,50 @@ missing, unknown or malformed flag is a usage error and exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
-import itertools
+import importlib.util
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     AlphaFamilyError,
     DimensionMismatchError,
+    InvalidDistributionError,
     NumericalError,
     ParameterError,
     SampleBatch,
     make_student_t,
     pack_theta,
+    record,
 )
-from . import compact, divergence, estimators, studentt
+
+
+def _lazy(name: str):
+    """The module ``name``, which runs on its first attribute access unless it already has.
+
+    A module not yet imported is placed in ``sys.modules`` and bound on its
+    package as an ``importlib.util.LazyLoader`` module, so a later import
+    finds it and a command runs only the modules it uses.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
+    return module
+
+
+compact, divergence, estimators, studentt = (_lazy(f"{__package__}.{name}")
+                                             for name in ("compact", "divergence", "estimators", "studentt"))
+csv = _lazy("csv")  # read only by ingest_csv's last tier
 
 SCHEMA_VERSION = "3"
 
@@ -72,7 +94,7 @@ class IngestError(AlphaFamilyError):
         self.exit_code = exit_code
 
 
-@dataclass(frozen=True)
+@record
 class CsvBatch(SampleBatch):
     """A ``SampleBatch`` read by ``ingest_csv``, with the SHA-256 of the bytes it read."""
 
@@ -151,6 +173,8 @@ def ingest_csv(path: str) -> CsvBatch:
             raw = handle.read()
     except OSError as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
+    import hashlib
+
     sha256 = hashlib.sha256(raw).hexdigest()
     from . import _codec
 
@@ -166,6 +190,9 @@ def ingest_csv(path: str) -> CsvBatch:
     data = _parse_unquoted(text)
     if data is not None:
         return CsvBatch(data, sha256)
+
+    import io
+    import itertools
 
     rows = list(csv.reader(io.StringIO(text, newline="")))
     # Drop blank rows: those whose joined cells are all whitespace.
@@ -426,7 +453,7 @@ def run(args: argparse.Namespace) -> int:
     except (
         ParameterError,
         DimensionMismatchError,
-        divergence.InvalidDistributionError,
+        InvalidDistributionError,
         ValueError,
     ) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

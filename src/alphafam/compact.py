@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleBatch, make_student_t
+from .core import SampleBatch, b_alpha, log_norm_const, record
 
 __all__ = [
     "ROOT5",
@@ -51,10 +50,12 @@ __all__ = [
 ]
 
 # Support half-width sqrt(5) and peak density N2 of the order-2 unit-variance
-# member, as the family derives them.
-_UNIT = make_student_t(2.0, 0.0, 1.0)
-ROOT5 = math.sqrt(_UNIT.radius_sq)
-N2 = math.exp(_UNIT.log_norm_const)
+# member: the radius_sq and log_norm_const that make_student_t(2, 0, 1)
+# derives, formed the same way without building the record, so that running
+# this module calls no public function (a tracer may have wrapped those
+# before a lazily loaded module runs).
+ROOT5 = math.sqrt(-1.0 / b_alpha(2.0, 1))
+N2 = math.exp(log_norm_const(2.0, 0.0, 1))
 
 # Built-in reference dataset for the end-to-end verification command.
 REFERENCE_SAMPLE = (4.6, 4.7, 6.0, 7.0, 8.2, 8.6, 8.7, 8.8, 8.9, 9.0)
@@ -67,7 +68,7 @@ def _slack(value):
     return 1e-12 * (1.0 + abs(value))
 
 
-@dataclass(frozen=True)
+@record
 class SegmentCandidate:
     """One interval of constancy of the active set, with its maximizer.
 
@@ -84,7 +85,7 @@ class SegmentCandidate:
     objective: float
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SegmentTable(Sequence):
     """The segment candidates in breakpoint order, one read-only numpy column per field.
 
@@ -101,6 +102,10 @@ class SegmentTable(Sequence):
     unconstrained_max: np.ndarray
     maximizer: np.ndarray
     objective: np.ndarray
+
+    # Compared by identity: a value comparison of array columns is ambiguous.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         for column in self._columns():
@@ -124,7 +129,7 @@ class SegmentTable(Sequence):
         return map(self._row, *(column.tolist() for column in self._columns()))
 
 
-@dataclass(frozen=True)
+@record
 class CompactFitResult:
     """Global fit: argmax over all segment candidates.
 

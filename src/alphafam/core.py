@@ -7,7 +7,6 @@ so the types can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -19,6 +18,8 @@ __all__ = [
     "UndefinedScoreError",
     "DegenerateStatisticsError",
     "NumericalError",
+    "InvalidDistributionError",
+    "record",
     "StudentTParams",
     "MAlphaDescriptor",
     "ExpFamilyDescriptor",
@@ -89,6 +90,64 @@ class NumericalError(AlphaFamilyError):
     def __init__(self, message: str, diagnostics: Optional[dict] = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+class InvalidDistributionError(AlphaFamilyError):
+    """Probability vector fails its normalization or nonnegativity check."""
+
+
+def record(cls):
+    """Make ``cls`` an immutable record of its annotated fields, a base record's first.
+
+    ``__init__`` takes the fields in order, by position or by name, with a
+    field's class-level value as its default, and then calls
+    ``__post_init__`` where there is one; only that may set attributes, with
+    ``object.__setattr__``.  Any other assignment or deletion raises
+    AttributeError.  Two records of one class are equal, and hash alike,
+    when their fields are; repr lists the fields.  A method the class
+    defines itself is kept, so ``__eq__ = object.__eq__`` and ``__hash__ =
+    object.__hash__`` compare by identity.  Methods are closures, not
+    generated source, so decorating a class costs microseconds.
+    """
+    names = tuple(dict.fromkeys([*getattr(cls, "_fields", ()), *vars(cls).get("__annotations__", ())]))
+    name_set = set(names)
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        values = zip(names, args)
+        if kwargs or len(args) != len(names):
+            values = {**defaults, **dict(values), **kwargs}
+            if len(args) > len(names) or not kwargs.keys().isdisjoint(names[:len(args)]) or values.keys() != name_set:
+                raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} positional "
+                                f"and the keywords {tuple(kwargs)}")
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={self.__dict__[name]!r}' for name in names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(map(self.__dict__.get, names)) == tuple(map(other.__dict__.get, names))
+
+    def __hash__(self):
+        return hash(tuple(map(self.__dict__.get, names)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        if method.__name__ not in vars(cls):
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    cls._fields = names
+    return cls
 
 
 def check_alpha(alpha: float, dim: Optional[int] = None) -> None:
@@ -184,7 +243,7 @@ def log_norm_const(alpha: float, sigma_logdet: float, dim: int) -> float:
     return h * math.log(abs(b_alpha(alpha, dim))) + _log_gamma_ratio(x, h) - h * math.log(math.pi) - 0.5 * sigma_logdet
 
 
-@dataclass(frozen=True)
+@record
 class StudentTParams:
     """Validated Student-t parameters with derived constants.
 
@@ -335,7 +394,7 @@ def make_student_t(alpha: float, mu, sigma) -> StudentTParams:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MAlphaDescriptor:
     """Abstract record of a k-parameter alpha-power-law family.
 
@@ -366,7 +425,7 @@ class MAlphaDescriptor:
     w0_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-@dataclass(frozen=True)
+@record
 class ExpFamilyDescriptor:
     """Record of a k-parameter exponential family.
 
@@ -384,7 +443,7 @@ class ExpFamilyDescriptor:
     w_jacobian: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@record
 class SampleBatch:
     """n observations of dimension d, stored as an (n, d) float array."""
 
@@ -415,7 +474,7 @@ class SampleBatch:
         return self.data[:, 0]
 
 
-@dataclass(frozen=True)
+@record
 class SufficientStats:
     """Means of f and q^(alpha-1): one side of the estimating equation.
 
@@ -497,7 +556,7 @@ def reconstruct_density(desc: MAlphaDescriptor, theta: np.ndarray, x) -> float:
     return bracket ** (1.0 / (a - 1.0)) / desc.z_fn(theta)
 
 
-@dataclass(frozen=True)
+@record
 class RegularityReport:
     """Outcome of probing a descriptor's regularity conditions."""
 

@@ -56,22 +56,21 @@ it never integrates.  No scipy is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .core import (
-    AlphaFamilyError,
     DimensionMismatchError,
+    InvalidDistributionError,
     NumericalError,
     SampleBatch,
     StudentTParams,
     _radial_gamma_arg,
     check_alpha,
     check_mean_covariance,
+    record,
 )
-from .estimators import gaussian_population_moments
 from . import studentt
 
 __all__ = [
@@ -138,11 +137,7 @@ _GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF[:-1], _GAUSS_WEIGHTS_HALF[:
 _EPS = float(np.finfo(float).eps)
 
 
-class InvalidDistributionError(AlphaFamilyError):
-    """Probability vector fails its normalization or nonnegativity check."""
-
-
-@dataclass(frozen=True)
+@record
 class DiscreteDistribution:
     """Probability vector over m atoms; finite entries >= 0 summing to 1 +- 1e-12."""
 
@@ -161,18 +156,18 @@ class DiscreteDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
+@record
 class Gaussian:
     """Normal distribution on R^d with mean ``mu`` and covariance ``sigma``.
 
     Validated by :func:`~alphafam.core.check_mean_covariance`, as a
-    Student-t's parameters are, which also derives ``sigma_inv`` and ``logdet``.
+    Student-t's parameters are, which also derives the attributes
+    ``sigma_inv`` (Sigma^{-1}) and ``logdet`` (log |Sigma|); they are not
+    fields, so they are neither arguments nor part of the repr.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    sigma_inv: np.ndarray = field(init=False, repr=False)
-    logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
         values = check_mean_covariance(self.mu, self.sigma)
@@ -356,11 +351,12 @@ def _support_within(p: Record, q: Record) -> bool:
 
 
 def _second_moment(p: Record, center: np.ndarray) -> np.ndarray:
-    """Vec E_p[(x - center)(x - center)^T] from p's population moments.
+    """Vec E_p[(x - center)(x - center)^T] = Vec(Sigma_p + m m^T) with m = mu_p - center.
 
     A t's are the Gaussian's, since its Sigma is its covariance.
     """
-    return gaussian_population_moments(p.mu - center, p.sigma).mean_f[p.dim:]
+    m = p.mu - center
+    return (p.sigma + np.outer(m, m)).ravel()
 
 
 def _log_t_cross(p: Record, q: StudentTParams) -> float:

@@ -13,7 +13,6 @@ matching, which the closed-form Student-t estimator solves exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .core import (
     _quadratic_weights,
     check_alpha,
     moment_statistic,
+    record,
     unpack_theta,
 )
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     """Residual vector of an estimating equation together with its norm.
 
@@ -136,7 +136,7 @@ def residual_exponential(
     return _report(jac.T @ gap, "general-exponential")
 
 
-@dataclass(frozen=True)
+@record
 class StudentTEstimate:
     """Closed-form estimate: sample mean and 1/n sample covariance.
 

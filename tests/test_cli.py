@@ -694,3 +694,69 @@ class TestScipyOffTheColdPath:
     def test_divergent_cross_term_prints_infinity(self, capsys, argv):
         assert cli.main(argv) == cli.EXIT_OK
         assert '"i_alpha":Infinity' in capsys.readouterr().out
+
+
+class TestCommandsRunOnlyTheirModules:
+    """Each command executes only the alphafam modules it uses.
+
+    ``cli`` registers ``compact``, ``divergence``, ``estimators`` and
+    ``studentt`` as lazy modules, which run on their first attribute access;
+    until then ``sys.modules`` holds them as ``importlib.util`` lazy modules,
+    not as plain modules.  ``import alphafam`` alone runs no submodule.
+    """
+
+    PROBE = (
+        "import sys, types\n"
+        "argv = sys.argv[1:]\n"
+        "if argv:\n"
+        "    import alphafam.cli as cli\n"
+        "    code = cli.main(argv)\n"
+        "else:\n"
+        "    import alphafam\n"
+        "    code = 0\n"
+        "ran = sorted(m for m, module in sys.modules.items()\n"
+        "             if m.startswith('alphafam.') and type(module) is types.ModuleType)\n"
+        "sys.stderr.write('RAN ' + ' '.join(ran) + '\\n')\n"
+        "sys.exit(code)\n"
+    )
+
+    def modules_run(self, tmp_path, argv, exit_code=cli.EXIT_OK):
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env, cwd=str(tmp_path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == exit_code, proc.stderr
+        line = [ln for ln in proc.stderr.splitlines() if ln.startswith("RAN")][-1]
+        return {m.removeprefix("alphafam.") for m in line.split()[1:]}
+
+    def test_import_alphafam_runs_no_submodule(self, tmp_path):
+        assert self.modules_run(tmp_path, []) == set()
+
+    @pytest.mark.parametrize("command, runs, skips", [
+        ("verify-paper-example", {"compact"}, {"divergence", "estimators", "studentt"}),
+        ("compact-fit", {"compact"}, {"divergence", "estimators"}),
+        ("divergence", {"divergence"}, {"compact", "estimators"}),
+        ("simulate", {"studentt"}, {"compact", "divergence", "estimators"}),
+        ("estimate", {"estimators"}, {"compact", "divergence"}),
+    ])
+    def test_command_runs_only_the_modules_it_uses(self, tmp_path, command, runs, skips):
+        data = reference_csv(tmp_path)
+        argv = {
+            "verify-paper-example": [command],
+            "compact-fit": [command, "--input", data],
+            "divergence": [command, "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
+            "simulate": [command, "--alpha", "0.7", "--mu", "0,1", "--sigma", "1,0;0,1", "--n", "50"],
+            "estimate": [command, "--alpha", "0.5", "--input", data],
+        }[command]
+        ran = self.modules_run(tmp_path, argv)
+        assert {"cli", "core"} | runs <= ran and not ran & skips, ran
+
+    def test_a_failing_command_runs_no_divergence(self, tmp_path):
+        argv = ["estimate", "--alpha", "1.5", "--input", reference_csv(tmp_path)]
+        assert "divergence" not in self.modules_run(tmp_path, argv, cli.EXIT_INVALID_CONFIG)
+
+    def test_lazy_modules_are_bound_on_the_package(self):
+        assert af.divergence is sys.modules["alphafam.divergence"] is cli.divergence
+        assert cli.divergence.InvalidDistributionError is af.InvalidDistributionError is af.core.InvalidDistributionError
+        assert "kl" in dir(af) and af.kl is cli.divergence.kl
+        with pytest.raises(AttributeError):
+            af.no_such_name

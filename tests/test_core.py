@@ -321,8 +321,68 @@ class TestSampleBatch:
         with pytest.raises(core.DimensionMismatchError):
             af.SampleBatch(np.eye(2)).scalars()
 
+    def test_validation_applies_to_the_ingested_subclass(self):
+        from alphafam.cli import CsvBatch
+
+        batch = CsvBatch([1.0, 2.0], "digest")
+        assert batch.data.shape == (2, 1) and batch.sha256 == "digest"
+        with pytest.raises(core.ParameterError):
+            CsvBatch([[np.inf]], "digest")
+        assert repr(batch) == "CsvBatch(data=array([[1.],\n       [2.]]), sha256='digest')"
+
     def test_theta_pack_roundtrip(self):
         mu = np.array([1.0, -2.0])
         lam = np.array([[2.0, 0.5], [0.5, 1.0]])
         m, l = af.unpack_theta(af.pack_theta(mu, lam), 2)
         assert np.array_equal(m, mu) and np.array_equal(l, lam)
+
+
+class TestRecord:
+    """``core.record``: immutable records with value equality, as every package type uses."""
+
+    def test_assignment_and_deletion_raise(self):
+        batch = af.SampleBatch([1.0])
+        params = af.make_student_t(0.8, 0.0, 1.0)
+        for obj, name in ((batch, "data"), (params, "alpha"), (params, "not_a_field")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert params.alpha == 0.8 and batch.data.tolist() == [[1.0]]
+
+    def test_equality_and_hash_go_by_value(self):
+        assert af.SufficientStats(1.0, 2.0) == af.SufficientStats(mean_f=1.0, mean_q_pow=2.0)
+        assert af.SufficientStats(1.0, 2.0) != af.SufficientStats(1.0, 3.0)
+        assert hash(af.SufficientStats(1.0, 2.0)) == hash(af.SufficientStats(1.0, 2.0))
+        assert af.RegularityReport(True, 3) == af.RegularityReport(True, 3, (), ())
+        assert af.SufficientStats(1.0, 2.0) != (1.0, 2.0)
+        row = af.SegmentCandidate(0.0, 1.0, range(0, 2), 0.5, 0.5, 1.5)
+        assert row == af.SegmentCandidate(0.0, 1.0, range(0, 2), 0.5, 0.5, 1.5)
+        assert len({row, af.SegmentCandidate(0.0, 1.0, range(0, 2), 0.5, 0.5, 1.5)}) == 1
+
+    def test_segment_table_compares_by_identity(self):
+        first, second = (af.enumerate_segments(np.array([0.0, 1.0])) for _ in range(2))
+        assert first == first and first != second and list(first) == list(second)
+        assert hash(first) != hash(second)
+
+    def test_repr_lists_only_the_fields(self):
+        stats = af.SufficientStats(np.array([1.0]), 1.0)
+        assert repr(stats) == "SufficientStats(mean_f=array([1.]), mean_q_pow=1.0)"
+        g = af.Gaussian(0.0, 2.0)
+        assert repr(g) == "Gaussian(mu=array([0.]), sigma=array([[2.]]))"
+        assert g.sigma_inv.tolist() == [[0.5]] and g.logdet == math.log(2.0)
+
+    def test_defaults_and_post_init_normalization_apply(self):
+        report = af.RegularityReport(regular=True, probes=0)
+        assert (report.failures, report.determinants) == ((), ())
+        assert af.SampleBatch([1.0, 2.0]).data.shape == (2, 1)
+        assert af.DiscreteDistribution([0.5, 0.5]).probs.dtype == float
+        with pytest.raises(af.InvalidDistributionError):
+            af.DiscreteDistribution([0.5, 0.6])
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1.0,), {}), ((1.0, 2.0, 3.0), {}), ((1.0,), {"mean_f": 2.0}), ((1.0, 2.0), {"extra": 3.0}),
+    ], ids=["missing", "too-many", "twice", "unknown"])
+    def test_arguments_that_do_not_match_the_fields_raise(self, args, kwargs):
+        with pytest.raises(TypeError):
+            af.SufficientStats(*args, **kwargs)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -77,7 +76,7 @@ class TestSufficientStats:
                 return fn(x)
             return wrapper
 
-        custom = dataclasses.replace(desc, f_fn=counted(core.moment_statistic), q_fn=counted(desc.q_fn))
+        custom = core.MAlphaDescriptor(**{**vars(desc), "f_fn": counted(core.moment_statistic), "q_fn": counted(desc.q_fn)})
         fast = est.sufficient_stats(batch, desc, 0.9)
         once = est.sufficient_stats(batch, custom, 0.9)
         assert calls == [(100, 2), (100, 2)]
