@@ -16,19 +16,17 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "AlphaFamilyError", "DegenerateStatisticsError", "DimensionMismatchError", "ExpFamilyDescriptor",
-        "InvalidDistributionError", "MAlphaDescriptor", "NumericalError", "ParameterError", "RegularityReport",
-        "SampleBatch", "StudentTParams", "SufficientStats", "UndefinedScoreError", "b_alpha", "check_alpha",
-        "degrees_of_freedom", "make_student_t", "pack_theta", "reconstruct_density", "unpack_theta",
-        "validate_regular",
+        "AlphaFamilyError", "DegenerateStatisticsError", "DimensionMismatchError", "InvalidDistributionError",
+        "MAlphaDescriptor", "NumericalError", "ParameterError", "RegularityReport", "SampleBatch", "StudentTParams",
+        "SufficientStats", "UndefinedScoreError", "b_alpha", "check_alpha", "degrees_of_freedom", "make_student_t",
+        "pack_theta", "reconstruct_density", "unpack_theta", "validate_regular",
     ),
     "studentt": ("decompose", "density", "log_density", "log_power_integral", "sample", "score", "score_batch"),
     "divergence": (
-        "DiscreteDistribution", "Gaussian", "bernoulli", "gaussian", "generalized_log_likelihood", "i_alpha", "kl",
+        "DiscreteDistribution", "Gaussian", "bernoulli", "generalized_log_likelihood", "i_alpha", "kl",
     ),
     "estimators": (
-        "ResidualReport", "StudentTEstimate", "estimate_student_t", "gaussian_exp_family",
-        "gaussian_population_moments", "residual_exponential", "residual_general_malpha",
+        "ResidualReport", "StudentTEstimate", "estimate_student_t", "residual_general_malpha",
         "residual_regular_malpha", "student_t_population_moments", "sufficient_stats",
     ),
     "compact": (

@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 
+from .core import _split
+
 _ROWS_PER_BLOCK = 8192
 _BYTES_PER_BLOCK = 1 << 18
 
@@ -24,13 +26,6 @@ _POW10_INT = np.cumprod(np.concatenate(([1], np.full(17, 10))), dtype=np.int64) 
 _TEN16, _TEN17 = 1e16, 1e17
 _INT_TEN16, _INT_TEN17 = _POW10_INT[16], _POW10_INT[17]
 _TWO53 = 2**53
-
-
-def _split(a):
-    """Veltkamp's split: a = hi + lo with hi holding the upper 26 bits, so hi*hi is exact."""
-    t = a * 134217729.0  # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)

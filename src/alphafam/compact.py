@@ -23,9 +23,6 @@ per field, ``maximize_l2`` picks the optimum and its ties on those arrays,
 and a ``SegmentCandidate`` row is built only when the table is indexed or
 iterated.  The ``compact-fit`` report keeps the columns too, one JSON array
 per field, so that row i is entry i of every array.
-
-General (alpha > 1, sigma) fitting is a documented extension point, not
-implemented.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import SampleBatch, b_alpha, log_norm_const, record
+from .core import SampleBatch, _split, b_alpha, log_norm_const, record
 
 __all__ = [
     "ROOT5",
@@ -160,12 +157,6 @@ def _two_sum(a, b):
     s = a + b
     t = s - a
     return s, (a - (s - t)) + (b - t)
-
-
-def _split(a):
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _two_prod(a, b):

@@ -22,7 +22,6 @@ __all__ = [
     "record",
     "StudentTParams",
     "MAlphaDescriptor",
-    "ExpFamilyDescriptor",
     "SampleBatch",
     "SufficientStats",
     "RegularityReport",
@@ -304,6 +303,13 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
+def _split(a):
+    """Veltkamp's split: a = hi + lo with hi holding the upper 26 bits, so hi*hi is exact."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 def check_mean_covariance(
     mu, sigma, alpha: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -426,24 +432,6 @@ class MAlphaDescriptor:
 
 
 @record
-class ExpFamilyDescriptor:
-    """Record of a k-parameter exponential family.
-
-    Realizes the density exp[q(x) + Z(theta) + w(theta)^T f(x)] on the
-    support, with the same Jacobian convention and the same point-or-batch
-    contract for ``f_fn`` and ``q_fn`` as MAlphaDescriptor.
-    """
-
-    k: int
-    s: int
-    q_fn: Callable[[np.ndarray], float]
-    w_fn: Callable[[np.ndarray], np.ndarray]
-    f_fn: Callable[[np.ndarray], np.ndarray]
-    z_fn: Callable[[np.ndarray], float]
-    w_jacobian: Callable[[np.ndarray], np.ndarray]
-
-
-@record
 class SampleBatch:
     """n observations of dimension d, stored as an (n, d) float array."""
 
@@ -487,7 +475,7 @@ class SufficientStats:
 
 
 def moment_statistic(x) -> np.ndarray:
-    """The statistic f(x) = (x, Vec(x x^T)) shared by the Student-t and Gaussian.
+    """The Student-t statistic f(x) = (x, Vec(x x^T)).
 
     Takes one point, shape ``(d,)`` (a scalar counts as d = 1), or a batch,
     shape ``(n, d)``, and returns shape ``(d + d^2,)`` or ``(n, d + d^2)``.
@@ -512,33 +500,6 @@ def unpack_theta(theta: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
             f"theta must have length d + d^2 = {dim + dim * dim}, got {theta.shape}"
         )
     return theta[:dim], theta[dim:].reshape(dim, dim)
-
-
-def _quadratic_weights(b: float, dim: int):
-    """Weights w(theta) = (-2 b Sigma^{-1} mu, b Vec(Sigma^{-1})) of f = (x, Vec(x x^T)), and their Jacobian.
-
-    Both functions take theta = (mu, Vec(Sigma^{-1})).  The Student-t uses
-    its b_alpha; the Gaussian is b = -1/2, which gives (Sigma^{-1} mu,
-    -Vec(Sigma^{-1})/2) exactly, since -2b = 1 and b are exact in floating point.
-    The Jacobian treats the d^2 entries of Sigma^{-1} as free coordinates.
-    """
-    d = dim
-    k = d + d * d
-
-    def w_fn(theta: np.ndarray) -> np.ndarray:
-        m, l = unpack_theta(theta, d)
-        return np.concatenate([-2.0 * b * (l @ m), b * l.ravel()])
-
-    def w_jacobian(theta: np.ndarray) -> np.ndarray:
-        m, l = unpack_theta(theta, d)
-        jac = np.zeros((k, k))
-        jac[:d, :d] = -2.0 * b * l
-        for row in range(d):
-            jac[row, d + row * d : d + (row + 1) * d] = -2.0 * b * m
-        jac[d:, d:] = b * np.eye(d * d)
-        return jac
-
-    return w_fn, w_jacobian
 
 
 def reconstruct_density(desc: MAlphaDescriptor, theta: np.ndarray, x) -> float:

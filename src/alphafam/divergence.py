@@ -78,7 +78,6 @@ __all__ = [
     "DiscreteDistribution",
     "Gaussian",
     "DistributionHandle",
-    "gaussian",
     "bernoulli",
     "quad",
     "i_alpha",
@@ -182,11 +181,6 @@ class Gaussian:
 Record = Union[Gaussian, StudentTParams]
 DistributionHandle = Union[DiscreteDistribution, Gaussian, StudentTParams]
 _RECORDS = (Gaussian, StudentTParams)
-
-
-def gaussian(mu: float, var: float) -> Gaussian:
-    """N(mu, var) as a d = 1 record, with finite mean mu and finite variance var > 0."""
-    return Gaussian(mu, var)
 
 
 def bernoulli(p: float) -> DiscreteDistribution:

@@ -4,15 +4,13 @@ and the closed-form Student-t estimator.
 Both sides of the estimating equation are a SufficientStats record: the
 sample means f-bar and q^(alpha-1)-bar, and the analytic population moments
 E_theta[f] and E_theta[q^(alpha-1)].  The residual evaluators measure how far
-a parameter vector is from solving the equation: the plain score equation
-for exponential families and its reweighted generalization for
-alpha-power-law families.  For regular families both collapse to moment
-matching, which the closed-form Student-t estimator solves exactly.
+a parameter vector is from solving the estimating equation of an
+alpha-power-law family, in its general form or its regular form.  For a
+regular family the equation collapses to moment matching, which the
+closed-form Student-t estimator solves exactly.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -21,17 +19,13 @@ from .core import (
     DegenerateStatisticsError,
     DimensionMismatchError,
     EIGENVALUE_RTOL,
-    ExpFamilyDescriptor,
     ParameterError,
     SIGMA_NOT_FINITE,
     SampleBatch,
     StudentTParams,
     SufficientStats,
-    _quadratic_weights,
     check_alpha,
-    moment_statistic,
     record,
-    unpack_theta,
 )
 
 __all__ = [
@@ -40,11 +34,8 @@ __all__ = [
     "sufficient_stats",
     "residual_regular_malpha",
     "residual_general_malpha",
-    "residual_exponential",
     "estimate_student_t",
     "student_t_population_moments",
-    "gaussian_exp_family",
-    "gaussian_population_moments",
 ]
 
 
@@ -52,8 +43,8 @@ __all__ = [
 class ResidualReport:
     """Residual vector of an estimating equation together with its norm.
 
-    ``equation`` tags which form was evaluated: "general-exponential",
-    "general-malpha", "regular-exponential", or "regular-malpha".
+    ``equation`` tags which form was evaluated: "general-malpha" or
+    "regular-malpha".
     """
 
     residuals: np.ndarray
@@ -117,25 +108,6 @@ def residual_general_malpha(desc, theta, stats: SufficientStats, pop: Sufficient
     return _report(res, "general-malpha")
 
 
-def residual_exponential(
-    desc: ExpFamilyDescriptor, theta, stats: SufficientStats, pop: SufficientStats, regular: bool = True
-) -> ResidualReport:
-    """Score-equation residual for an exponential family.
-
-    Regular form: E_theta[f] - fbar.  General form: the Jacobian-weighted
-    version dw_r^T (E_theta[f] - fbar).
-    """
-    gap = pop.mean_f - stats.mean_f
-    if regular:
-        if desc.s != desc.k:
-            raise DimensionMismatchError(
-                f"regular residual requires s = k, got s={desc.s}, k={desc.k}"
-            )
-        return _report(gap, "regular-exponential")
-    jac = np.asarray(desc.w_jacobian(np.asarray(theta, dtype=float)), dtype=float)
-    return _report(jac.T @ gap, "general-exponential")
-
-
 @record
 class StudentTEstimate:
     """Closed-form estimate: sample mean and 1/n sample covariance.
@@ -182,44 +154,6 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
 
 
 def student_t_population_moments(params: StudentTParams) -> SufficientStats:
-    """Analytic E[f] for f = (x, Vec(xx^T)): the Gaussian's, since Sigma is the covariance."""
-    return gaussian_population_moments(params.mu, params.sigma)
-
-
-def gaussian_exp_family(dim: int) -> ExpFamilyDescriptor:
-    """Gaussian as the built-in exponential-family instance.
-
-    Uses theta = (mu, Vec(Sigma^{-1})) and f = (x, Vec(xx^T)):
-    w(theta) = (Sigma^{-1} mu, -Vec(Sigma^{-1})/2), q = 0, and Z(theta)
-    collecting the normalizer.  Shares the statistic layout with the
-    Student-t family, which is what makes the alpha -> 1 continuity story
-    visible in the estimators.
-    """
-    d = dim
-    k = d + d * d
-    w_fn, w_jacobian = _quadratic_weights(-0.5, d)
-
-    def z_fn(theta: np.ndarray) -> float:
-        m, l = unpack_theta(theta, d)
-        sign, logdet = np.linalg.slogdet(l)
-        if sign <= 0:
-            raise ValueError("Sigma^{-1} block must have positive determinant")
-        return -0.5 * (d * math.log(2.0 * math.pi) - logdet + float(m @ l @ m))
-
-    return ExpFamilyDescriptor(
-        k=k,
-        s=k,
-        q_fn=lambda x: 0.0,
-        w_fn=w_fn,
-        f_fn=moment_statistic,
-        z_fn=z_fn,
-        w_jacobian=w_jacobian,
-    )
-
-
-def gaussian_population_moments(mu, sigma) -> SufficientStats:
-    """E[f] for the Gaussian with f = (x, Vec(xx^T))."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    second = sigma + np.outer(mu, mu)
-    return SufficientStats(mean_f=np.concatenate([mu, second.ravel()]), mean_q_pow=1.0)
+    """Analytic E[f] = (mu, Vec(Sigma + mu mu^T)) for f = (x, Vec(xx^T)), since Sigma is the covariance."""
+    second = params.sigma + np.outer(params.mu, params.mu)
+    return SufficientStats(mean_f=np.concatenate([params.mu, second.ravel()]), mean_q_pow=1.0)

@@ -26,9 +26,7 @@ from .core import (
     SampleBatch,
     StudentTParams,
     UndefinedScoreError,
-    b_alpha,
     _log_gamma_ratio,
-    _quadratic_weights,
     _radial_gamma_arg,
     log_norm_const,
     moment_statistic,
@@ -44,7 +42,6 @@ __all__ = [
     "sample",
     "score",
     "score_batch",
-    "log_density_given_theta",
 ]
 
 
@@ -130,7 +127,19 @@ def decompose(params: StudentTParams) -> MAlphaDescriptor:
     alpha = params.alpha
     b = params.b_alpha
     k = d + d * d
-    w_fn, w_jacobian = _quadratic_weights(b, d)
+
+    def w_fn(theta: np.ndarray) -> np.ndarray:
+        m, l = unpack_theta(theta, d)
+        return np.concatenate([-2.0 * b * (l @ m), b * l.ravel()])
+
+    def w_jacobian(theta: np.ndarray) -> np.ndarray:
+        m, l = unpack_theta(theta, d)
+        jac = np.zeros((k, k))
+        jac[:d, :d] = -2.0 * b * l
+        for row in range(d):
+            jac[row, d + row * d : d + (row + 1) * d] = -2.0 * b * m
+        jac[d:, d:] = b * np.eye(d * d)
+        return jac
 
     def w0_fn(theta: np.ndarray) -> float:
         m, l = unpack_theta(theta, d)
@@ -241,22 +250,3 @@ def score_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
     outer = np.einsum("n,ni,nj->nij", c_s, r_s, r_s)
     out[ok, d:] = (0.5 * params.sigma + outer).reshape(r_s.shape[0], d * d)
     return out
-
-
-def log_density_given_theta(theta: np.ndarray, alpha: float, x) -> float:
-    """log density as a function of the packed parameter vector.
-
-    Treats all d + d^2 entries of theta as free coordinates (the
-    Sigma^{-1} block need not be symmetric), which is what central finite
-    differences of the score require.  No domain validation beyond a
-    positive determinant: NaN when it fails, unless x is off the support.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.shape[0]
-    mu, lam = unpack_theta(np.asarray(theta, dtype=float), d)
-    log_bracket = float(_log_brackets(x, mu, lam, b_alpha(alpha, d))[3][0])
-    if log_bracket == -math.inf:
-        return -math.inf
-    sign, logdet = np.linalg.slogdet(lam)
-    log_n = log_norm_const(alpha, -logdet, d) if sign > 0 else math.nan
-    return log_n + log_bracket / (alpha - 1.0)

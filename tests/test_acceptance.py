@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 import alphafam as af
 from alphafam import compact, divergence as dv, estimators as est, studentt
+from finite_difference import log_density_given_theta
 
 ROOT5 = math.sqrt(5.0)
 
@@ -152,7 +153,7 @@ def test_criterion_6_normalization_and_density_oracle():
 
 
 def test_criterion_7_divergence_limit():
-    gp, gq = dv.gaussian(0.0, 1.0), dv.gaussian(0.5, 1.0)
+    gp, gq = dv.Gaussian(0.0, 1.0), dv.Gaussian(0.5, 1.0)
     bp, bq = dv.bernoulli(0.3), dv.bernoulli(0.5)
     kl_g = dv.kl(gp, gq)
     assert kl_g == pytest.approx(0.125, abs=1e-8)
@@ -214,8 +215,8 @@ def test_criterion_9_score_regularity():
             tp[r] += h
             tm[r] -= h
             fd = (
-                studentt.log_density_given_theta(tp, 0.5, [x])
-                - studentt.log_density_given_theta(tm, 0.5, [x])
+                log_density_given_theta(tp, 0.5, [x])
+                - log_density_given_theta(tm, 0.5, [x])
             ) / (2.0 * h)
             rel = abs(g[r] - fd) / max(abs(fd), 1e-8)
             worst = max(worst, rel)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -386,3 +387,14 @@ class TestRecord:
     def test_arguments_that_do_not_match_the_fields_raise(self, args, kwargs):
         with pytest.raises(TypeError):
             af.SufficientStats(*args, **kwargs)
+
+
+class TestExportTable:
+    def test_every_exported_name_resolves(self):
+        # A name left in an export list after its definition is gone fails here, not in a user's import.
+        missing = [name for name in af.__all__ if not hasattr(af, name)]
+        for module, names in af._EXPORTS.items():
+            sub = importlib.import_module(f"alphafam.{module}")
+            missing += [f"{module}.{name} (not in its __all__)" for name in names if name not in sub.__all__]
+            missing += [f"{module}.{name}" for name in sub.__all__ if not hasattr(sub, name)]
+        assert not missing

@@ -28,7 +28,7 @@ class TestHandles:
 
     def test_kind_mismatch(self):
         with pytest.raises(core.DimensionMismatchError):
-            dv.i_alpha(dv.bernoulli(0.5), dv.gaussian(0.0, 1.0), 0.5)
+            dv.i_alpha(dv.bernoulli(0.5), dv.Gaussian(0.0, 1.0), 0.5)
 
 
 class TestIAlpha:
@@ -382,7 +382,7 @@ class TestClosedForms:
         with pytest.raises(core.DimensionMismatchError, match="quadrature needs d = 1"):
             dv.kl(small, big)
         with pytest.raises(core.DimensionMismatchError, match="one dimension"):
-            dv.i_alpha(g, dv.gaussian(0.0, 1.0), 0.8)
+            dv.i_alpha(g, dv.Gaussian(0.0, 1.0), 0.8)
 
     @pytest.mark.filterwarnings("error")
     def test_gaussian_whose_inverse_overflows_is_rejected(self):

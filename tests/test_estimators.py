@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,11 +57,10 @@ class TestSufficientStats:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mean_f_bit_identical_to_per_row_reference(self, d):
         batch = random_batch(d, 257, 30 + d)
-        t_desc = studentt.decompose(af.make_student_t(0.9, np.zeros(d), np.eye(d)))
-        for desc in (t_desc, est.gaussian_exp_family(d)):
-            reference = np.mean([np.atleast_1d(desc.f_fn(row)) for row in batch.data], axis=0)
-            stats = est.sufficient_stats(batch, desc, 0.9)
-            assert stats.mean_f.tobytes() == reference.tobytes()
+        desc = studentt.decompose(af.make_student_t(0.9, np.zeros(d), np.eye(d)))
+        reference = np.mean([np.atleast_1d(desc.f_fn(row)) for row in batch.data], axis=0)
+        stats = est.sufficient_stats(batch, desc, 0.9)
+        assert stats.mean_f.tobytes() == reference.tobytes()
 
     def test_custom_descriptor_is_called_once_on_the_batch(self):
         batch = random_batch(2, 100, 5)
@@ -305,53 +302,3 @@ class TestResidualsOffTruth:
         pop = est.student_t_population_moments(params)
         with pytest.raises(core.DegenerateStatisticsError):
             est.residual_regular_malpha(desc, theta, stats, pop)
-
-
-class TestResidualExponential:
-    def test_gaussian_moment_matching(self):
-        batch = random_batch(1, 30, 41)
-        desc = est.gaussian_exp_family(1)
-        stats = est.sufficient_stats(batch, desc, 0.5)
-        mu_hat = batch.data.mean(axis=0)
-        var_hat = batch.data.var(axis=0)
-        pop = est.gaussian_population_moments(mu_hat, [[var_hat[0]]])
-        theta = af.pack_theta(mu_hat, np.array([[1.0 / var_hat[0]]]))
-        report = est.residual_exponential(desc, theta, stats, pop)
-        assert report.equation == "regular-exponential"
-        assert report.norm <= 1e-10
-        general = est.residual_exponential(desc, theta, stats, pop, regular=False)
-        assert general.equation == "general-exponential"
-        assert general.norm <= 1e-10
-
-    def test_gaussian_mle_location_is_sample_mean(self):
-        batch = af.SampleBatch(REFERENCE_SAMPLE)
-        desc = est.gaussian_exp_family(1)
-        stats = est.sufficient_stats(batch, desc, 0.5)
-        assert stats.mean_f[0] == pytest.approx(7.45, abs=1e-14)
-        var_hat = float(batch.data.var())
-        pop = est.gaussian_population_moments([7.45], [[var_hat]])
-        theta = af.pack_theta(np.array([7.45]), np.array([[1.0 / var_hat]]))
-        assert est.residual_exponential(desc, theta, stats, pop).norm <= 1e-10
-
-    def test_perturbed_mean_coordinate(self):
-        batch = random_batch(1, 10, 42)
-        desc = est.gaussian_exp_family(1)
-        stats = est.sufficient_stats(batch, desc, 0.5)
-        xbar = float(batch.data.mean())
-        var_hat = float(batch.data.var())
-        mu = xbar + 0.37
-        pop = est.gaussian_population_moments([mu], [[var_hat]])
-        theta = af.pack_theta(np.array([mu]), np.array([[1.0 / var_hat]]))
-        report = est.residual_exponential(desc, theta, stats, pop)
-        assert report.residuals[0] == pytest.approx(0.37, rel=1e-10)
-
-    @pytest.mark.parametrize("lam", [[[-1.0]], [[0.0]], [[1.0, 0.0], [0.0, -2.0]]])
-    def test_normalizer_rejects_a_precision_block_without_positive_determinant(self, lam):
-        # The Student-t descriptor's z_fn applies the same rule.
-        lam = np.array(lam)
-        d = lam.shape[0]
-        theta = af.pack_theta(np.zeros(d), lam)
-        with pytest.raises(ValueError):
-            est.gaussian_exp_family(d).z_fn(theta)
-        with pytest.raises(ValueError):
-            studentt.decompose(af.make_student_t(0.8, np.zeros(d), np.eye(d))).z_fn(theta)

@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 import alphafam as af
 from alphafam import core, divergence, studentt
+from finite_difference import log_density_given_theta
 
 N2 = 3.0 / (4.0 * math.sqrt(5.0))
 
@@ -244,6 +245,14 @@ class TestDecompose:
         assert desc.z_fn(theta) == math.inf
         assert af.reconstruct_density(desc, theta, np.zeros(3)) == studentt.density(p, np.zeros(3)) == 0.0
 
+    @pytest.mark.parametrize("lam", [[[-1.0]], [[0.0]], [[1.0, 0.0], [0.0, -2.0]]])
+    def test_normalizer_rejects_a_precision_block_without_positive_determinant(self, lam):
+        lam = np.array(lam)
+        d = lam.shape[0]
+        theta = af.pack_theta(np.zeros(d), lam)
+        with pytest.raises(ValueError):
+            studentt.decompose(af.make_student_t(0.8, np.zeros(d), np.eye(d))).z_fn(theta)
+
     def test_jacobian_blocks(self):
         p = random_params(2, 0.8, 11)
         desc = studentt.decompose(p)
@@ -362,8 +371,8 @@ class TestScore:
             tp[r] += h
             tm[r] -= h
             fd = (
-                studentt.log_density_given_theta(tp, alpha, x)
-                - studentt.log_density_given_theta(tm, alpha, x)
+                log_density_given_theta(tp, alpha, x)
+                - log_density_given_theta(tm, alpha, x)
             ) / (2.0 * h)
             assert abs(g[r] - fd) / max(abs(fd), 1e-8) < 1e-5
 
