@@ -1,5 +1,6 @@
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -390,11 +391,34 @@ class TestRecord:
 
 
 class TestExportTable:
-    def test_every_exported_name_resolves(self):
-        # A name left in an export list after its definition is gone fails here, not in a user's import.
-        missing = [name for name in af.__all__ if not hasattr(af, name)]
+    # A name left in an export list after its definition is gone fails here, not in a user's import.
+    def test_every_package_name_resolves(self):
+        assert [name for name in af.__all__ if not hasattr(af, name)] == []
+
+    def test_package_exports_are_in_each_submodule_all(self):
+        stray = []
         for module, names in af._EXPORTS.items():
             sub = importlib.import_module(f"alphafam.{module}")
-            missing += [f"{module}.{name} (not in its __all__)" for name in names if name not in sub.__all__]
+            stray += [f"{module}.{name}" for name in names if name not in sub.__all__]
+        assert stray == []
+
+    def test_every_submodule_name_resolves(self):
+        missing = []
+        for module in af._EXPORTS:
+            sub = importlib.import_module(f"alphafam.{module}")
             missing += [f"{module}.{name}" for name in sub.__all__ if not hasattr(sub, name)]
-        assert not missing
+        assert missing == []
+
+
+class TestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1e150, max_value=1e150, allow_nan=False))
+    def test_halves_sum_exactly_and_multiply_exactly(self, a):
+        # Both the codec and the compact-family sums rely on hi + lo == a and on exact half products;
+        # products that would underflow to subnormals are outside that promise.
+        hi, lo = core._split(np.array([a]))
+        hi, lo = float(hi[0]), float(lo[0])
+        assert Fraction(hi) + Fraction(lo) == Fraction(a)
+        for u, v in ((hi, hi), (hi, lo), (lo, lo)):
+            if abs(u * v) >= 1e-290:
+                assert Fraction(u * v) == Fraction(u) * Fraction(v)
