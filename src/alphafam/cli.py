@@ -5,16 +5,27 @@ Reports are JSON with sorted keys and floats fixed at 17 significant digits,
 so identical config + input + seed produce byte-identical output.  Draws are
 emitted as CSV at the same precision.  Exit codes: 0 success, 1 verification
 failure, 2 invalid config, 10 unreadable input, 11 ragged rows, 12
-non-numeric cells, 13 empty input, 20 numerical failure.  Each subcommand takes only the flags it reads; a
-missing, unknown or malformed flag is a usage error and exits 2.
+non-numeric cells, 13 empty input, 14 output not written, 20 numerical
+failure.  Each subcommand takes only the flags it reads; a missing, unknown
+or malformed flag is a usage error and exits 2.
+
+``main`` runs one command line in-process and returns its exit code.
+``console`` is the process entry of both ``python -m alphafam.cli`` and the
+``alphafam`` script: it runs ``main``, flushes stdout, and then freezes the
+garbage collector's tracked objects, so that the interpreter's collections at
+exit skip them.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import importlib.util
+import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -66,6 +77,7 @@ EXIT_UNREADABLE = 10
 EXIT_RAGGED = 11
 EXIT_NON_NUMERIC = 12
 EXIT_EMPTY = 13
+EXIT_OUTPUT = 14
 EXIT_NUMERICAL = 20
 
 # Expected values for the verify subcommand: per-segment maximizers of the
@@ -92,6 +104,15 @@ class IngestError(AlphaFamilyError):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+class OutputError(AlphaFamilyError):
+    """A failed write of the command's output to ``path``, "-" for stdout."""
+
+    exit_code = EXIT_OUTPUT
+
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {'<stdout>' if path == '-' else path}: {exc}")
 
 
 @record
@@ -191,7 +212,6 @@ def ingest_csv(path: str) -> CsvBatch:
     if data is not None:
         return CsvBatch(data, sha256)
 
-    import io
     import itertools
 
     rows = list(csv.reader(io.StringIO(text, newline="")))
@@ -276,13 +296,25 @@ def _row_error(path: str, body: list, start: int, width: int) -> IngestError:
 
 
 def _emit(data: bytes, output_path: str):
-    """Write ``data`` as it is to the output path, or to stdout for "-"."""
-    if output_path != "-":
-        with open(output_path, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+    """Write every byte of ``data`` to the output path, or to stdout for "-"; OutputError if a write fails.
+
+    Under ``PYTHONUNBUFFERED=1`` stdout's binary layer is a raw stream, whose
+    write may take only part of the bytes, so the rest is written until none
+    is left.
+    """
+    try:
+        if output_path != "-":
+            with open(output_path, "wb") as handle:
+                handle.write(data)
+        else:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, "stdout is closed")
+            sys.stdout.flush()
+            view = memoryview(data)
+            while view:
+                view = view[sys.stdout.buffer.write(view):]
+    except OSError as exc:
+        raise OutputError(output_path, exc) from None
 
 
 def _report(args: argparse.Namespace, batch: CsvBatch | None = None, **fields) -> int:
@@ -378,6 +410,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return _report(args, alpha=args.alpha, seed=args.seed, draws=batch.data.tolist())
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    out = io.StringIO()
+    code = verify_reference_example(out)
+    _emit(out.getvalue().encode("utf-8"), "-")
+    return code
+
+
 def verify_reference_example(out=None) -> int:
     """Run the built-in reference sample end to end and check every table.
 
@@ -444,7 +483,7 @@ def run(args: argparse.Namespace) -> int:
         if getattr(args, "n", 1) < 1:
             raise ValueError("simulate requires --n >= 1")
         return args.handler(args)
-    except IngestError as exc:
+    except (IngestError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except NumericalError as exc:
@@ -517,11 +556,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-paper-example",
         help="run the built-in reference sample and check the expected tables",
     )
-    p.set_defaults(handler=lambda _: verify_reference_example())
+    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line in-process; returns its exit code and leaves the garbage collector as it was."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors exit 2, --help exits 0
@@ -529,5 +569,31 @@ def main(argv=None) -> int:
     return run(args)
 
 
+def console(argv=None) -> int:
+    """The process entry: ``main``, a flush of stdout, and ``gc.freeze()``; returns the exit code.
+
+    A flush that fails exits 14 as a failed write in ``main`` does, and
+    stdout is then pointed at the null device, so that the bytes still
+    buffered cannot fail the interpreter's own flush at exit.  The freeze
+    moves every object then alive, most of them left by numpy's import, to
+    the collector's permanent generation, which the full collections of the
+    interpreter's shutdown skip.  The process still exits normally: atexit
+    handlers run, and a profiler such as ``python -m cProfile`` still prints.
+    """
+    code = main(argv)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code != EXIT_OUTPUT:  # else main has reported the failed write
+                print(f"error: {OutputError('-', exc)}", file=sys.stderr)
+                code = EXIT_OUTPUT
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

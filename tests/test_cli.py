@@ -1,10 +1,12 @@
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -760,3 +762,122 @@ class TestCommandsRunOnlyTheirModules:
         assert "kl" in dir(af) and af.kl is cli.divergence.kl
         with pytest.raises(AttributeError):
             af.no_such_name
+
+
+def run_entry(tmp_path, argv, unbuffered=False, **popen):
+    """``python -m alphafam.cli argv`` in ``tmp_path``, with ``PYTHONUNBUFFERED`` set or unset."""
+    env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    popen.setdefault("stdout", subprocess.PIPE)
+    return subprocess.Popen([sys.executable, "-m", "alphafam.cli", *argv], env=env, cwd=str(tmp_path),
+                            stderr=subprocess.PIPE, **popen)
+
+
+class TestProcessEntry:
+    """``console`` is the one process entry; ``main`` runs in-process and leaves the collector alone."""
+
+    @pytest.mark.parametrize("argv", [["verify-paper-example"],
+                                      ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"]])
+    def test_main_leaves_the_collector_as_it_was(self, capsys, argv):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        capsys.readouterr()
+
+    def test_module_run_freezes_the_collector_and_exits_normally(self, tmp_path):
+        # The module runs as __main__ the way ``python -m`` runs it; an atexit
+        # handler still runs after the entry has returned.
+        probe = ("import atexit, gc, runpy, sys\n"
+                 "atexit.register(lambda: sys.stderr.write(f'FROZEN {gc.get_freeze_count()}\\n'))\n"
+                 "sys.argv = ['alphafam', 'verify-paper-example']\n"
+                 "runpy.run_module('alphafam.cli', run_name='__main__', alter_sys=True)\n")
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=str(tmp_path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.endswith("PASS\n")
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("FROZEN ") and int(line.split()[1]) > 0, line
+
+    @pytest.mark.parametrize("argv, text, code", [
+        (["verify-paper-example"], None, cli.EXIT_OK),
+        (["estimate", "--alpha", "0.5", "--input", "DATA"], "1\n2.5\n4\n", cli.EXIT_OK),
+        (["estimate", "--alpha", "1.5", "--input", "DATA"], "1\n2.5\n4\n", cli.EXIT_INVALID_CONFIG),
+        (["simulate", "--alpha", "0.5", "--mu", "0", "--sigma", "1"], None, cli.EXIT_INVALID_CONFIG),
+        (["estimate", "--alpha", "0.5", "--input", "MISSING"], None, cli.EXIT_UNREADABLE),
+        (["estimate", "--alpha", "0.5", "--input", "DATA"], "1,2\n3\n", cli.EXIT_RAGGED),
+        (["estimate", "--alpha", "0.5", "--input", "DATA"], "1\nx\n", cli.EXIT_NON_NUMERIC),
+        (["estimate", "--alpha", "0.5", "--input", "DATA"], "", cli.EXIT_EMPTY),
+        (["divergence", "--alpha", "0.35", "--p", "t:1.06,-2.6,4.3", "--q", "normal:-2.85,0.027"], None,
+         cli.EXIT_NUMERICAL),
+    ])
+    def test_module_run_matches_main_in_process(self, tmp_path, capsysbinary, argv, text, code):
+        paths = {"DATA": write(tmp_path, "data.csv", text) if text is not None else None,
+                 "MISSING": str(tmp_path / "missing.csv")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert cli.main(argv) == code
+        expected = capsysbinary.readouterr()
+        proc = run_entry(tmp_path, argv)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (code, expected.out, expected.err)
+
+    def test_console_script_is_the_entry(self):
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.M) == [("alphafam", "alphafam.cli:console")]
+
+
+class TestOutputFailures:
+    """A write of the output that fails exits 14 with one stderr line and no traceback."""
+
+    def assert_one_error_line(self, err: bytes, target: str):
+        (line,) = err.decode().splitlines()
+        assert line.startswith(f"error: cannot write {target}: "), line
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        argv = ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2", "--output", str(target)]
+        assert cli.main(argv) == cli.EXIT_OUTPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_one_error_line(captured.err.encode(), str(target))
+        proc = run_entry(tmp_path, argv)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == (cli.EXIT_OUTPUT, b"")
+        self.assert_one_error_line(err, str(target))
+        assert not target.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["verify-paper-example"],
+                                      ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"]])
+    def test_full_device(self, tmp_path, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = run_entry(tmp_path, argv, unbuffered, stdout=full)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == cli.EXIT_OUTPUT
+        self.assert_one_error_line(err, "<stdout>")
+
+    def test_closed_stdout(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m alphafam.cli verify-paper-example >&-', sys.executable],
+                              env=env, cwd=str(tmp_path), stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == cli.EXIT_OUTPUT
+        self.assert_one_error_line(proc.stderr, "<stdout>")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_that_closes_early(self, tmp_path, unbuffered):
+        argv = ["simulate", "--alpha", "0.8", "--mu", "0,1", "--sigma", "1,0;0,1", "--n", "200000"]
+        proc = run_entry(tmp_path, argv, unbuffered)
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert proc.returncode == cli.EXIT_OUTPUT
+        self.assert_one_error_line(err, "<stdout>")
