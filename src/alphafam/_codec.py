@@ -1,12 +1,13 @@
 """Exact "%.17g" decimal conversion of float64 arrays, in both directions, as array arithmetic.
 
 ``format_rows`` writes a 2-D array as the bytes of Python's ``"%.17g"``
-cells, and ``parse_rows`` reads a CSV of plain decimal cells to the values
-``float`` gives each cell.  Neither makes a Python float per value.  Both
-rest on ``digits17``: the 17 significant digits of each value, computed
-exactly from Dekker's error-free product with a power of ten.  Cells outside
-fixed notation, and cells the arithmetic cannot decide, go through Python's
-own conversion.  Both work in blocks, so that their temporaries stay small.
+cells, and ``parse_rows`` reads a CSV of unquoted decimal cells, spaced or
+signed, to the values ``float`` gives each cell.  Neither makes a Python
+float per value.  Both rest on ``digits17``: the 17 significant digits of
+each value, computed exactly from Dekker's error-free product with a power
+of ten.  Cells outside fixed notation, and cells the arithmetic cannot
+decide, go through Python's own conversion.  Both work in blocks, so that
+their temporaries stay small.
 """
 
 from __future__ import annotations
@@ -170,24 +171,32 @@ def _format_block(rows) -> bytes:
 
 
 _LINES_TO_COMMAS = bytes.maketrans(b"\n", b",")
+_PLAIN = b"0123456789.,-\n"
+_SPACES = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII bytes str.strip removes, other than line ends
+_IS_SPACE, _IS_SEP = np.isin(np.arange(256), list(_SPACES)), np.isin(np.arange(256), list(b",\n"))
 
 
 def parse_rows(raw: bytes):
-    """The rows of a CSV of plain decimal cells, as ``float`` reads each cell; None for any other text.
+    """The rows of a CSV of unquoted decimal cells, as ``float`` reads each cell; None for any other text.
 
     Accepted: an optional UTF-8 byte-order mark, an optional header row (a
-    first row on which ``float`` fails for some cell, without quotes), then
-    rows of equal width whose cells are an optional "-" and digits with at
-    most one ".", or cells with an exponent; "\\n" or "\\r\\n" line ends, the
-    last one optional.  The "." is deleted and the mantissas A are read by
-    numpy's C integer reader; f, the digits after the point, comes from its
-    position, and the value is A / 10^f.  That quotient is exact (one
-    rounding) where A < 2^53 and f <= 22.  Otherwise it is kept only where
-    its 17 digits, the ones ``digits17`` gives, or those of its neighbour
-    towards the cell, are the cell's own: the cell then lies strictly within
-    half an ulp of that double.  Cells with an exponent, and cells still
-    undecided, go through ``float``.  Blank rows, spaces, quotes, ragged
-    rows and non-finite values return None.
+    first non-blank row on which ``float`` fails for some cell, without
+    quotes), then rows of equal width whose cells are an optional "-" or "+"
+    and digits with at most one ".", or cells with an exponent, with ASCII
+    spaces around them; "\\n" or "\\r\\n" line ends, the last one optional;
+    rows of only spaces and commas before the first row, and of only spaces
+    anywhere.  Only a block with spaces is rewritten without them, and only
+    one that does not read otherwise is read again without its empty rows,
+    so that plain text pays for neither.  The "." is deleted and the
+    mantissas A are read by numpy's C integer reader; f, the digits after
+    the point, comes from its position, and the value is A / 10^f.  That
+    quotient is exact (one rounding) where A < 2^53 and f <= 22.  Otherwise
+    it is kept only where its 17 digits, the ones ``digits17`` gives, or
+    those of its neighbour towards the cell, are the cell's own: the cell
+    then lies strictly within half an ulp of that double.  Cells with an
+    exponent, and cells still undecided, go through ``float``.  Quotes,
+    spaces within a cell, other bytes, ragged rows, rows of only commas
+    after the first row and non-finite values return None.
     """
     if raw.startswith(b"\xef\xbb\xbf"):
         raw = raw[3:]
@@ -196,37 +205,64 @@ def parse_rows(raw: bytes):
             return None
         raw = raw.replace(b"\r\n", b"\n")
     stop = len(raw) - raw.endswith(b"\n")
-    end = raw.find(b"\n", 0, stop)
+    start = raw.rfind(b"\n", 0, len(raw) - len(raw.lstrip(_SPACES + b",\n"))) + 1  # past blank rows
+    end = raw.find(b"\n", start, stop)
     end = stop if end < 0 else end
     try:
-        first = raw[:end].decode("utf-8")
+        first = raw[start:end].decode("utf-8")
     except UnicodeDecodeError:
         return None
     if '"' in first or "\x00" in first or not first.replace(",", "").strip():
         return None
-    start = 0
     try:
         [float(cell.strip()) for cell in first.split(",")]
     except ValueError:
         start = end + 1  # a header
-    blocks, width = [], None
+    blocks = []
     while start < stop:
         cut = raw.find(b"\n", min(start + _BYTES_PER_BLOCK, stop), stop)
         cut = stop if cut < 0 else cut
         parsed = _parse_block(raw[start:cut])
-        if parsed is None or width not in (None, parsed[1]):
+        if parsed is None:
             return None
-        blocks.append(parsed[0])
-        width = parsed[1]
+        blocks.append(parsed)
         start = cut + 1
-    if not blocks:
+    widths = {width for _, width in blocks} - {0}
+    if len(widths) != 1:
         return None
-    return np.concatenate(blocks).reshape(-1, width)
+    return np.concatenate([values for values, _ in blocks]).reshape(-1, widths.pop())
 
 
 def _parse_block(block: bytes):
-    """(values, width) of whole rows without a final line end, or None."""
-    other = block.translate(None, b"0123456789.,-\n")
+    """(values, width) of whole rows without a final line end, width 0 where all are empty; or None."""
+    other = block.translate(None, _PLAIN)
+    if other.translate(None, b"eE+"):  # spaces, or bytes that _read_block declines
+        block = _unpad(block)
+        if block is None:
+            return None
+        other = other.translate(None, _SPACES)
+    parsed = _read_block(block, other)
+    lines = block.split(b"\n") if parsed is None else ()
+    if b"" in lines:  # read again without the empty rows
+        block = b"\n".join(filter(None, lines))
+        parsed = _read_block(block, other) if block else (np.empty(0), 0)
+    return parsed
+
+
+def _unpad(block: bytes):
+    """The block without the spaces around its cells; None where a space is elsewhere."""
+    line = np.frombuffer(b"\n" + block + b"\n", dtype=np.uint8)
+    space = np.flatnonzero(line <= ord(" "))  # then the table: a lookup of every byte is slower
+    space = space[_IS_SPACE[line[space]]]
+    # Each run of spaces has a separator on one side.
+    starts, ends = space[~_IS_SPACE[line[space - 1]]], space[~_IS_SPACE[line[space + 1]]]
+    if not (_IS_SEP[line[starts - 1]] | _IS_SEP[line[ends + 1]]).all():
+        return None
+    return block.translate(None, _SPACES)
+
+
+def _read_block(block: bytes, other: bytes):
+    """(values, width) of whole rows of plain cells without a final line end, or None."""
     if other.translate(None, b"eE+"):
         return None
     chars = np.frombuffer(block, dtype=np.uint8)
@@ -240,19 +276,21 @@ def _parse_block(block: bytes):
         chars[follow[(chars[follow] == ord("+")) | (chars[follow] == ord("-"))]] = ord("0")
     # Every byte below "0" is a mark: a separator, "-", "." or "+".  With a
     # separator mark before the block and one after it, each cell ends at a
-    # separator mark and may have a "." and before it a leading "-".
+    # separator mark and may have a "." and before it a leading "-" or "+".
     marks = np.concatenate(([-1], np.flatnonzero(chars < ord("0")), [chars.size]))
     kinds = np.concatenate(([ord("\n")], chars[marks[1:-1]], [ord("\n")]))
     seps = np.flatnonzero((kinds == ord(",")) | (kinds == ord("\n")))
     last = seps[1:]
     starts, ends = marks[seps[:-1]] + 1, marks[last]
     has_dot = kinds[last - 1] == ord(".")
-    negative = kinds[last - 1 - has_dot] == ord("-")
+    sign = kinds[last - 1 - has_dot]
+    negative = sign == ord("-")
+    signed = negative | (sign == ord("+"))
     n = last.size
     if (
-        marks.size - 1 != n + has_dot.sum() + negative.sum()  # a mark in the wrong place
-        or (marks[last - 1 - has_dot][negative] != starts[negative]).any()
-        or (ends - starts - has_dot - negative < 1).any()  # a cell without a digit
+        marks.size - 1 != n + has_dot.sum() + signed.sum()  # a mark in the wrong place
+        or (marks[last - 1 - has_dot][signed] != starts[signed]).any()
+        or (ends - starts - has_dot - signed < 1).any()  # a cell without a digit
     ):
         return None
     row_ends = kinds[last] == ord("\n")
@@ -265,7 +303,7 @@ def _parse_block(block: bytes):
         warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on a malformed string
         try:
             text = chars.tobytes() if other else block
-            mantissa = np.fromstring(text.translate(_LINES_TO_COMMAS, b".-"), dtype=np.int64, sep=",")
+            mantissa = np.fromstring(text.translate(_LINES_TO_COMMAS, b".-+"), dtype=np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
     if mantissa.size != n:

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -66,7 +65,7 @@ def _lazy(name: str):
 
 compact, divergence, estimators, studentt = (_lazy(f"{__package__}.{name}")
                                              for name in ("compact", "divergence", "estimators", "studentt"))
-csv = _lazy("csv")  # read only by ingest_csv's last tier
+csv = _lazy("csv")  # read only by ingest_csv, for quoted or non-ASCII text and to name a bad row
 
 SCHEMA_VERSION = "3"
 
@@ -181,13 +180,14 @@ def ingest_csv(path: str) -> CsvBatch:
 
     A leading byte-order mark is dropped.  A single non-numeric first row is
     treated as a header.  Ragged rows, non-numeric (or non-finite) cells, and
-    inputs without data rows are rejected with distinct exit codes.  The
-    values are the ones ``float`` gives each cell, read in one of three
-    tiers.  Plain decimal cells, as ``simulate`` writes them, are read from
-    the bytes as integers and placed exactly (``_codec.parse_rows``).  Any
-    other ASCII text without quotes is decoded and goes to numpy's C reader
-    (``_parse_unquoted``).  Any other text, or one that reader cannot
-    decide, goes through csv.reader, which names the first bad row.
+    inputs without data rows are rejected with distinct exit codes; text
+    the csv module cannot split (a field past its size limit) is non-numeric.
+    The values are the ones ``float`` gives each cell, read in one of two
+    tiers.  Unquoted decimal cells, spaced or signed, with blank rows or
+    none, are read from the bytes as integers and placed exactly
+    (``_codec.parse_rows``).  Any other text, quoted or not ASCII, or one
+    the codec declines, goes through csv.reader, which names the first bad
+    row.
     """
     try:
         with open(path, "rb") as handle:
@@ -206,15 +206,13 @@ def ingest_csv(path: str) -> CsvBatch:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
-    del raw  # the parsers need only the text; freeing the bytes lowers the peak memory
-
-    data = _parse_unquoted(text)
-    if data is not None:
-        return CsvBatch(data, sha256)
-
+    del raw  # the parser needs only the text; freeing the bytes lowers the peak memory
     import itertools
 
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise IngestError(EXIT_NON_NUMERIC, f"{path}: {exc}") from exc
     # Drop blank rows: those whose joined cells are all whitespace.
     rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
     if not rows:
@@ -239,46 +237,6 @@ def ingest_csv(path: str) -> CsvBatch:
         if data is not None and np.isfinite(data).all():
             return CsvBatch(data.reshape(len(body), width), sha256)
     raise _row_error(path, body, start, width)
-
-
-def _parse_unquoted(text: str) -> np.ndarray | None:
-    """The data rows of an ASCII text without quotes, by numpy's C reader; None where it cannot decide.
-
-    Accepts only what the csv.reader path accepts, with the same values:
-    without quotes, both split rows at line ends and cells at commas, strip
-    ASCII whitespace around cells, and parse them with Python's correctly
-    rounded strtod.  Everything else returns None, so that the csv.reader
-    path decides the result and any error: a quote, a non-ASCII character,
-    a lone CR, a row of only whitespace or commas after the first row
-    (numpy skips only empty ones), ragged rows, cells that float() takes
-    and numpy does not (such as "1_0"), non-finite values, and a body with
-    no rows.
-    """
-    if not text.isascii() or '"' in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    lines = text.split("\n")
-    # Skip blank rows to the first row, and past it if it is a header.
-    start = next((i for i, line in enumerate(lines) if line.replace(",", "").strip()), None)
-    if start is None:
-        return None
-    try:
-        _parse_row(lines[start].split(","))
-    except ValueError:
-        start += 1
-    with warnings.catch_warnings():
-        # The csv.reader path reports an empty body.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            data = np.loadtxt(lines[start:], delimiter=",", comments=None, quotechar=None, ndmin=2)
-        except ValueError:
-            return None
-    if data.size == 0 or not np.isfinite(data).all():
-        return None
-    return data
 
 
 def _row_error(path: str, body: list, start: int, width: int) -> IngestError:

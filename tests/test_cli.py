@@ -79,7 +79,7 @@ def parse_outcome(parser, path):
     return ("ok", data.shape, data.tobytes())
 
 
-_ASCII_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c"]
+_ASCII_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _ASCII_NUMBERS = st.one_of(
     _FLOATS.map(repr),
@@ -160,11 +160,10 @@ class TestIngest:
         path = write(tmp_path, "u.csv", "\n , \t\nx,y\r\n1,2\r\n\r\n 3.5 ,\t-4e-3\r\n")
         assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, -0.004]]
 
-    def test_plain_decimal_file_skips_both_text_readers(self, tmp_path, monkeypatch):
+    def test_plain_decimal_file_skips_the_csv_module(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a text reader called for a plain decimal file")
+            raise AssertionError("csv.reader called for a plain decimal file")
 
-        monkeypatch.setattr(cli.np, "loadtxt", refuse)
         monkeypatch.setattr(cli.csv, "reader", refuse)
         draws = np.random.default_rng(2).standard_t(3, size=(500, 2)) * [1.0, 1e-3]
         draws[:3] = [[-0.0, 1e-7], [2.0**60, -5e-324], [0.1, -1e16]]
@@ -175,15 +174,35 @@ class TestIngest:
         assert batch.data.tobytes() == draws.tobytes()
         assert batch.sha256 == hashlib.sha256(text.encode("ascii")).hexdigest()
 
+    @pytest.mark.parametrize("text", ["x, y\n1 ,\t2\n\x0c3.5\x1f, 4 \n", "x,y\n+1,+2\n+3.5,4\n",
+                                      " , \n\t\n\nx,y\n1,2\n3.5,4\n", "x,y\n\n1,2\n\n\n3.5,4\n\n"],
+                             ids=["spaced", "plus", "leading-blank", "interior-blank"])
+    def test_spaced_signed_and_blank_row_files_skip_the_csv_module(self, tmp_path, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called for an unquoted decimal file")
+
+        monkeypatch.setattr(cli.csv, "reader", refuse)
+        path = write(tmp_path, "s.csv", text)
+        assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, 4.0]]
+
     @pytest.mark.parametrize("text", ['"x","y"\n"1",2\n"3.5"," 4"\n', "x,y\n1,2\n3.5,\xa04\n", "x,y\r1,2\r3.5,4\r"],
                              ids=["quoted", "non-ascii", "lone-cr"])
-    def test_other_files_parse_without_numpy_reader(self, tmp_path, monkeypatch, text):
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy's reader called for a file it does not take")
-
-        monkeypatch.setattr(cli.np, "loadtxt", refuse)
+    def test_other_files_parse_through_the_csv_module(self, tmp_path, monkeypatch, text):
+        reader, calls = cli.csv.reader, []
+        monkeypatch.setattr(cli.csv, "reader", lambda *args: calls.append(args) or reader(*args))
         path = write(tmp_path, "q.csv", text)
         assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, 4.0]]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("raw", [b'x,y\n"1,2\n' + b"3,4\n" * 40000, b"1" * 200000 + b"\n", b"1\n2\x003\n"],
+                             ids=["stray-quote", "long-cell", "nul-byte"])
+    def test_text_the_csv_module_cannot_split_exits_12_with_one_line(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.csv"
+        path.write_bytes(raw)
+        assert cli.main(["estimate", "--alpha", "0.5", "--input", str(path)]) == cli.EXIT_NON_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n\r\n"], ids=["header-only", "blank-body"])

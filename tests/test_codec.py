@@ -26,6 +26,8 @@ _NEAR_POWERS = st.builds(lambda p, step: np.nextafter(p, np.inf) if step > 0 els
                          st.sampled_from(_POWERS.tolist()), st.integers(-1, 1))
 _SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 1e-4, 1e-5, 1e16,
                             1e17, 99999999999999984.0, 2.0**53 + 2.0, 0.1, 0.5, 1.0])
+# The ASCII bytes str.strip removes, but for the line ends.
+_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 _VALUES = st.one_of(_BIT_PATTERNS, _DYADIC_TIES, _NEAR_POWERS, _SPECIAL,
                     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e17, max_value=1e17))
 
@@ -97,13 +99,41 @@ class TestReader:
         assert values is not None
         assert values.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("raw,want", [
+        (b" 1\n", [[1.0]]), (b"1 \n", [[1.0]]), (b"+1\n", [[1.0]]), (b"1\n\n2\n", [[1.0], [2.0]]), (b"\n1\n", [[1.0]]),
+    ])
+    def test_spaced_signed_and_blank_row_inputs_read_as_float_reads_them(self, raw, want):
+        assert _codec.parse_rows(raw).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("raw", [
-        b"", b"x,y\n", b"1,2\n3\n", b"1\n\n2\n", b"\n1\n", b"1\r2\n", b" 1\n", b"1 \n", b'"1"\n', b"+1\n",
-        b"1,,2\n", b"-\n", b".\n", b"1.2.3\n", b"1-2\n", b"--1\n", b"1e\n", b"e5\n", b"1e400\n", b"nan\n",
-        b"0x10\n", b"1_0\n", "١\n".encode(),
+        b"", b"x,y\n", b"1,2\n3\n", b"1\r2\n", b'"1"\n', b"1e400\n", b"nan\n", b"1_0\n", "١\n".encode(),
+        # After a data row, so that the cell is not read as a header.
+        b"0,0,0\n1,,2\n", b"0\n-\n", b"0\n.\n", b"0\n1.2.3\n", b"0\n1-2\n", b"0\n--1\n", b"0\n1e\n", b"0\ne5\n",
+        b"0\n0x10\n", b"0\n1 2\n", b"0\n- 1\n", b"0\n1e 5\n", b"0\n+-1\n", b"0\n++1\n", b"0\n+e5\n", b"0,0\n1,+\n", b"0\n+\n",
+        "0\n\xa01\n".encode(),
     ])
     def test_declines_what_it_does_not_read(self, raw):
         assert _codec.parse_rows(raw) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=tables(), pad=st.data())
+    def test_spaced_signed_and_blank_row_files_read_as_float_reads_them(self, data, pad):
+        data = np.where(np.isfinite(data), data, 0.0)
+        spaces = st.text(st.sampled_from(_SPACES), max_size=2)
+
+        def cell(value):
+            text = repr(value)
+            sign = "+" if not text.startswith("-") and pad.draw(st.booleans()) else ""
+            return pad.draw(spaces) + sign + text + pad.draw(spaces)
+
+        lines = []
+        for row in data.tolist():
+            lines += [""] * pad.draw(st.integers(0, 2)) + [",".join(map(cell, row))]
+        raw = ("\n".join(lines) + "\n" * pad.draw(st.integers(0, 3))).encode("ascii")
+        values = _codec.parse_rows(raw)
+        want = [[float(cell.strip()) for cell in line.split(",")] for line in raw.decode("ascii").split("\n") if line]
+        assert values is not None
+        assert values.tobytes() == np.array(want).tobytes()
 
     def test_exponent_cells_read_as_float_reads_them(self):
         raw = b"1e5,2\n3e-1,-2.5E-3\n4.9406564584124654e-324,1E+16\n"
