@@ -181,29 +181,31 @@ def parse_rows(raw: bytes):
 
     Accepted: an optional UTF-8 byte-order mark, an optional header row (a
     first non-blank row on which ``float`` fails for some cell, without
-    quotes), then rows of equal width whose cells are an optional "-" or "+"
-    and digits with at most one ".", or cells with an exponent, with ASCII
-    spaces around them; "\\n" or "\\r\\n" line ends, the last one optional;
-    rows of only spaces and commas before the first row, and of only spaces
-    anywhere.  Only a block with spaces is rewritten without them, and only
-    one that does not read otherwise is read again without its empty rows,
-    so that plain text pays for neither.  The "." is deleted and the
-    mantissas A are read by numpy's C integer reader; f, the digits after
-    the point, comes from its position, and the value is A / 10^f.  That
-    quotient is exact (one rounding) where A < 2^53 and f <= 22.  Otherwise
-    it is kept only where its 17 digits, the ones ``digits17`` gives, or
-    those of its neighbour towards the cell, are the cell's own: the cell
-    then lies strictly within half an ulp of that double.  Cells with an
-    exponent, and cells still undecided, go through ``float``.  Quotes,
-    spaces within a cell, other bytes, ragged rows, rows of only commas
-    after the first row and non-finite values return None.
+    quotes), then rows of equal width of cells of digits, ".", "-", "+", "e"
+    and "E" with ASCII spaces around them; "\\n" or "\\r\\n" line ends,
+    the last one optional; rows of only spaces and commas before the first
+    row, and of only spaces anywhere.  Only a block with spaces is rewritten
+    without them, and only one that does not read otherwise is read again
+    without its empty rows, so that plain text pays for neither.  Plain
+    cells, an optional "-" or "+" and digits with at most one ".", are
+    placed by arithmetic.  Their marks are deleted and the mantissas A are
+    read by numpy's C integer reader; f, the digits after the point, comes
+    from its position, and the value is A / 10^f.  That quotient is exact
+    (one rounding) where A < 2^53 and f <= 22.  Otherwise it is kept only
+    where its 17 digits, the ones ``digits17`` gives, or those of its
+    neighbour towards the cell, are the cell's own: the cell then lies
+    strictly within half an ulp of that double.  ``float`` reads every other
+    cell, one with an exponent or still undecided, or rejects it.  A cell it
+    rejects, a cell without digits, quotes, spaces within a cell, other
+    bytes, ragged rows, rows of only commas after the first row and
+    non-finite values return None.
     """
     if raw.startswith(b"\xef\xbb\xbf"):
         raw = raw[3:]
     if b"\r" in raw:
-        if raw.count(b"\r") != raw.count(b"\r\n"):
-            return None
         raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:
+            return None
     stop = len(raw) - raw.endswith(b"\n")
     start = raw.rfind(b"\n", 0, len(raw) - len(raw.lstrip(_SPACES + b",\n"))) + 1  # past blank rows
     end = raw.find(b"\n", start, stop)
@@ -262,21 +264,15 @@ def _unpad(block: bytes):
 
 
 def _read_block(block: bytes, other: bytes):
-    """(values, width) of whole rows of plain cells without a final line end, or None."""
+    """(values, width) of whole rows without a final line end, or None: plain cells placed, ``float`` for the rest."""
     if other.translate(None, b"eE+"):
         return None
     chars = np.frombuffer(block, dtype=np.uint8)
-    if other:
-        # Exponent letters and their signs become digits, so that every cell
-        # reads as a plain decimal; such cells are read by ``float`` below.
-        letters = np.flatnonzero((chars == ord("e")) | (chars == ord("E")))
-        chars = chars.copy()
-        chars[letters] = ord("0")
-        follow = letters[letters + 1 < chars.size] + 1
-        chars[follow[(chars[follow] == ord("+")) | (chars[follow] == ord("-"))]] = ord("0")
     # Every byte below "0" is a mark: a separator, "-", "." or "+".  With a
     # separator mark before the block and one after it, each cell ends at a
-    # separator mark and may have a "." and before it a leading "-" or "+".
+    # separator mark.  A cell is plain where, passing over a "." that is its
+    # last mark, the mark before is the separator that opens it or a "-" or
+    # "+" right after that separator.  ``float`` reads or rejects the rest.
     marks = np.concatenate(([-1], np.flatnonzero(chars < ord("0")), [chars.size]))
     kinds = np.concatenate(([ord("\n")], chars[marks[1:-1]], [ord("\n")]))
     seps = np.flatnonzero((kinds == ord(",")) | (kinds == ord("\n")))
@@ -286,13 +282,10 @@ def _read_block(block: bytes, other: bytes):
     sign = kinds[last - 1 - has_dot]
     negative = sign == ord("-")
     signed = negative | (sign == ord("+"))
+    plain = marks[last - 1 - has_dot] == starts - 1 + signed
+    if other:  # an exponent letter makes its cell not plain
+        plain[np.searchsorted(ends, np.flatnonzero((chars == ord("e")) | (chars == ord("E"))))] = False
     n = last.size
-    if (
-        marks.size - 1 != n + has_dot.sum() + signed.sum()  # a mark in the wrong place
-        or (marks[last - 1 - has_dot][signed] != starts[signed]).any()
-        or (ends - starts - has_dot - signed < 1).any()  # a cell without a digit
-    ):
-        return None
     row_ends = kinds[last] == ord("\n")
     rows = int(row_ends.sum())
     width = n // rows
@@ -302,23 +295,20 @@ def _read_block(block: bytes, other: bytes):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on a malformed string
         try:
-            text = chars.tobytes() if other else block
-            mantissa = np.fromstring(text.translate(_LINES_TO_COMMAS, b".-+"), dtype=np.int64, sep=",")
+            # A cell without digits leaves an empty field, which is declined.
+            mantissa = np.fromstring(block.translate(_LINES_TO_COMMAS, b".-+eE"), dtype=np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
     if mantissa.size != n:
         return None
 
     values = mantissa / _POW10[np.minimum(places, 22)]
-    decided = (mantissa < _TWO53) & (places <= 22)
+    decided = plain & (mantissa < _TWO53) & (places <= 22)
     # A cell of 16 or 17 digits has its own 17 digits and exponent E.  The
     # double whose "%.17g" digits at E are those is the cell's value: try
     # the quotient, then its neighbour towards the cell.
     own_e = 15 + (mantissa >= _INT_TEN16) - places
-    check = ~decided & (mantissa < _INT_TEN17) & (own_e >= -6)
-    if other:
-        check[np.searchsorted(ends, letters)] = False
-        decided[np.searchsorted(ends, letters)] = False
+    check = plain & ~decided & (mantissa < _INT_TEN17) & (own_e >= -6)
     own = np.where(mantissa >= _INT_TEN16, mantissa, mantissa * 10)
     hi, lo, below, above = _scaled(np.where(check, values, 1.0), np.where(check, own_e, 0))
     got = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
@@ -330,7 +320,7 @@ def _read_block(block: bytes, other: bytes):
         hit = ~below & ~above & (hi.astype(np.int64) + np.rint(lo).astype(np.int64) == own[near])
         values[near[hit]] = value[hit]
         decided[near[hit]] = True
-    np.negative(values, out=values, where=negative)
+    np.copysign(values, 0.5 - negative, out=values)  # values are >= 0 here
     rest = np.flatnonzero(~decided)
     try:
         values[rest] = [float(block[a:b]) for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]

@@ -103,10 +103,12 @@ def record(cls):
     ``__post_init__`` where there is one; only that may set attributes, with
     ``object.__setattr__``.  Any other assignment or deletion raises
     AttributeError.  Two records of one class are equal, and hash alike,
-    when their fields are; repr lists the fields.  A method the class
-    defines itself is kept, so ``__eq__ = object.__eq__`` and ``__hash__ =
-    object.__hash__`` compare by identity.  Methods are closures, not
-    generated source, so decorating a class costs microseconds.
+    when their fields are, array fields by ``np.array_equal``; a record
+    with an array field is unhashable (TypeError).  repr lists the fields.
+    A method the class defines itself is kept, so ``__eq__ =
+    object.__eq__`` and ``__hash__ = object.__hash__`` compare by identity.
+    Methods are closures, not generated source, so decorating a class costs
+    microseconds.
     """
     names = tuple(dict.fromkeys([*getattr(cls, "_fields", ()), *vars(cls).get("__annotations__", ())]))
     name_set = set(names)
@@ -130,7 +132,8 @@ def record(cls):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return tuple(map(self.__dict__.get, names)) == tuple(map(other.__dict__.get, names))
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(map(self.__dict__.get, names), map(other.__dict__.get, names)))
 
     def __hash__(self):
         return hash(tuple(map(self.__dict__.get, names)))

@@ -110,7 +110,7 @@ class TestReader:
         # After a data row, so that the cell is not read as a header.
         b"0,0,0\n1,,2\n", b"0\n-\n", b"0\n.\n", b"0\n1.2.3\n", b"0\n1-2\n", b"0\n--1\n", b"0\n1e\n", b"0\ne5\n",
         b"0\n0x10\n", b"0\n1 2\n", b"0\n- 1\n", b"0\n1e 5\n", b"0\n+-1\n", b"0\n++1\n", b"0\n+e5\n", b"0,0\n1,+\n", b"0\n+\n",
-        "0\n\xa01\n".encode(),
+        "0\n\xa01\n".encode(), b"0\r\n1\r", b"0\r\n1\r2\r\n",
     ])
     def test_declines_what_it_does_not_read(self, raw):
         assert _codec.parse_rows(raw) is None
@@ -129,11 +129,34 @@ class TestReader:
         lines = []
         for row in data.tolist():
             lines += [""] * pad.draw(st.integers(0, 2)) + [",".join(map(cell, row))]
-        raw = ("\n".join(lines) + "\n" * pad.draw(st.integers(0, 3))).encode("ascii")
+        end = pad.draw(st.sampled_from(["\n", "\r\n"]))
+        raw = (end.join(lines) + end * pad.draw(st.integers(0, 3))).encode("ascii")
         values = _codec.parse_rows(raw)
-        want = [[float(cell.strip()) for cell in line.split(",")] for line in raw.decode("ascii").split("\n") if line]
+        want = [[float(cell.strip()) for cell in line.split(",")] for line in raw.decode("ascii").split(end) if line]
         assert values is not None
         assert values.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.data(), width=st.integers(1, 3))
+    def test_rows_of_mixed_cells_read_exactly_when_float_reads_every_cell(self, cells, width):
+        plain = _VALUES.map(lambda v: "%.17g" % v)
+        other = st.tuples(st.sampled_from(["%.3e", "%.0e", "%+.17e"]), _VALUES).map(lambda pair: pair[0] % pair[1])
+        rejected = st.sampled_from(["1-2", "1..2", "--1", "1e", "e5", "+-1"])
+        kinds = [plain, other, st.sampled_from(["1.e5", "-1e-400"])]
+        if cells.draw(st.booleans()):
+            kinds.append(rejected)
+        rows = cells.draw(st.lists(st.lists(st.one_of(kinds), min_size=width, max_size=width), min_size=1, max_size=20))
+        # A first row of zeros, so that no row is taken for a header.
+        raw = "".join(",".join(row) + "\n" for row in [["0"] * width] + rows).encode("ascii")
+        try:
+            want = per_cell(raw)
+        except ValueError:
+            want = None
+        if want is not None and not np.isfinite(want).all():
+            want = None
+        values = _codec.parse_rows(raw)
+        assert (values is None) == (want is None)
+        assert values is None or values.tobytes() == want.tobytes()
 
     def test_exponent_cells_read_as_float_reads_them(self):
         raw = b"1e5,2\n3e-1,-2.5E-3\n4.9406564584124654e-324,1E+16\n"

@@ -362,6 +362,17 @@ class TestRecord:
         assert row == af.SegmentCandidate(0.0, 1.0, range(0, 2), 0.5, 0.5, 1.5)
         assert len({row, af.SegmentCandidate(0.0, 1.0, range(0, 2), 0.5, 0.5, 1.5)}) == 1
 
+    def test_array_fields_compare_by_value_and_are_unhashable(self):
+        params = af.make_student_t(0.8, [0, 1], np.eye(2))
+        assert params == af.make_student_t(0.8, [0, 1], np.eye(2))
+        assert params != af.make_student_t(0.8, [0, 2], np.eye(2))
+        assert af.SampleBatch(np.ones((3, 2))) == af.SampleBatch(np.ones((3, 2)))
+        assert af.SampleBatch(np.ones((3, 2))) != af.SampleBatch(np.ones((2, 3)))
+        assert af.Gaussian([0, 0], np.eye(2)) == af.Gaussian([0, 0], np.eye(2))
+        assert af.Gaussian([0, 0], np.eye(2)) != af.Gaussian([0, 0], 2 * np.eye(2))
+        with pytest.raises(TypeError):
+            hash(params)
+
     def test_segment_table_compares_by_identity(self):
         first, second = (af.enumerate_segments(np.array([0.0, 1.0])) for _ in range(2))
         assert first == first and first != second and list(first) == list(second)
