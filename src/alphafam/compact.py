@@ -10,13 +10,16 @@ is piecewise a downward parabola between consecutive breakpoints
 {X_i - sqrt(5), X_i + sqrt(5)}.  One vectorized sweep handles every segment
 at once, so joint layouts (one overlapping window, clusters separated by
 gaps, or all points mutually far apart) need no case analysis.  On each
-segment the active set is a contiguous run [start, stop) of the sorted
-sample, found with ``searchsorted``; its count, mean, constrained maximizer
-median{lo, mean(active), hi} and objective follow in O(1) from prefix sums,
-so the sweep is O(n log n) for the sort and O(n) after it.  The prefix sums
-are kept in double-double arithmetic, relative to the first point of each
-cell of width just over 2 sqrt(5), which keeps means and objectives within
-about an ulp of their exact values at any offset of the sample.
+segment the active set is the points whose support [X_i - sqrt(5),
+X_i + sqrt(5)] in float64 encloses it, a contiguous run [start, stop) of
+the sorted sample found with ``searchsorted`` on the support ends; its
+count, mean, constrained maximizer median{lo, mean(active), hi} and
+objective follow in O(1) from prefix sums, so the sweep is O(n log n) for
+the sort and O(n) after it.  The prefix sums are kept in double-double
+arithmetic, relative to the first point of each cell of width just over
+2 sqrt(5), which keeps means and objectives within about an ulp of their
+exact values at any offset of the sample up to |X_i| = 2^55 (3.6e16).
+Past that X_i +- sqrt(5) round to X_i, and the sweep raises ``ParameterError``.
 
 The sweep's result stays columnar: a ``SegmentTable`` holds one numpy array
 per field, ``maximize_l2`` picks the optimum and its ties on those arrays,
@@ -33,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import SampleBatch, _split, b_alpha, log_norm_const, record
+from .core import ParameterError, SampleBatch, _split, b_alpha, log_norm_const, record
 
 __all__ = [
     "ROOT5",
@@ -58,11 +61,6 @@ N2 = math.exp(log_norm_const(2.0, 0.0, 1))
 REFERENCE_SAMPLE = (4.6, 4.7, 6.0, 7.0, 8.2, 8.6, 8.7, 8.8, 8.9, 9.0)
 
 _EPS = math.ulp(1.0)
-
-
-def _slack(value):
-    """Absolute slack for segment membership; scales with |value|."""
-    return 1e-12 * (1.0 + abs(value))
 
 
 @record
@@ -238,30 +236,28 @@ def _sweep(xs: np.ndarray) -> SegmentTable:
     """Segment candidates of the sorted sample ``xs`` in one vectorized pass."""
     r5 = ROOT5
     r2 = r5 * r5
-    breakpoints = np.sort(np.concatenate([xs - r5, xs + r5]))
+    top = float(max(-xs[0], xs[-1]))
+    if top - r5 == top + r5:
+        raise ParameterError("observation_too_large", f"an observation of magnitude {top!r} has no support "
+                             "in float64: x - sqrt(5) and x + sqrt(5) round to x once |x| exceeds 2**55 (3.6e16)")
+    left, right = xs - r5, xs + r5
+    breakpoints = np.sort(np.concatenate([left, right]))
     lo, hi = breakpoints[:-1], breakpoints[1:]
-    keep = hi - lo > _slack(0.5 * (np.abs(lo) + np.abs(hi)))
-    lo, hi = lo[keep], hi[keep]
 
-    # Active set: the run of points with |x - mid| <= reach, computed as that
-    # very test; the searchsorted guesses are padded to contain the run.
-    mid = 0.5 * (lo + hi)
-    reach = r5 + _slack(mid)
-    pad = 4.0 * _EPS * (np.abs(mid) + reach)
-    start, stop = _shrink(
-        xs,
-        lambda x: np.abs(x - mid) <= reach,
-        np.searchsorted(xs, mid - reach - pad, "left"),
-        np.searchsorted(xs, mid + reach + pad, "right"),
-    )
-    nonempty = start < stop
-    lo, hi, start, stop = lo[nonempty], hi[nonempty], start[nonempty], stop[nonempty]
+    # Active set: the points whose support [x - r5, x + r5] encloses [lo, hi].
+    # No breakpoint lies inside a segment, so every other support misses it,
+    # and left and right are sorted with xs, so the enclosing points are the
+    # run from the first right >= hi to the last left <= lo.
+    start = np.searchsorted(right, hi, "left")
+    stop = np.searchsorted(left, lo, "right")
+    keep = (lo < hi) & (start < stop)
+    lo, hi, start, stop = lo[keep], hi[keep], start[keep], stop[keep]
 
     # Each point is measured from the first point of its cell.  Cells are just
-    # wider than the widest active set (2 * reach plus rounding), so a run
-    # spans at most two cells and is summed in two parts, each relative to a
-    # nearby anchor whatever the offset of the sample.
-    width = 2.0 * (r5 + _slack(2.0 * (np.abs(xs).max() + r5)))
+    # wider than the widest active set (2 * r5 plus an ulp of each end), so a
+    # run spans at most two cells and is summed in two parts, each relative to
+    # a nearby anchor whatever the offset of the sample.
+    width = 2.0 * r5 + 8.0 * _EPS * (top + r5)
     cell = np.floor((xs - xs[0]) / width)
     cell_start = np.searchsorted(cell, cell, "left")
     dh, dl = _two_sum(xs, -xs[cell_start])
@@ -299,11 +295,13 @@ def enumerate_segments(batch) -> SegmentTable:
 
     Sorts the sample internally (duplicates allowed; they weight the
     parabola), skips zero-length segments from duplicate breakpoints and
-    segments whose active set is empty, and determines each active set at
-    the segment midpoint.  O(n log n): each active set is a contiguous run
-    of the sorted sample found by ``searchsorted``, and each segment's mean
-    and objective come in O(1) from prefix sums.  Returns the columns as a
-    ``SegmentTable``, whose ``SegmentCandidate`` rows are built on access.
+    segments whose active set is empty; a point is active where its support
+    [X_i - sqrt(5), X_i + sqrt(5)] encloses the segment.  O(n log n): each
+    active set is a contiguous run of the sorted sample found by
+    ``searchsorted``, and each segment's mean and objective come in O(1)
+    from prefix sums.  Returns the columns as a ``SegmentTable``, whose
+    ``SegmentCandidate`` rows are built on access.  A support that rounds to
+    a point (|X_i| > 2^55) raises ``ParameterError``.
     """
     return _sweep(_as_scalars(batch))
 
@@ -317,7 +315,8 @@ def maximize_l2(batch) -> CompactFitResult:
     k * eps * max|X_i| / sqrt(5) (each term's slope is at most 2/sqrt(5)),
     and rounding the objective itself (at most k) adds eps * k, so two
     maxima closer than this cannot be told apart.  Ties resolve to the
-    smallest maximizer; all co-optima are reported in increasing order.
+    smallest maximizer; co-optima are reported in increasing order, each
+    more than 4 * eps * max(1, |mu|) above the one before.
     The best objective, the widest active set and the ties are read off
     the table's columns; ``candidates`` is that ``SegmentTable``.
     """
@@ -329,7 +328,7 @@ def maximize_l2(batch) -> CompactFitResult:
     ties = np.sort(candidates.maximizer[best - candidates.objective <= tol], kind="stable").tolist()
     deduped = [ties[0]]
     for mu in ties[1:]:
-        if mu - deduped[-1] > _slack(mu):
+        if mu - deduped[-1] > 4.0 * _EPS * max(1.0, abs(mu)):
             deduped.append(mu)
     return CompactFitResult(
         mu_hat=deduped[0],

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -677,6 +678,18 @@ class TestScipyOffTheColdPath:
             **{f"divergence-mixed-{i}": argv for i, argv in enumerate(_DIVERGENT_CROSS_TERMS)},
         }[command]
         assert self.loaded_modules(tmp_path, argv) == []
+
+    def test_compact_fit_of_1e5_points_takes_under_a_minute_and_writes_a_columnar_report_under_25_mb(
+            self, tmp_path):
+        np.savetxt(tmp_path / "big.csv", np.random.default_rng(0).uniform(0.0, 1e5, size=100000), fmt="%.17g")
+        started = time.monotonic()
+        assert self.loaded_modules(tmp_path, ["compact-fit", "--input", "big.csv", "--output", "big.json"]) == []
+        assert time.monotonic() - started < 60
+        assert (tmp_path / "big.json").stat().st_size < 25_000_000
+        report = json.loads((tmp_path / "big.json").read_text())
+        assert report["objective_over_n2"] > 0
+        columns = report["candidates"]
+        assert len(columns) == 7 and len({len(v) for v in columns.values()}) == 1
 
     def test_divergence_still_integrates_through_a_hookable_quad(self, monkeypatch):
         value, abserr, neval = af.divergence.quad(lambda x: np.exp(-x * x), -math.inf, math.inf,

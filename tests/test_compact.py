@@ -46,19 +46,19 @@ def grid_search(xs, spacing=1e-4, pad=1e-3):
 def reference_segments(xs):
     """Test-only oracle: the O(n^2) per-segment loop the vectorized sweep replaced.
 
-    Tests each point against every segment midpoint, takes numpy's mean of
-    the active points, and sums the clipped terms one by one.  Returns
-    (lo, hi, active indices, maximizer, objective) per segment.
+    Tests each point's support [x - sqrt(5), x + sqrt(5)] for enclosing each
+    segment, takes numpy's mean of the active points, and sums the clipped
+    terms one by one.  Returns (lo, hi, active indices, maximizer, objective)
+    per segment.
     """
     xs = np.sort(np.asarray(xs, dtype=float).ravel())
     r5 = compact.ROOT5
     breakpoints = np.sort(np.concatenate([xs - r5, xs + r5]))
     out = []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi - lo <= 1e-12 * (1.0 + 0.5 * (abs(lo) + abs(hi))):
+        if not lo < hi:
             continue
-        mid = 0.5 * (lo + hi)
-        active = np.flatnonzero(np.abs(xs - mid) <= r5 + 1e-12 * (1.0 + abs(mid)))
+        active = np.array([i for i, x in enumerate(xs) if x - r5 <= lo and x + r5 >= hi], dtype=int)
         if active.size == 0:
             continue
         maximizer = float(min(max(float(xs[active].mean()), lo), hi))
@@ -93,7 +93,7 @@ def reference_ties(xs):
     ties = sorted(c.maximizer for c in rows if best - c.objective <= tol)
     deduped = [ties[0]]
     for mu in ties[1:]:
-        if mu - deduped[-1] > 1e-12 * (1.0 + abs(mu)):
+        if mu - deduped[-1] > 4.0 * math.ulp(1.0) * max(1.0, abs(mu)):
             deduped.append(mu)
     return best, tuple(deduped)
 
@@ -144,8 +144,8 @@ def layout_sample(layout, n, seed, shift=0.0):
     elif layout == "duplicates":
         xs = rng.choice(np.round(rng.uniform(0.0, 6.0, size=max(1, n // 4)), 1), size=n)
     else:
-        # neighbours 2 sqrt(5) apart, jittered on the scale of the membership
-        # slack: breakpoints nearly coincide and points sit at the edge of reach
+        # neighbours 2 sqrt(5) apart, jittered by a few parts in 1e12 of the
+        # offset: breakpoints nearly coincide and supports nearly touch
         jitter = rng.uniform(-4.0, 4.0, size=n) * 1e-12 * (1.0 + abs(shift))
         return np.arange(n) * 2.0 * ROOT5 + shift + jitter
     return xs + shift
@@ -337,11 +337,13 @@ class TestSweepMatchesReference:
         [1000000.018274888, 1000004.490412843],
     ])
     def test_membership_at_the_edge_of_reach(self, xs):
-        # Two points 2 sqrt(5) plus about twice the slack apart, near 1e6: at
-        # the gap segment's midpoint a point lies within an ulp of the
-        # slack-widened reach, where x >= mid - reach and |x - mid| <= reach
-        # round differently, so searchsorted alone gets the active set wrong.
+        # Two points 2 sqrt(5) plus 2e-6 apart near 1e6: the gap between the
+        # first support's end and the second's start is reached by no point,
+        # so it is no segment, and each point is active on its own support
+        # only.  A distance test from the gap's midpoint, widened by a
+        # relative 1e-12, counts the first point as active on it.
         assert_matches_reference(np.array(xs))
+        assert [c.active_set for c in compact.enumerate_segments(xs)] == [range(0, 1), range(1, 2)]
 
     @pytest.mark.parametrize("layout", ["clustered", "mixed", "duplicates"])
     def test_means_are_correctly_rounded(self, layout):
@@ -402,6 +404,52 @@ class TestMaximizeL2:
         base = compact.maximize_l2(xs)
         moved = compact.maximize_l2(xs + shift)
         assert moved.mu_hat == pytest.approx(base.mu_hat + shift, rel=1e-9, abs=1e-7)
+
+    @given(
+        st.sampled_from(["clustered", "spread", "mixed", "duplicates", "lattice"]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=6.0, max_value=15.0),
+        st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fit_moves_with_the_sample(self, layout, n, seed, exponent, sign):
+        # The maximum of ell is at the mean of some contiguous run of the
+        # sorted sample, so ell there, and at every point, bounds the fit
+        # from below wherever the sample sits.
+        xs = np.sort(layout_sample(layout, n, seed, sign * 10.0 ** exponent))
+        result = compact.maximize_l2(xs)
+        widest = int((result.candidates.stop - result.candidates.start).max())
+        tol = 4.0 * widest * math.ulp(1.0) * max(1.0, -xs[0], xs[-1])
+        prefix = np.concatenate(([0.0], np.cumsum(xs - xs[0])))
+        i, j = np.triu_indices(xs.size + 1, 1)
+        mus = np.concatenate([xs[0] + (prefix[j] - prefix[i]) / (j - i), xs, [result.mu_hat]])
+        ell = np.clip(1.0 - (xs - mus[:, None]) ** 2 / 5.0, 0.0, None).sum(axis=1)
+        assert ell[:-1].max() - result.objective_over_n2 <= tol
+        assert abs(ell[-1] - result.objective_over_n2) <= tol
+
+    @pytest.mark.parametrize("offset", [1e11, 1e12, 2e12])
+    def test_reference_sample_far_from_zero(self, offset):
+        result = compact.maximize_l2(np.array(compact.REFERENCE_SAMPLE) + offset)
+        assert len(result.candidates) == 19
+        assert abs(result.mu_hat - offset - 8.46) <= 0.01
+        assert abs(result.objective_over_n2 - 6.42) <= 0.05
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xs,shown", [([1e17, -1e17], "1e+17"), ([0.0, 4e16], "4e+16"),
+                                          ([1e308, -1e308], "1e+308")])
+    def test_support_collapsed_in_float64_is_an_invalid_configuration(self, xs, shown, tmp_path, capsys):
+        # Past |x| = 2**55, x - sqrt(5) and x + sqrt(5) round to x.
+        with pytest.raises(af.ParameterError) as err:
+            compact.maximize_l2(xs)
+        assert err.value.code == "observation_too_large"
+        path = tmp_path / "xs.csv"
+        path.write_text("".join(f"{x!r}\n" for x in xs))
+        assert cli.main(["compact-fit", "--input", str(path)]) == cli.EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"invalid configuration: an observation of magnitude {shown} ")
+        assert "2**55" in err
 
     @pytest.mark.parametrize("seed", range(6))
     def test_beats_dense_grid(self, seed):
