@@ -44,9 +44,9 @@ from .core import (
 
 
 def _lazy(name: str):
-    """The module ``name``, which runs on its first attribute access unless it already has.
+    """The submodule ``name``, which runs on its first attribute access unless it already has.
 
-    A module not yet imported is placed in ``sys.modules`` and bound on its
+    A submodule not yet imported is placed in ``sys.modules`` and bound on its
     package as an ``importlib.util.LazyLoader`` module, so a later import
     finds it and a command runs only the modules it uses.
     """
@@ -58,14 +58,12 @@ def _lazy(name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     package, _, child = name.rpartition(".")
-    if package:
-        setattr(sys.modules[package], child, module)
+    setattr(sys.modules[package], child, module)
     return module
 
 
 compact, divergence, estimators, studentt = (_lazy(f"{__package__}.{name}")
                                              for name in ("compact", "divergence", "estimators", "studentt"))
-csv = _lazy("csv")  # read only by ingest_csv, for quoted or non-ASCII text and to name a bad row
 
 SCHEMA_VERSION = "3"
 
@@ -207,6 +205,7 @@ def ingest_csv(path: str) -> CsvBatch:
     except UnicodeDecodeError as exc:
         raise IngestError(EXIT_UNREADABLE, f"cannot read {path}: {exc}") from exc
     del raw  # the parser needs only the text; freeing the bytes lowers the peak memory
+    import csv
     import itertools
 
     try:
@@ -375,13 +374,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
-def verify_reference_example(out=None) -> int:
+def verify_reference_example(out) -> int:
     """Run the built-in reference sample end to end and check every table.
 
-    Prints one PASS/FAIL line per check plus the full candidate table;
-    returns 0 when all checks pass, 1 otherwise.
+    Writes the full candidate table and one PASS/FAIL line per check to the
+    text stream ``out``; returns 0 when all checks pass, 1 otherwise.
     """
-    out = out or sys.stdout
     batch = SampleBatch(np.array(compact.REFERENCE_SAMPLE))
     result = compact.maximize_l2(batch)
     checks = []
@@ -431,30 +429,6 @@ def verify_reference_example(out=None) -> int:
         out.write(f"{'PASS' if ok else 'FAIL'}  {label}  (got {value})\n")
     out.write("PASS\n" if all_ok else "FAIL\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
-
-
-def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command line; returns the process exit code."""
-    try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError("--seed must be >= 0")
-        if getattr(args, "n", 1) < 1:
-            raise ValueError("simulate requires --n >= 1")
-        return args.handler(args)
-    except (IngestError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except NumericalError as exc:
-        print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (
-        ParameterError,
-        DimensionMismatchError,
-        InvalidDistributionError,
-        ValueError,
-    ) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -524,7 +498,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors exit 2, --help exits 0
         return exc.code
-    return run(args)
+    try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be >= 0")
+        if getattr(args, "n", 1) < 1:
+            raise ValueError("simulate requires --n >= 1")
+        return args.handler(args)
+    except (IngestError, OutputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except NumericalError as exc:
+        print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (ParameterError, DimensionMismatchError, InvalidDistributionError, ValueError) as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
 
 
 def console(argv=None) -> int:

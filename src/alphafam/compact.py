@@ -309,9 +309,9 @@ def enumerate_segments(batch) -> SegmentTable:
 def maximize_l2(batch) -> CompactFitResult:
     """Global maximizer of ell over all segment candidates.
 
-    Ties are objectives within 4 * k * eps * max(1, max|X_i|) of the best,
-    where k is the largest active set and eps the float64 epsilon.  Rounding
-    each observation to float64 moves an objective by at most
+    Ties are objectives within k * eps * (max|X_i| / sqrt(5) + 1) of the
+    best, where k is the largest active set and eps the float64 epsilon.
+    Rounding each observation to float64 moves an objective by at most
     k * eps * max|X_i| / sqrt(5) (each term's slope is at most 2/sqrt(5)),
     and rounding the objective itself (at most k) adds eps * k, so two
     maxima closer than this cannot be told apart.  Ties resolve to the
@@ -324,7 +324,7 @@ def maximize_l2(batch) -> CompactFitResult:
     candidates = _sweep(xs)
     best = float(candidates.objective.max())
     widest = int((candidates.stop - candidates.start).max())
-    tol = 4.0 * widest * _EPS * max(1.0, -xs[0], xs[-1])
+    tol = widest * _EPS * (max(-xs[0], xs[-1]) / ROOT5 + 1.0)
     ties = np.sort(candidates.maximizer[best - candidates.objective <= tol], kind="stable").tolist()
     deduped = [ties[0]]
     for mu in ties[1:]:

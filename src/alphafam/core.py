@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 # Relative tolerances for the positive-definiteness test (round-trip
-# serialization noise must not trip them).
+# serialization noise must not trip them), and for a nonsingular weight
+# Jacobian in ``validate_regular``.
 SYMMETRY_RTOL = 1e-10
 EIGENVALUE_RTOL = 1e-12
+REGULARITY_RTOL = 1e-10
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -488,6 +490,11 @@ def moment_statistic(x) -> np.ndarray:
     return np.concatenate([x, outer.reshape(x.shape[:-1] + (x.shape[-1] ** 2,))], axis=-1)
 
 
+def _vec_second_moment(sigma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Vec(Sigma + m m^T), row-major: E[(x - c)(x - c)^T] for covariance Sigma and mean c + m."""
+    return (sigma + np.outer(m, m)).ravel()
+
+
 def pack_theta(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Canonical parameter packing: mu (d entries) then Vec(Sigma^{-1}) row-major."""
     mu = np.asarray(mu, dtype=float)
@@ -530,13 +537,13 @@ class RegularityReport:
     determinants: tuple = ()
 
 
-def validate_regular(desc, probe_thetas: Iterable[np.ndarray], tol: float = 1e-10) -> RegularityReport:
+def validate_regular(desc, probe_thetas: Iterable[np.ndarray]) -> RegularityReport:
     """Check that the weight Jacobian is nonsingular at every probe theta.
 
     Nonsingularity is judged by the smallest singular value exceeding
-    ``tol * max(1, largest singular value)``; the determinant itself can
-    underflow any fixed threshold for perfectly regular families (it scales
-    like b_alpha^(d^2+d)), so it is reported but not thresholded.
+    ``REGULARITY_RTOL * max(1, largest singular value)``; the determinant
+    itself can underflow any fixed threshold for perfectly regular families
+    (it scales like b_alpha^(d^2+d)), so it is reported but not thresholded.
 
     Raises
     ------
@@ -557,7 +564,7 @@ def validate_regular(desc, probe_thetas: Iterable[np.ndarray], tol: float = 1e-1
         sign, logabsdet = np.linalg.slogdet(jac)
         dets.append(float(sign * np.exp(logabsdet)) if np.isfinite(logabsdet) else 0.0)
         svals = np.linalg.svd(jac, compute_uv=False)
-        if not np.all(np.isfinite(jac)) or svals[-1] <= tol * max(1.0, svals[0]):
+        if not np.all(np.isfinite(jac)) or svals[-1] <= REGULARITY_RTOL * max(1.0, svals[0]):
             failures.append((theta, float(svals[-1])))
     return RegularityReport(
         regular=not failures,

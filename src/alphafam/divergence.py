@@ -67,6 +67,7 @@ from .core import (
     SampleBatch,
     StudentTParams,
     _radial_gamma_arg,
+    _vec_second_moment,
     check_alpha,
     check_mean_covariance,
     record,
@@ -344,22 +345,14 @@ def _support_within(p: Record, q: Record) -> bool:
     return _max_radius_sq(p, q) <= q.radius_sq * (1.0 + SUPPORT_RTOL)
 
 
-def _second_moment(p: Record, center: np.ndarray) -> np.ndarray:
-    """Vec E_p[(x - center)(x - center)^T] = Vec(Sigma_p + m m^T) with m = mu_p - center.
-
-    A t's are the Gaussian's, since its Sigma is its covariance.
-    """
-    m = p.mu - center
-    return (p.sigma + np.outer(m, m)).ravel()
-
-
 def _log_t_cross(p: Record, q: StudentTParams) -> float:
     """log Int p q^(alpha-1) for a t q of order alpha, with supp p in supp q.
 
     q^(alpha-1) = N_q^(alpha-1) [1 + b (x - mu_q)^T Sigma_q^-1 (x - mu_q)] is
-    affine in f = (x, xx^T), so the integral is that bracket at p's moments.
+    affine in f = (x, xx^T), so the integral is that bracket at p's moments
+    (a t's Sigma is its covariance, as a Gaussian's is).
     """
-    bracket = 1.0 + q.b_alpha * float(q.sigma_inv.ravel() @ _second_moment(p, q.mu))
+    bracket = 1.0 + q.b_alpha * float(q.sigma_inv.ravel() @ _vec_second_moment(p.sigma, p.mu - q.mu))
     return (q.alpha - 1.0) * q.log_norm_const + math.log(bracket)
 
 
@@ -397,7 +390,7 @@ def _entropy(r: Record) -> float:
 
 def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
     """-E_p log q, from p's second moment about q's mean."""
-    second = float(q.sigma_inv.ravel() @ _second_moment(p, q.mu))
+    second = float(q.sigma_inv.ravel() @ _vec_second_moment(p.sigma, p.mu - q.mu))
     return 0.5 * (q.dim * LOG_2PI + q.logdet + second)
 
 
@@ -422,7 +415,10 @@ def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
     ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's standardized
     coordinate u = (x - mu_p) / sqrt(sigma_p), so it splits the overlap at
     p's mean (or the end nearest it) and p's mass sits at its first nodes.
-    Its failure gains the integral's name, and its interval is the overlap in x.
+    A node counts only where both log densities are finite: one inside the
+    overlap in u can round, in x, onto or past the end of a compact support,
+    where q^(alpha-1) is +inf for alpha < 1.  A failure of ``quad`` gains the
+    integral's name, and its interval is the overlap in x.
     """
     if p.dim != 1:
         raise DimensionMismatchError(
@@ -436,10 +432,10 @@ def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
 
     def integrand(u: np.ndarray) -> np.ndarray:
         x = center + scale * u
-        log_p = _log_pdf(p, x)
-        on = log_p > -math.inf
+        log_p, log_q = _log_pdf(p, x), _log_pdf(q, x)
+        on = (log_p > -math.inf) & (log_q > -math.inf)
         out = np.zeros(x.shape)
-        out[on] = scale * term(log_p[on], _log_pdf(q, x[on]))
+        out[on] = scale * term(log_p[on], log_q[on])
         return out
 
     try:
@@ -575,9 +571,7 @@ def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> fl
     if batch.dim != params.dim:
         raise DimensionMismatchError("batch dimension must match the model")
     alpha = params.alpha
-    _, shrink, m_s, log_bracket = studentt._log_brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
-    with np.errstate(over="ignore"):
-        m = m_s / shrink / shrink
+    *_, log_bracket, m = studentt._log_brackets(batch.data, params.mu, params.sigma_inv, params.b_alpha)
     mean_bracket = float(np.mean(np.maximum(1.0 + m, 0.0)))
     if mean_bracket == 0.0:
         return -math.inf

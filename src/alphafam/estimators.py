@@ -24,6 +24,7 @@ from .core import (
     SampleBatch,
     StudentTParams,
     SufficientStats,
+    _vec_second_moment,
     check_alpha,
     record,
 )
@@ -155,5 +156,5 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
 
 def student_t_population_moments(params: StudentTParams) -> SufficientStats:
     """Analytic E[f] = (mu, Vec(Sigma + mu mu^T)) for f = (x, Vec(xx^T)), since Sigma is the covariance."""
-    second = params.sigma + np.outer(params.mu, params.mu)
-    return SufficientStats(mean_f=np.concatenate([params.mu, second.ravel()]), mean_q_pow=1.0)
+    mean_f = np.concatenate([params.mu, _vec_second_moment(params.sigma, params.mu)])
+    return SufficientStats(mean_f=mean_f, mean_q_pow=1.0)

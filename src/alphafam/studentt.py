@@ -67,11 +67,11 @@ def _quadratic_form(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
-    """Scaled residuals, their scale, their form and log(1 + m) for the rows of ``points``.
+    """Scaled residuals, their scale, their form, log(1 + m) and m for the rows of ``points``.
 
     Each residual r = x - mu is scaled exactly, r_s = r 2^-e, with 2^e just
     above the row's largest |r_i| and e >= 0, so a row near mu is never
-    scaled up.  Returns (r_s, 2^-e, m_s = b r_s^T lam r_s, log bracket).
+    scaled up.  Returns (r_s, 2^-e, m_s = b r_s^T lam r_s, log bracket, m).
     m = m_s / 2^-e / 2^-e has the bits of b r^T lam r wherever that does not
     overflow, and the log bracket is log1p(m), -inf off the support; where
     m = +inf it is log m_s + e log 4.
@@ -88,7 +88,7 @@ def _log_brackets(points, mu: np.ndarray, lam: np.ndarray, b: float):
         log_bracket = np.log1p(np.maximum(m, -1.0))
         far = m == math.inf
         log_bracket[far] = np.log(m_s[far]) + exponent[far] * math.log(4.0)
-    return r, shrink, m_s, log_bracket
+    return r, shrink, m_s, log_bracket, m
 
 
 def log_density_batch(params: StudentTParams, points) -> np.ndarray:
@@ -240,7 +240,7 @@ def score_batch(params: StudentTParams, points: np.ndarray) -> np.ndarray:
     as c r = c_s r_s 2^-e and c r r^T = c_s r_s r_s^T, c_s = b/((alpha - 1)(4^-e + m_s)),
     which are finite for every row on the support, however far.
     """
-    r_s, shrink, m_s, log_bracket = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)
+    r_s, shrink, m_s, log_bracket, _ = _log_brackets(points, params.mu, params.sigma_inv, params.b_alpha)
     n, d = r_s.shape
     out = np.full((n, d + d * d), np.nan)
     ok = log_bracket > -math.inf

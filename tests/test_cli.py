@@ -157,7 +157,7 @@ class TestIngest:
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called for an unquoted ASCII file")
 
-        monkeypatch.setattr(cli.csv, "reader", refuse)
+        monkeypatch.setattr(csv, "reader", refuse)
         path = write(tmp_path, "u.csv", "\n , \t\nx,y\r\n1,2\r\n\r\n 3.5 ,\t-4e-3\r\n")
         assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, -0.004]]
 
@@ -165,7 +165,7 @@ class TestIngest:
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called for a plain decimal file")
 
-        monkeypatch.setattr(cli.csv, "reader", refuse)
+        monkeypatch.setattr(csv, "reader", refuse)
         draws = np.random.default_rng(2).standard_t(3, size=(500, 2)) * [1.0, 1e-3]
         draws[:3] = [[-0.0, 1e-7], [2.0**60, -5e-324], [0.1, -1e16]]
         text = "x,y\r\n" + "".join("%.17g,%.17g\r\n" % tuple(row) for row in draws.tolist())
@@ -182,15 +182,15 @@ class TestIngest:
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called for an unquoted decimal file")
 
-        monkeypatch.setattr(cli.csv, "reader", refuse)
+        monkeypatch.setattr(csv, "reader", refuse)
         path = write(tmp_path, "s.csv", text)
         assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, 4.0]]
 
     @pytest.mark.parametrize("text", ['"x","y"\n"1",2\n"3.5"," 4"\n', "x,y\n1,2\n3.5,\xa04\n", "x,y\r1,2\r3.5,4\r"],
                              ids=["quoted", "non-ascii", "lone-cr"])
     def test_other_files_parse_through_the_csv_module(self, tmp_path, monkeypatch, text):
-        reader, calls = cli.csv.reader, []
-        monkeypatch.setattr(cli.csv, "reader", lambda *args: calls.append(args) or reader(*args))
+        reader, calls = csv.reader, []
+        monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
         path = write(tmp_path, "q.csv", text)
         assert cli.ingest_csv(path).data.tolist() == [[1.0, 2.0], [3.5, 4.0]]
         assert len(calls) == 1
@@ -278,6 +278,15 @@ class TestIngest:
         with pytest.raises(cli.IngestError) as err:
             cli.ingest_csv(str(tmp_path / "missing.csv"))
         assert err.value.exit_code == cli.EXIT_UNREADABLE
+
+    @pytest.mark.parametrize("raw", [b"x,y\n1,2\n3,\xff4\n", b"x,\xffy\n1,2\n3,4\n"], ids=["data-row", "header-row"])
+    def test_text_that_is_not_utf8_exits_10_with_one_line(self, tmp_path, capsys, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        assert cli.main(["estimate", "--alpha", "0.5", "--input", str(path)]) == cli.EXIT_UNREADABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ") and captured.err.count("\n") == 1
 
 
 class TestCommands:
@@ -382,6 +391,14 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sigma is too small" in captured.err
+
+    def test_loglik_rejects_a_ragged_sigma(self, tmp_path, capsys):
+        path = write(tmp_path, "two.csv", "0,0\n1,1\n")
+        argv = ["loglik", "--alpha", "0.8", "--mu", "0,0", "--sigma", "1,0;0", "--input", path]
+        assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid configuration: matrix rows have unequal lengths\n"
 
     def test_divergence_bad_spec(self):
         assert cli.main(["divergence", "--alpha", "2", "--p", "cauchy:0", "--q", "normal:0,1"]) == cli.EXIT_INVALID_CONFIG
@@ -570,6 +587,19 @@ class TestDeterminism:
         draws = af.sample(params, 300, 4).data
         want = "".join(",".join(cli._format_float(v) for v in row) + "\n" for row in draws)
         assert out.read_text(encoding="utf-8") == want
+
+    def test_json_draws_are_the_csv_cells(self, tmp_path):
+        # The draws' text in the JSON report, split at its brackets and commas, is the CSV file's cells.
+        args = ["simulate", "--alpha", "0.8", "--mu", "0,1", "--sigma", "1,0.3;0.3,2", "--n", "2000", "--seed", "3"]
+        csv_out, json_out = tmp_path / "draws.csv", tmp_path / "draws.json"
+        assert cli.main(args + ["--output", str(csv_out)]) == cli.EXIT_OK
+        assert cli.main(args + ["--format", "json", "--output", str(json_out)]) == cli.EXIT_OK
+        raw = json_out.read_text(encoding="utf-8")
+        body = raw[raw.index('"draws":[[') + 10:raw.index("]]")]
+        cells = [row.split(",") for row in csv_out.read_text(encoding="utf-8").splitlines()]
+        assert [row.split(",") for row in body.split("],[")] == cells and len(cells) == 2000
+        report = json.loads(raw)
+        assert (report["command"], report["seed"], report["alpha"]) == ("simulate", 3, 0.8)
 
     def test_keys_sorted_and_17_digits(self, tmp_path, capsys):
         assert cli.main(["divergence", "--alpha", "2", "--p", "bernoulli:0.3", "--q", "bernoulli:0.5"]) == cli.EXIT_OK

@@ -606,6 +606,11 @@ class TestAffineInvariance:
     @given(_records, _records, st.one_of(st.floats(0.3, 0.99), st.floats(1.01, 3.0)),
            st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
     @settings(max_examples=100, deadline=None)
+    # q 1e-10 above p, both compact: moved, a node inside the overlap in p's
+    # coordinate can round in x onto q's end, where q^(alpha-1) is +inf.
+    @example(af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 1e-10, 1.0), 0.5, 515.0, 0.0)
+    @example(af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 1e-10, 1.0), 0.5, -3e4, 0.0)
+    @example(af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 1e-10, 1.0), 0.5, 1e6, 0.0)
     def test_one_affine_map_of_both_records_keeps_the_divergences(self, p, q, alpha, a, log_s):
         s = math.exp(log_s)
         p2, q2 = _pushed(p, a, s), _pushed(q, a, s)
