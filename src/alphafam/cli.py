@@ -120,32 +120,31 @@ class CsvBatch(SampleBatch):
 
 
 def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return format(value, ".17g")
+    if math.isfinite(value):
+        return format(value, ".17g")
+    return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
 
 
 def dumps_report(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    A finite 1-D numpy array of floats or integers renders as a JSON array
-    in one pass over all its values (floats through ``_codec.format_rows``);
-    its bytes equal those of the same values as a list.  That is how
-    ``compact-fit`` writes its candidate columns.
+    A non-empty finite float vector or matrix, as each command's float
+    arrays are, renders in one ``_codec.format_rows`` call, and such an
+    integer vector in one join; the bytes equal those of the same values as
+    (nested) lists.  Any other array renders value by value.
     """
 
     def render(node) -> str:
-        if isinstance(node, np.ndarray) and node.ndim == 1 and node.dtype.kind in "fiu" and np.isfinite(node).all():
-            if node.dtype.kind != "f":
-                return "[" + ",".join(map(str, node.tolist())) + "]"
-            from . import _codec
+        if (isinstance(node, np.ndarray) and node.ndim in (1, 2) and node.size and node.dtype.kind in "fiu"
+                and np.isfinite(node).all()):
+            if node.dtype.kind == "f":
+                from . import _codec
 
-            # Finite values, where "%.17g" and _format_float agree.
-            return "[" + _codec.format_rows(node[:, None]).replace(b"\n", b",")[:-1].decode("ascii") + "]"
+                # Finite values, where "%.17g" and _format_float agree; a vector is written one value per row.
+                text = _codec.format_rows(node.reshape(len(node), -1))[:-1].decode("ascii")
+                return "[" * node.ndim + text.replace("\n", "," if node.ndim == 1 else "],[") + "]" * node.ndim
+            if node.ndim == 1:
+                return "[" + ",".join(map(str, node.tolist())) + "]"
         if isinstance(node, dict):
             items = (f"{json.dumps(str(k))}:{render(node[k])}" for k in sorted(node))
             return "{" + ",".join(items) + "}"
@@ -326,8 +325,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         pop = estimators.student_t_population_moments(params)
         theta = pack_theta(est.mu_hat, params.sigma_inv)
         residual_norm = estimators.residual_regular_malpha(desc, theta, stats, pop).norm
-    return _report(args, batch, alpha=args.alpha, n=batch.n, d=batch.dim, mu_hat=est.mu_hat.tolist(),
-                   sigma_hat=est.sigma_hat.tolist(), singular_flag=est.singular, residual_norm=residual_norm)
+    return _report(args, batch, alpha=args.alpha, n=batch.n, d=batch.dim, mu_hat=est.mu_hat,
+                   sigma_hat=est.sigma_hat, singular_flag=est.singular, residual_norm=residual_norm)
 
 
 def _cmd_compact_fit(args: argparse.Namespace) -> int:
@@ -351,7 +350,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 def _cmd_loglik(args: argparse.Namespace) -> int:
     batch = ingest_csv(args.input)
     params = make_student_t(args.alpha, _parse_vector(args.mu), _parse_matrix(args.sigma))
-    return _report(args, batch, alpha=args.alpha, n=batch.n, mu=params.mu.tolist(), sigma=params.sigma.tolist(),
+    return _report(args, batch, alpha=args.alpha, n=batch.n, mu=params.mu, sigma=params.sigma,
                    value=divergence.generalized_log_likelihood(params, batch))
 
 
@@ -364,7 +363,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # SampleBatch guarantees finite draws, where "%.17g" and _format_float agree.
         _emit(_codec.format_rows(batch.data), args.output)
         return EXIT_OK
-    return _report(args, alpha=args.alpha, seed=args.seed, draws=batch.data.tolist())
+    return _report(args, alpha=args.alpha, seed=args.seed, draws=batch.data)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

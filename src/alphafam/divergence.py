@@ -46,11 +46,12 @@ in d = 1 ``quad`` integrates them over the overlap of the supports, and in
 d > 1 they raise DimensionMismatchError.  Each integrated term sets its
 own tolerance (``I_ALPHA_TOL``, ``KL_TOL``), and every overlap is
 integrated in p's standardized coordinate, so the result depends neither
-on where the records sit nor on how narrow p is.  A divergence with an
-infinite term is +inf; a failed integral raises NumericalError whose
-diagnostics name it.  The generalized likelihood takes a Student-t model,
-whose order is its own alpha and whose power integral is closed form, so
-it never integrates.  No scipy is used.
+on where the records sit nor on how narrow p is; a cross integrand that
+overflows is integrated again, scaled down in the log domain.  A
+divergence with an infinite term is +inf; a failed integral raises
+NumericalError whose diagnostics name it.  The generalized likelihood
+takes a Student-t model, whose order is its own alpha and whose power
+integral is closed form, so it never integrates.  No scipy is used.
 """
 
 from __future__ import annotations
@@ -409,6 +410,12 @@ def _log_pdf(r: Record, x: np.ndarray) -> np.ndarray:
     return studentt.log_density_batch(r, x[:, None])
 
 
+def _overlap(p: Record, q: Record) -> tuple:
+    """The overlap (lo, hi) of the supports of two d = 1 records; empty where lo >= hi."""
+    (plo, phi), (qlo, qhi) = (getattr(r, "support_interval", (-math.inf, math.inf)) for r in (p, q))
+    return float(max(plo, qlo)), float(min(phi, qhi))
+
+
 def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
     """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1.
 
@@ -424,8 +431,7 @@ def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
         raise DimensionMismatchError(
             f"the {integral} integral has no closed form here, and quadrature needs d = 1, got d = {p.dim}"
         )
-    (plo, phi), (qlo, qhi) = (getattr(r, "support_interval", (-math.inf, math.inf)) for r in (p, q))
-    lo, hi = float(max(plo, qlo)), float(min(phi, qhi))
+    lo, hi = _overlap(p, q)
     if not lo < hi:
         return 0.0
     center, scale = float(p.mu[0]), math.sqrt(p.sigma[0, 0])
@@ -494,9 +500,41 @@ def _log_cross(p, q, alpha: float) -> float:
                 f"the cross integrand falls off like |x|^-(d + {excess:.3g}), too slowly for quadrature",
                 {"integral": "cross", "interval": [-math.inf, math.inf], "tail_excess": excess},
             )
-    cross = _integrate(p, q, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q), "cross",
-                       (0.0, max(CROSS_EPSREL, I_ALPHA_TOL * abs(1.0 - alpha) / alpha)))
-    return math.log(cross) if cross > 0.0 else -math.inf
+    return _log_cross_quad(p, q, alpha)
+
+
+def _log_cross_quad(p: Record, q: Record, alpha: float) -> float:
+    """log Int p q^(alpha-1) by quadrature in d = 1; -inf for an empty overlap.
+
+    Where the integrand overflows, so that ``quad`` reports it not finite,
+    the integral is taken again of exp(log p + (alpha-1) log q - shift), and
+    shift is added back to its log.  The shift is the log integrand's largest
+    value on the nodes the failed call evaluated (its first round among
+    them), at p's mean and at the overlap's finite ends approached from
+    inside.  Every integrand that does not overflow is integrated unshifted.
+    """
+    tol = (0.0, max(CROSS_EPSREL, I_ALPHA_TOL * abs(1.0 - alpha) / alpha))
+    peaks = [-math.inf]  # the log integrand's largest value on each call
+
+    def log_integrand(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+        values = log_p + (alpha - 1.0) * log_q
+        peaks.append(float(np.max(values, initial=-math.inf, where=np.isfinite(values))))
+        return values
+
+    try:
+        cross, shift = _integrate(p, q, lambda *logs: np.exp(log_integrand(*logs)), "cross", tol), 0.0
+    except NumericalError as exc:
+        if math.isfinite(exc.diagnostics["abserr"]):
+            raise
+        lo, hi = _overlap(p, q)
+        probes = np.array([p.mu[0], *(np.nextafter(end, p.mu[0]) for end in (lo, hi) if math.isfinite(end))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_integrand(_log_pdf(p, probes), _log_pdf(q, probes))
+        shift = max(peaks)
+        if not 0.0 < shift < math.inf:
+            raise
+        cross = _integrate(p, q, lambda *logs: np.exp(log_integrand(*logs) - shift), "cross", tol)
+    return shift + math.log(cross) if cross > 0.0 else -math.inf
 
 
 def _log_power(h, alpha: float) -> float:

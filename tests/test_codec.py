@@ -61,6 +61,16 @@ class TestWriter:
     def test_empty(self):
         assert _codec.format_rows(np.empty((0, 2))) == b""
 
+    def test_values_just_below_a_power_of_ten(self, monkeypatch):
+        # floor(log10|x|) is one too high for most of these, and digits17 scales them again at the lower exponent.
+        below = np.nextafter(10.0 ** np.arange(-5, 18), 0.0)
+        data = np.concatenate([below, -below])[:, None]
+        sizes, scaled = [], _codec._scaled
+        monkeypatch.setattr(_codec, "_scaled", lambda ax, e: sizes.append(ax.size) or scaled(ax, e))
+        assert _codec.format_rows(data) == template(data)
+        assert len(sizes) == 2 and sizes[1] > 0
+        assert _codec.parse_rows(template(data)).tobytes() == data.tobytes()
+
     def test_digits17_rounds_a_tie_to_even(self):
         # 2^50 + 0.25 and 2^50 + 0.75 have 18 digits, the last a 5.
         digits, e, ok = _codec.digits17(np.array([1125899906842624.25, -1125899906842624.75, 0.0]))

@@ -690,6 +690,46 @@ class TestNarrowPeaks:
         assert seen == [((lo - 500.0) / 2.0, (hi - 500.0) / 2.0)]
 
 
+class TestOverflowingCrossTerm:
+    """A finite cross term whose integrand passes the float maximum is integrated shifted in the log domain.
+
+    Each p is compact and each q a narrow Gaussian, so q^(alpha-1) passes
+    e^709 near the ends of supp p.  References: mpmath at 40 digits, from
+    the same float records, the range split at the log integrand's peak.
+    """
+
+    # (p, q, alpha): (log Int p q^(alpha-1), I_alpha)
+    CASES = {
+        ((1.06, -2.6, 4.3), (-2.85, 0.027), 0.35): (1855.1659765370371, 996.46669779517656),
+        ((1.06, 0.8, 0.7), (0.34, 6e-6), 0.35): (1640195.5202767109, 883177.90819725243),
+        ((1.06, 999995.3, 25.0), (999998.4, 0.08), 0.5): (3342.8553675944173, 3339.8298616291944),
+        ((5.0, 0.35, 4.5), (-1.58, 0.01), 0.2): (1380.7430712819452, 342.81562538428321),
+    }
+
+    @pytest.mark.parametrize("p, q, alpha", list(CASES))
+    def test_matches_mpmath(self, p, q, alpha):
+        log_cross, want = self.CASES[p, q, alpha]
+        p, q = af.make_student_t(*p), dv.Gaussian(*q)
+        assert dv._log_cross(p, q, alpha) == pytest.approx(log_cross, rel=1e-12, abs=0.0)
+        assert dv.i_alpha(p, q, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_only_an_integrand_that_overflows_is_shifted(self, monkeypatch):
+        real_quad, calls = dv.quad, []
+
+        def counted(f, a, b, **kwargs):
+            calls.append((a, b))
+            return real_quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(dv, "quad", counted)
+        dv.i_alpha(af.make_student_t(1.06, -2.6, 4.3), dv.Gaussian(-2.85, 0.027), 0.35)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        # An integrand that stays finite is integrated once, unshifted, to the same bits.
+        calls.clear()
+        p, q = af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 0.5, 1.0)
+        plain = dv._integrate(p, q, lambda log_p, log_q: np.exp(log_p + log_q), "cross", (0.0, 2.5e-11))
+        assert dv._log_cross(p, q, 2.0) == math.log(plain) and len(calls) == 2
+
+
 class TestKL:
     def test_zero_on_identical(self):
         g = dv.Gaussian(1.0, 2.0)
