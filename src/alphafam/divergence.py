@@ -45,12 +45,12 @@ order or at alpha > 1 with supp p outside supp q, converge by these rules;
 in d = 1 ``quad`` integrates them over the overlap of the supports, and in
 d > 1 they raise DimensionMismatchError.  Each integrated term sets its
 own tolerance (``I_ALPHA_TOL``, ``KL_TOL``), and every overlap is
-integrated in p's standardized coordinate, so the result depends neither
-on where the records sit nor on how narrow p is; a cross integrand that
-overflows is integrated again, scaled down in the log domain.  A
-divergence with an infinite term is +inf; a failed integral raises
-NumericalError whose diagnostics name it.  The generalized likelihood
-takes a Student-t model, whose order is its own alpha and whose power
+integrated in p's standardized coordinate from each record's residuals, so
+the result does not depend on how narrow p is, nor, for an exact offset,
+on where the pair sits; a probe pre-pass scales each cross integrand into
+the float range for its one ``quad`` call.  A divergence with an infinite
+term is +inf; a failed integral raises NumericalError naming it.  The
+generalized likelihood takes a t model of its own order, whose power
 integral is closed form, so it never integrates.  No scipy is used.
 """
 
@@ -403,53 +403,57 @@ def _discrete_cross(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     return float(np.sum(p[both] * q[both] ** (alpha - 1.0)))
 
 
-def _log_pdf(r: Record, x: np.ndarray) -> np.ndarray:
-    """log density of a d = 1 record at the points x; -inf off its support."""
+def _log_pdf(r: Record, res: np.ndarray) -> np.ndarray:
+    """log density of a d = 1 record at the residuals res = x - mu from its own mean; -inf off its support."""
     if isinstance(r, Gaussian):
-        return -0.5 * (LOG_2PI + r.logdet + (x - r.mu[0]) ** 2 * r.sigma_inv[0, 0])
-    return studentt.log_density_batch(r, x[:, None])
+        return -0.5 * (LOG_2PI + r.logdet + res**2 * r.sigma_inv[0, 0])
+    log_bracket = studentt._log_brackets(res[:, None], 0.0, r.sigma_inv, r.b_alpha)[3]
+    return r.log_norm_const + log_bracket / (r.alpha - 1.0)
 
 
-def _overlap(p: Record, q: Record) -> tuple:
-    """The overlap (lo, hi) of the supports of two d = 1 records; empty where lo >= hi."""
+def _overlap(p: Record, q: Record, integral: str) -> tuple:
+    """The overlap (lo, hi) of two d = 1 supports, empty where lo >= hi, and its ends in p's u from residuals."""
+    if p.dim != 1:
+        raise DimensionMismatchError(f"the {integral} integral has no closed form here, and quadrature needs d = 1, "
+                                     f"got d = {p.dim}")
     (plo, phi), (qlo, qhi) = (getattr(r, "support_interval", (-math.inf, math.inf)) for r in (p, q))
-    return float(max(plo, qlo)), float(min(phi, qhi))
+    rp, rq = (math.sqrt(getattr(r, "radius_sq", math.inf) * r.sigma[0, 0]) for r in (p, q))
+    offset, scale = float(q.mu[0] - p.mu[0]), math.sqrt(p.sigma[0, 0])
+    return float(max(plo, qlo)), float(min(phi, qhi)), max(-rp, offset - rq) / scale, min(rp, offset + rq) / scale
+
+
+def _log_densities(p: Record, q: Record, u: np.ndarray) -> tuple:
+    """log p and log q at x = mu_p + sqrt(sigma_p) u, each from its own residual, and where both are finite."""
+    res = math.sqrt(p.sigma[0, 0]) * u
+    log_p, log_q = _log_pdf(p, res), _log_pdf(q, float(p.mu[0] - q.mu[0]) + res)
+    return log_p, log_q, (log_p > -math.inf) & (log_q > -math.inf)
 
 
 def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
     """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1.
 
-    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's standardized
-    coordinate u = (x - mu_p) / sqrt(sigma_p), so it splits the overlap at
-    p's mean (or the end nearest it) and p's mass sits at its first nodes.
-    A node counts only where both log densities are finite: one inside the
-    overlap in u can round, in x, onto or past the end of a compact support,
-    where q^(alpha-1) is +inf for alpha < 1.  A failure of ``quad`` gains the
-    integral's name, and its interval is the overlap in x.
+    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u = (x - mu_p) / s,
+    s = sqrt(sigma_p), split at p's mean (or the end nearest it).  No x is
+    formed: p reads the residual s u, q (mu_p - mu_q) + s u.  A node counts
+    where both are finite (not on a compact end, where q^(alpha-1) can be
+    +inf).  A failure of ``quad`` gains the integral's name and the overlap.
     """
-    if p.dim != 1:
-        raise DimensionMismatchError(
-            f"the {integral} integral has no closed form here, and quadrature needs d = 1, got d = {p.dim}"
-        )
-    lo, hi = _overlap(p, q)
+    lo, hi, a, b = _overlap(p, q, integral)
     if not lo < hi:
         return 0.0
-    center, scale = float(p.mu[0]), math.sqrt(p.sigma[0, 0])
+    scale = math.sqrt(p.sigma[0, 0])
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        x = center + scale * u
-        log_p, log_q = _log_pdf(p, x), _log_pdf(q, x)
-        on = (log_p > -math.inf) & (log_q > -math.inf)
-        out = np.zeros(x.shape)
+        log_p, log_q, on = _log_densities(p, q, u)
+        out = np.zeros(u.shape)
         out[on] = scale * term(log_p[on], log_q[on])
         return out
 
     try:
-        value, _, _ = quad(integrand, (lo - center) / scale, (hi - center) / scale, epsabs=tol[0], epsrel=tol[1])
+        return quad(integrand, a, b, epsabs=tol[0], epsrel=tol[1])[0]
     except NumericalError as exc:
         raise NumericalError(f"{integral} quadrature on [{lo}, {hi}] failed: {exc}",
                              {"integral": integral, **exc.diagnostics, "interval": [lo, hi]}) from exc
-    return value
 
 
 def _tail_excess(p: Record, q: Record, alpha: float) -> float:
@@ -504,37 +508,33 @@ def _log_cross(p, q, alpha: float) -> float:
 
 
 def _log_cross_quad(p: Record, q: Record, alpha: float) -> float:
-    """log Int p q^(alpha-1) by quadrature in d = 1; -inf for an empty overlap.
+    """log Int p q^(alpha-1) by one ``quad`` call in d = 1; -inf for an empty overlap.
 
-    Where the integrand overflows, so that ``quad`` reports it not finite,
-    the integral is taken again of exp(log p + (alpha-1) log q - shift), and
-    shift is added back to its log.  The shift is the log integrand's largest
-    value on the nodes the failed call evaluated (its first round among
-    them), at p's mean and at the overlap's finite ends approached from
-    inside.  Every integrand that does not overflow is integrated unshifted.
+    Probes of log p + (alpha-1) log q in p's u inside the overlap: 257 points
+    evenly spaced in asinh u, |asinh u| <= 40; u = 0; q's mean; 49 points e
+    (1 - 10^k), k = -16..0, toward each finite end e.  Where their peak P
+    leaves [-300, 100], the integrand is divided by exp(shift), the least
+    that brings P into it.  A zero under a finite probe is a NumericalError.
     """
+    lo, hi, a, b = _overlap(p, q, "cross")
+    if not lo < hi:
+        return -math.inf
+    scale = math.sqrt(p.sigma[0, 0])
+    probes = np.concatenate([np.sinh(np.linspace(max(math.asinh(a), -40.0), min(math.asinh(b), 40.0), 257)),
+                             [0.0, float(q.mu[0] - p.mu[0]) / scale],
+                             *(e * (1.0 - 10.0 ** np.linspace(-16.0, 0.0, 49)) for e in (a, b) if math.isfinite(e))])
+    with np.errstate(over="ignore"):  # a Gaussian squares the residuals of the farthest probes
+        log_p, log_q, on = _log_densities(p, q, probes)
+    values = log_p[on] + (alpha - 1.0) * log_q[on]
+    peak = float(np.max(values, initial=-math.inf))
+    shift = max(peak - 100.0, 0.0) + min(peak + 300.0, 0.0) if peak > -math.inf else 0.0
     tol = (0.0, max(CROSS_EPSREL, I_ALPHA_TOL * abs(1.0 - alpha) / alpha))
-    peaks = [-math.inf]  # the log integrand's largest value on each call
-
-    def log_integrand(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-        values = log_p + (alpha - 1.0) * log_q
-        peaks.append(float(np.max(values, initial=-math.inf, where=np.isfinite(values))))
-        return values
-
-    try:
-        cross, shift = _integrate(p, q, lambda *logs: np.exp(log_integrand(*logs)), "cross", tol), 0.0
-    except NumericalError as exc:
-        if math.isfinite(exc.diagnostics["abserr"]):
-            raise
-        lo, hi = _overlap(p, q)
-        probes = np.array([p.mu[0], *(np.nextafter(end, p.mu[0]) for end in (lo, hi) if math.isfinite(end))])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_integrand(_log_pdf(p, probes), _log_pdf(q, probes))
-        shift = max(peaks)
-        if not 0.0 < shift < math.inf:
-            raise
-        cross = _integrate(p, q, lambda *logs: np.exp(log_integrand(*logs) - shift), "cross", tol)
-    return shift + math.log(cross) if cross > 0.0 else -math.inf
+    cross = _integrate(p, q, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q - shift), "cross", tol)
+    if cross > 0.0 or peak == -math.inf:
+        return shift + math.log(cross) if cross > 0.0 else -math.inf
+    x = float(p.mu[0]) + scale * float(probes[on][np.argmax(values)])
+    raise NumericalError(f"cross quadrature on [{lo}, {hi}] gave 0, though the log integrand is {peak!r} at x = {x!r}",
+                         {"integral": "cross", "interval": [lo, hi], "cross": cross, "peak": [x, peak]})
 
 
 def _log_power(h, alpha: float) -> float:

@@ -782,6 +782,16 @@ class TestScipyOffTheColdPath:
         assert "'integral': 'cross'" in captured.err
         assert "'epsabs': 0.0, 'epsrel': 2.5e-11, 'abserr': 0.25, 'neval': 4221" in captured.err
 
+    def test_cross_integral_that_misses_its_peak_exits_20_with_one_line(self, capsys):
+        # q's bump lies between quad's nodes; the pre-pass saw it, so 0 is a failure, not an empty overlap.
+        argv = ["divergence", "--alpha", "3", "--p", "t:0.8,0,1", "--q", "normal:1.5,1e-4"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("numerical failure: cross quadrature on [-inf, inf] gave 0")
+        assert "'integral': 'cross'" in line
+
     @pytest.mark.parametrize("argv", _DIVERGENT_CROSS_TERMS)
     def test_divergent_cross_term_prints_infinity(self, capsys, argv):
         assert cli.main(argv) == cli.EXIT_OK

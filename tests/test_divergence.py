@@ -603,6 +603,22 @@ class TestAffineInvariance:
         for name, value in want.items():
             assert got[name] == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("centre", [1e5, 1e6])
+    def test_narrow_records_far_from_the_origin(self, centre):
+        # Each density reads its residual from its own mean, so nodes keep
+        # their digits; the value at centre 0 is 2.0027024863648752.
+        p, q = af.make_student_t(0.6, centre, 8e-4), af.make_student_t(5.0, centre + 0.033, 0.043)
+        assert dv.i_alpha(p, q, 2.0) == pytest.approx(2.0027024863648752, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("order_p, order_q, alpha", [(0.8, 0.8, 1.5), (0.8, 0.6, 1.5), (0.8, 0.6, 0.8),
+                                                          (2.0, 0.6, 1.5), (2.0, 5.0, 3.0)])
+    def test_an_exactly_representable_offset_keeps_the_bits(self, order_p, order_q, alpha):
+        # Compact ends in p's coordinate come from residuals too.
+        near = af.make_student_t(order_p, 0.0, 1.0), af.make_student_t(order_q, 0.5, 2.0)
+        far = af.make_student_t(order_p, 1000.0, 1.0), af.make_student_t(order_q, 1000.5, 2.0)
+        assert dv.kl(*far) == dv.kl(*near)
+        assert dv.i_alpha(*far, alpha) == dv.i_alpha(*near, alpha)
+
     @given(_records, _records, st.one_of(st.floats(0.3, 0.99), st.floats(1.01, 3.0)),
            st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -673,6 +689,16 @@ class TestNarrowPeaks:
         want = _standardized_i_alpha(p, q, alpha)
         assert abs(dv.i_alpha(p, q, alpha) - want) <= 1e-9 * max(1.0, abs(want))
 
+    def test_a_missed_narrow_q_is_a_classified_failure(self):
+        # No node lands on q's bump 1.5 sd from p's mean, so the integral reads
+        # 0, but the probe at q's mean reads a finite log integrand; mpmath
+        # gives I_alpha = 4.0123751349509245.
+        with pytest.raises(core.NumericalError, match="gave 0") as err:
+            dv.i_alpha(af.make_student_t(0.8, 0.0, 1.0), dv.Gaussian(1.5, 1e-4), 3.0)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["integral"] == "cross" and diagnostics["interval"] == [-math.inf, math.inf]
+        assert diagnostics["cross"] == 0.0 and diagnostics["peak"][0] == 1.5 and math.isfinite(diagnostics["peak"][1])
+
     def test_failure_names_the_overlap_in_x(self, monkeypatch):
         seen = []
 
@@ -691,11 +717,13 @@ class TestNarrowPeaks:
 
 
 class TestOverflowingCrossTerm:
-    """A finite cross term whose integrand passes the float maximum is integrated shifted in the log domain.
+    """A finite cross term whose integrand leaves the float range is integrated shifted in the log domain.
 
-    Each p is compact and each q a narrow Gaussian, so q^(alpha-1) passes
-    e^709 near the ends of supp p.  References: mpmath at 40 digits, from
-    the same float records, the range split at the log integrand's peak.
+    Each p is compact and each q a narrow Gaussian.  In the first four,
+    q^(alpha-1) passes e^709 near the ends of supp p; in the last, the whole
+    integrand lies below e^-44000, where the cross term used to read -inf.
+    References: mpmath at 40 digits, from the same float records, the range
+    split at the log integrand's peak.
     """
 
     # (p, q, alpha): (log Int p q^(alpha-1), I_alpha)
@@ -704,6 +732,7 @@ class TestOverflowingCrossTerm:
         ((1.06, 0.8, 0.7), (0.34, 6e-6), 0.35): (1640195.5202767109, 883177.90819725243),
         ((1.06, 999995.3, 25.0), (999998.4, 0.08), 0.5): (3342.8553675944173, 3339.8298616291944),
         ((5.0, 0.35, 4.5), (-1.58, 0.01), 0.2): (1380.7430712819452, 342.81562538428321),
+        ((2.0, 0.0, 1e-4), (3.0, 1e-4), 2.0): (-44340.591486717050, 88687.812257102608),
     }
 
     @pytest.mark.parametrize("p, q, alpha", list(CASES))
@@ -721,13 +750,32 @@ class TestOverflowingCrossTerm:
             return real_quad(f, a, b, **kwargs)
 
         monkeypatch.setattr(dv, "quad", counted)
-        dv.i_alpha(af.make_student_t(1.06, -2.6, 4.3), dv.Gaussian(-2.85, 0.027), 0.35)
-        assert len(calls) == 2 and calls[0] == calls[1]
-        # An integrand that stays finite is integrated once, unshifted, to the same bits.
+        # Each cross term, shifted or not, makes one quad call.
+        for p, q, alpha in self.CASES:
+            calls.clear()
+            dv._log_cross(af.make_student_t(*p), dv.Gaussian(*q), alpha)
+            assert len(calls) == 1, (p, q, alpha)
+        # An integrand inside the float range is integrated unshifted, to the bits it always had.
         calls.clear()
         p, q = af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(2.0, 0.5, 1.0)
         plain = dv._integrate(p, q, lambda log_p, log_q: np.exp(log_p + log_q), "cross", (0.0, 2.5e-11))
-        assert dv._log_cross(p, q, 2.0) == math.log(plain) and len(calls) == 2
+        assert dv._log_cross(p, q, 2.0) == math.log(plain) == -1.3726756779210696 and len(calls) == 2
+
+    _LOG10_VAR = st.one_of(st.floats(-6.0, -3.0), st.floats(-1.0, 1.5))
+    _ORDER = st.one_of(st.none(), st.floats(0.34, 0.97), st.floats(1.03, 5.0))
+    _KIND = st.tuples(_ORDER, st.floats(-9.0, 9.0), _LOG10_VAR)
+
+    @given(st.sampled_from([0.0, 1.0, -3e4, 1e6]), _KIND, _KIND, st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)))
+    @settings(max_examples=150, deadline=None)
+    @example(0.0, (2.0, 0.0, -4.0), (None, 3.0, -4.0), 2.0)  # the underflowing pair above
+    def test_a_non_empty_overlap_never_reads_minus_infinity(self, centre, p, q, alpha):
+        # Records drawn as on the seeded grid of d = 1 cross terms: (order or None, offset, log10 variance).
+        p, q = (_grid_record(order, centre + offset, 10.0**log_var) for order, offset, log_var in (p, q))
+        lo, hi, _, _ = dv._overlap(p, q, "cross")
+        assume(lo < hi)
+        got = _outcome(dv._log_cross, p, q, alpha)
+        assert got is core.NumericalError or (isinstance(got, float) and got > -math.inf), got
+        assert got != math.inf or alpha < 1.0  # for alpha > 1 q^(alpha-1) is bounded
 
 
 class TestKL:
