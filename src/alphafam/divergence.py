@@ -337,8 +337,10 @@ def _max_radius_sq(p: StudentTParams, q: StudentTParams) -> float:
     return hi + float(delta @ q.sigma_inv @ delta) + float(np.sum(g2 / (hi - s)))
 
 
-def _support_within(p: Record, q: Record) -> bool:
-    """Whether supp p lies in supp q: R^d, or the ellipsoid of a t of order > 1."""
+def _support_within(p, q) -> bool:
+    """Whether supp p lies in supp q: atoms of positive mass, R^d, or the ellipsoid of a t of order > 1."""
+    if isinstance(p, DiscreteDistribution):
+        return not np.any(q.probs[p.probs > 0.0] == 0.0)
     if _full_support(q):
         return True
     if _full_support(p):
@@ -395,12 +397,11 @@ def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
     return 0.5 * (q.dim * LOG_2PI + q.logdet + second)
 
 
-def _discrete_cross(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    p_mass = p > 0.0
-    if alpha < 1.0 and np.any(q[p_mass] == 0.0):
-        return math.inf
-    both = p_mass & (q > 0.0)
-    return float(np.sum(p[both] * q[both] ** (alpha - 1.0)))
+def _log_sum(total: float, w: np.ndarray, x: np.ndarray, beta: float) -> float:
+    """log of total = sum w x^beta; within 1/16 of 1, log1p((sum w - 1) + sum w expm1(beta log x)), to keep digits."""
+    if abs(total - 1.0) > 0.0625:
+        return math.log(total)
+    return math.log1p(float(np.sum(w)) - 1.0 + float(np.sum(w * np.expm1(beta * np.log(x)))))
 
 
 def _log_pdf(r: Record, res: np.ndarray) -> np.ndarray:
@@ -412,14 +413,24 @@ def _log_pdf(r: Record, res: np.ndarray) -> np.ndarray:
 
 
 def _overlap(p: Record, q: Record, integral: str) -> tuple:
-    """The overlap (lo, hi) of two d = 1 supports, empty where lo >= hi, and its ends in p's u from residuals."""
+    """The overlap of two d = 1 supports as (lo, hi, a, b), empty exactly where not a < b.
+
+    a and b are its ends in p's u, from each support's half-width about its own mean; lo and hi, its ends in x
+    rounded at the means' spacing, only name it.  An end of q's support, offset +- r_q, rounds at the spacing of
+    |offset| + r_q: an overlap it bounds no wider than 4 such spacings is not decided, and is a NumericalError.
+    """
     if p.dim != 1:
         raise DimensionMismatchError(f"the {integral} integral has no closed form here, and quadrature needs d = 1, "
                                      f"got d = {p.dim}")
     (plo, phi), (qlo, qhi) = (getattr(r, "support_interval", (-math.inf, math.inf)) for r in (p, q))
     rp, rq = (math.sqrt(getattr(r, "radius_sq", math.inf) * r.sigma[0, 0]) for r in (p, q))
     offset, scale = float(q.mu[0] - p.mu[0]), math.sqrt(p.sigma[0, 0])
-    return float(max(plo, qlo)), float(min(phi, qhi)), max(-rp, offset - rq) / scale, min(rp, offset + rq) / scale
+    lo, hi = float(max(plo, qlo)), float(min(phi, qhi))
+    a, b = max(-rp, offset - rq) / scale, min(rp, offset + rq) / scale
+    if (offset - rq > -rp or offset + rq < rp) and abs(b - a) <= 4.0 * math.ulp(abs(offset) + rq) / scale:
+        raise NumericalError(f"the {integral} overlap [{lo}, {hi}] is within rounding of empty",
+                             {"integral": integral, "interval": [lo, hi]})
+    return lo, hi, a, b
 
 
 def _log_densities(p: Record, q: Record, u: np.ndarray) -> tuple:
@@ -432,14 +443,13 @@ def _log_densities(p: Record, q: Record, u: np.ndarray) -> tuple:
 def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
     """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1.
 
-    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u = (x - mu_p) / s,
-    s = sqrt(sigma_p), split at p's mean (or the end nearest it).  No x is
-    formed: p reads the residual s u, q (mu_p - mu_q) + s u.  A node counts
-    where both are finite (not on a compact end, where q^(alpha-1) can be
-    +inf).  A failure of ``quad`` gains the integral's name and the overlap.
+    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u = (x - mu_p) / s, s = sqrt(sigma_p), split at p's mean (or
+    the end nearest it).  No x is formed: p reads the residual s u, q (mu_p - mu_q) + s u.  An overlap empty in u
+    gives 0.  A node counts where both are finite (not on a compact end, where q^(alpha-1) can be +inf).  A failure
+    of ``quad`` gains the integral's name and the overlap.
     """
     lo, hi, a, b = _overlap(p, q, integral)
-    if not lo < hi:
+    if not a < b:
         return 0.0
     scale = math.sqrt(p.sigma[0, 0])
 
@@ -485,12 +495,14 @@ def _shared_end_diverges(p: Record, q: Record, alpha: float) -> bool:
 
 def _log_cross(p, q, alpha: float) -> float:
     """log Int p q^(alpha-1); -inf for an empty overlap, +inf where it diverges."""
-    if isinstance(p, DiscreteDistribution):
-        cross = _discrete_cross(p.probs, q.probs, alpha)
-        return math.log(cross) if 0.0 < cross < math.inf else math.inf
     within = _support_within(p, q)
     if alpha < 1.0 and not within:
         return math.inf
+    if isinstance(p, DiscreteDistribution):
+        both = (p.probs > 0.0) & (q.probs > 0.0)
+        w, x = p.probs[both], q.probs[both]
+        cross = float(np.sum(w * x ** (alpha - 1.0)))
+        return _log_sum(cross, w, x, alpha - 1.0) if 0.0 < cross < math.inf else math.inf
     if isinstance(q, StudentTParams) and q.alpha == alpha and within:
         return _log_t_cross(p, q)
     if isinstance(q, Gaussian) and isinstance(p, Gaussian):
@@ -510,19 +522,20 @@ def _log_cross(p, q, alpha: float) -> float:
 def _log_cross_quad(p: Record, q: Record, alpha: float) -> float:
     """log Int p q^(alpha-1) by one ``quad`` call in d = 1; -inf for an empty overlap.
 
-    Probes of log p + (alpha-1) log q in p's u inside the overlap: 257 points
-    evenly spaced in asinh u, |asinh u| <= 40; u = 0; q's mean; 49 points e
-    (1 - 10^k), k = -16..0, toward each finite end e.  Where their peak P
-    leaves [-300, 100], the integrand is divided by exp(shift), the least
-    that brings P into it.  A zero under a finite probe is a NumericalError.
+    Probes of log p + (alpha-1) log q in p's u inside the overlap: 257 points evenly spaced in asinh u, |asinh u|
+    <= 40; u = 0; q's mean; 49 points o + (e - o)(1 - 10^k), k = -16..0, toward each finite end e from inside,
+    with o the other end where the overlap misses p's mean (both ends are then finite, short of overflow), else
+    0.  Where their peak P leaves [-300, 100], the integrand is divided by exp(shift), the least that brings P
+    into it.  A zero under a finite probe is a NumericalError.
     """
     lo, hi, a, b = _overlap(p, q, "cross")
-    if not lo < hi:
+    if not a < b:
         return -math.inf
     scale = math.sqrt(p.sigma[0, 0])
+    ends = [(e, o if math.isfinite(o) and not a <= 0.0 <= b else 0.0) for e, o in ((a, b), (b, a)) if math.isfinite(e)]
     probes = np.concatenate([np.sinh(np.linspace(max(math.asinh(a), -40.0), min(math.asinh(b), 40.0), 257)),
                              [0.0, float(q.mu[0] - p.mu[0]) / scale],
-                             *(e * (1.0 - 10.0 ** np.linspace(-16.0, 0.0, 49)) for e in (a, b) if math.isfinite(e))])
+                             *(o + (e - o) * (1.0 - 10.0 ** np.linspace(-16.0, 0.0, 49)) for e, o in ends)])
     with np.errstate(over="ignore"):  # a Gaussian squares the residuals of the farthest probes
         log_p, log_q, on = _log_densities(p, q, probes)
     values = log_p[on] + (alpha - 1.0) * log_q[on]
@@ -540,7 +553,8 @@ def _log_cross_quad(p: Record, q: Record, alpha: float) -> float:
 def _log_power(h, alpha: float) -> float:
     """log Int h^alpha: a sum over atoms, else closed form; +inf where it diverges."""
     if isinstance(h, DiscreteDistribution):
-        return math.log(float(np.sum(h.probs[h.probs > 0.0] ** alpha)))
+        w = h.probs[h.probs > 0.0]
+        return _log_sum(float(np.sum(w**alpha)), w, w, alpha - 1.0)
     if isinstance(h, Gaussian):
         return -0.5 * (alpha - 1.0) * (h.dim * LOG_2PI + h.logdet) - 0.5 * h.dim * math.log(alpha)
     return studentt.log_power_integral(h, alpha)
@@ -581,14 +595,11 @@ def kl(p: DistributionHandle, q: DistributionHandle) -> float:
     ``KL_TOL``, absolute as well as relative since KL can be near 0.
     """
     _check_pair(p, q)
-    if isinstance(p, DiscreteDistribution):
-        pv, qv = p.probs, q.probs
-        mass = pv > 0.0
-        if np.any(qv[mass] == 0.0):
-            return math.inf
-        return float(np.sum(pv[mass] * np.log(pv[mass] / qv[mass])))
     if not _support_within(p, q):
         return math.inf
+    if isinstance(p, DiscreteDistribution):
+        mass = p.probs > 0.0
+        return float(np.sum(p.probs[mass] * np.log(p.probs[mass] / q.probs[mass])))
     if isinstance(q, Gaussian):
         return _gaussian_cross_entropy(p, q) - _entropy(p)
     return _integrate(p, q, lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", KL_TOL)

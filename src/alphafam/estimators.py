@@ -18,14 +18,15 @@ from .core import (
     ALPHA_NOT_BELOW_ONE,
     DegenerateStatisticsError,
     DimensionMismatchError,
-    EIGENVALUE_RTOL,
     ParameterError,
     SIGMA_NOT_FINITE,
     SampleBatch,
     StudentTParams,
     SufficientStats,
+    _symmetrize,
     _vec_second_moment,
     check_alpha,
+    make_student_t,
     record,
 )
 
@@ -113,9 +114,10 @@ def residual_general_malpha(desc, theta, stats: SufficientStats, pop: Sufficient
 class StudentTEstimate:
     """Closed-form estimate: sample mean and 1/n sample covariance.
 
-    ``singular`` flags a covariance without full rank (n <= d, constant
-    batches, or data in an affine subspace); downstream Sigma^{-1} uses
-    must be skipped when it is set.
+    ``singular`` flags n <= d and any estimate ``make_student_t`` refuses: a
+    covariance without full rank (constant batches, data in an affine
+    subspace) or whose inverse or normalizer overflows; downstream
+    Sigma^{-1} uses must be skipped when it is set.
     """
 
     mu_hat: np.ndarray
@@ -129,29 +131,29 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
 
     The formulas contain no alpha, so the result is identical across the
     whole valid range (d/(d+2), 1); alpha is validated and recorded only.
-    The covariance divisor is 1/n.
+    The covariance divisor is 1/n.  ``singular`` is set where n <= d (rank
+    below d, though rounding can hide it) or where ``make_student_t(alpha,
+    mu_hat, sigma_hat)`` raises ParameterError.
 
     A mean or covariance beyond the float range raises ParameterError
     ``sigma_not_finite``, without numpy's overflow warning.
     """
-    d = batch.dim
     if alpha >= 1.0:
         raise ParameterError(ALPHA_NOT_BELOW_ONE, f"estimator requires alpha < 1, got {alpha}")
-    check_alpha(alpha, d)
+    check_alpha(alpha, batch.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         mu_hat = batch.data.mean(axis=0)
         centered = batch.data - mu_hat
-        sigma_hat = (centered.T @ centered) / batch.n
-        sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
+        sigma_hat = _symmetrize((centered.T @ centered) / batch.n)
     if not np.isfinite(sigma_hat).all():  # also where mu_hat overflowed: centered then holds an inf or nan
         raise ParameterError(SIGMA_NOT_FINITE, "sigma must be finite")
-    eigvals = np.linalg.eigvalsh(sigma_hat)
-    singular = (
-        batch.n <= d
-        or eigvals[-1] <= 0.0
-        or eigvals[0] <= EIGENVALUE_RTOL * eigvals[-1]
-    )
-    return StudentTEstimate(mu_hat=mu_hat, sigma_hat=sigma_hat, alpha=alpha, singular=bool(singular))
+    singular = batch.n <= batch.dim
+    if not singular:
+        try:
+            make_student_t(alpha, mu_hat, sigma_hat)
+        except ParameterError:
+            singular = True
+    return StudentTEstimate(mu_hat=mu_hat, sigma_hat=sigma_hat, alpha=alpha, singular=singular)
 
 
 def student_t_population_moments(params: StudentTParams) -> SufficientStats:

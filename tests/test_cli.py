@@ -309,6 +309,15 @@ class TestCommands:
         assert report["sigma_hat"] == [[0.0]]
         assert report["residual_norm"] is None
 
+    def test_estimate_whose_normalizer_overflows_is_singular(self, tmp_path, capsys):
+        # Full rank, but Sigma's determinant, about 1e-720, puts N past the float range.
+        draws = np.random.default_rng(5).standard_normal((20, 3)) * 1e-120
+        path = write(tmp_path, "tiny.csv", "".join(",".join(f"{v!r}" for v in row) + "\n" for row in draws.tolist()))
+        assert cli.main(["estimate", "--alpha", "0.9", "--input", path]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["singular_flag"] is True
+        assert report["residual_norm"] is None
+
     def test_estimate_rejects_bad_alpha(self, tmp_path):
         assert cli.main(["estimate", "--alpha", "1.5", "--input", reference_csv(tmp_path)]) == cli.EXIT_INVALID_CONFIG
         assert cli.main(["estimate", "--alpha", "0.2", "--input", reference_csv(tmp_path)]) == cli.EXIT_INVALID_CONFIG

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,8 @@ class TestIAlpha:
 
     @given(st.sampled_from(["gaussian", "discrete"]), st.integers(1, 3), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
+    # p and q 1e-5 apart: the sums' logs must keep their digits near alpha = 1.
+    @example("discrete", 1, 58442)
     def test_limit_consistency_both_pairs(self, kind, d, seed):
         # I_alpha = KL + c1 (alpha - 1) + c2 (alpha - 1)^2 + ..., and c1 takes
         # either sign, so one side alone can cancel at a given eps; the larger
@@ -575,6 +578,15 @@ def _pushed(r, a, s):
     return dv.Gaussian(mu, var) if isinstance(r, dv.Gaussian) else af.make_student_t(r.alpha, mu, var)
 
 
+def _exactly_overlapping(p, q):
+    """Whether two d = 1 supports, mu +- sqrt(radius_sq sigma), overlap in exact arithmetic on the records' floats."""
+    if not (isinstance(p, core.StudentTParams) and isinstance(q, core.StudentTParams) and p.alpha > 1.0 and q.alpha > 1.0):
+        return True
+    a, b = (Fraction(r.radius_sq) * Fraction(float(r.sigma[0, 0])) for r in (p, q))
+    gap = (Fraction(float(q.mu[0])) - Fraction(float(p.mu[0]))) ** 2 - a - b
+    return gap < 0 or 4 * a * b > gap**2  # sqrt(a) + sqrt(b) > |mu_q - mu_p|
+
+
 def _outcome(fn, *args):
     """fn's value, or the type of the library error it raised."""
     try:
@@ -618,6 +630,15 @@ class TestAffineInvariance:
         far = af.make_student_t(order_p, 1000.0, 1.0), af.make_student_t(order_q, 1000.5, 2.0)
         assert dv.kl(*far) == dv.kl(*near)
         assert dv.i_alpha(*far, alpha) == dv.i_alpha(*near, alpha)
+
+    def test_an_overlap_narrower_than_the_spacing_at_its_mean(self):
+        # At 1e6 the spacing of x, 1.2e-10, is wider than p's support, of
+        # half-width 2.2e-11, so the overlap's ends in x round onto one point;
+        # in p's coordinate it is [-sqrt(5), sqrt(5)].
+        near = af.make_student_t(2.0, 0.0, 1e-22), af.make_student_t(2.0, 0.0, 1.0)
+        far = af.make_student_t(2.0, 1e6, 1e-22), af.make_student_t(2.0, 1e6, 1.0)
+        assert dv.kl(*far) == dv.kl(*near) == 25.048063717387755
+        assert dv.i_alpha(*far, 1.5) == dv.i_alpha(*near, 1.5) == 24.957091704092175
 
     @given(_records, _records, st.one_of(st.floats(0.3, 0.99), st.floats(1.01, 3.0)),
            st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
@@ -742,6 +763,16 @@ class TestOverflowingCrossTerm:
         assert dv._log_cross(p, q, alpha) == pytest.approx(log_cross, rel=1e-12, abs=0.0)
         assert dv.i_alpha(p, q, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_a_peak_at_the_near_end_of_an_overlap_that_misses_p_mean(self):
+        # The overlap [1000001.51, 1000007.42] lies 4.6 above p's mean, and the
+        # log integrand, near -1e6, peaks 3e-5 inside its near end, which the
+        # end probes approach from the far end.  mpmath at 50 digits.
+        p = dv.Gaussian(999996.9033019298, 1.036784680081904e-05)
+        q = af.make_student_t(1.1229139049215795, 1000004.4659233815, 0.4526947135359727)
+        alpha = 2.741478823516922
+        assert dv._log_cross(p, q, alpha) == pytest.approx(-1024614.1167107314948, rel=1e-12, abs=0.0)
+        assert dv.i_alpha(p, q, alpha) == pytest.approx(1612975.8322564354898, rel=1e-12, abs=0.0)
+
     def test_only_an_integrand_that_overflows_is_shifted(self, monkeypatch):
         real_quad, calls = dv.quad, []
 
@@ -771,11 +802,46 @@ class TestOverflowingCrossTerm:
     def test_a_non_empty_overlap_never_reads_minus_infinity(self, centre, p, q, alpha):
         # Records drawn as on the seeded grid of d = 1 cross terms: (order or None, offset, log10 variance).
         p, q = (_grid_record(order, centre + offset, 10.0**log_var) for order, offset, log_var in (p, q))
-        lo, hi, _, _ = dv._overlap(p, q, "cross")
-        assume(lo < hi)
+        assume(_exactly_overlapping(p, q))
         got = _outcome(dv._log_cross, p, q, alpha)
         assert got is core.NumericalError or (isinstance(got, float) and got > -math.inf), got
         assert got != math.inf or alpha < 1.0  # for alpha > 1 q^(alpha-1) is bounded
+
+
+class TestTouchingSupports:
+    """Compact supports that meet within the rounding of their ends in p's u."""
+
+    @pytest.mark.parametrize("p, q, alpha", [
+        # An overlap of 3.2e-16: read as empty, I_alpha was +inf.
+        ((3.0, 1.0250929764265087, 1.8726715253049944), (2.0, -1.8470000760507304, 0.0036547951897228418), 1.5),
+        # A gap of 1.2e-17: read as an overlap, I_alpha was 192.93.
+        ((3.0, -0.7963426083152587, 0.004948351661038075), (3.0, -0.09156279248533124, 0.0795496001744874), 1.5),
+        # supp q, of half-width 2.2e-11, inside supp p but narrower than the spacing at 1e6.
+        ((2.0, 0.0, 1e12), (2.0, 1e6, 1e-22), 1.5),
+    ])
+    def test_an_overlap_within_rounding_of_empty_is_a_numerical_error(self, p, q, alpha):
+        with pytest.raises(core.NumericalError, match="within rounding of empty") as err:
+            dv.i_alpha(af.make_student_t(*p), af.make_student_t(*q), alpha)
+        assert err.value.diagnostics["integral"] == "cross"
+
+    @given(st.sampled_from([1.5, 2.0, 3.0, 5.0]), st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+           st.sampled_from([0.0, 1.0, 1e3, -7e5, 1e6, 3.3e8]), st.floats(-1.0, 1.0), st.floats(-3.0, 2.0),
+           st.floats(-3.0, 2.0), st.sampled_from([-1.0, 1.0]), st.integers(-3, 3), st.sampled_from([1.5, 2.0, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_right_or_a_numerical_error(self, order_p, order_q, centre, jitter, log_var_p, log_var_q, side, steps,
+                                        alpha):
+        # q's mean r_p + r_q from p's, then up to 3 float steps either way.
+        p = af.make_student_t(order_p, centre + jitter, 10.0**log_var_p)
+        q0 = af.make_student_t(order_q, 0.0, 10.0**log_var_q)
+        mu_q = float(p.mu[0]) + side * (math.sqrt(p.radius_sq * p.sigma[0, 0]) + math.sqrt(q0.radius_sq * q0.sigma[0, 0]))
+        for _ in range(abs(steps)):
+            mu_q = math.nextafter(mu_q, math.copysign(math.inf, steps))
+        q = af.make_student_t(order_q, mu_q, 10.0**log_var_q)
+        got = _outcome(dv.i_alpha, p, q, alpha)
+        if _exactly_overlapping(p, q):
+            assert got is core.NumericalError or (isinstance(got, float) and math.isfinite(got)), got
+        else:
+            assert got is core.NumericalError or got == math.inf, got
 
 
 class TestKL:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -152,6 +152,34 @@ class TestEstimateStudentT:
     def test_n_not_above_d_flagged_singular(self):
         batch = af.SampleBatch(np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert est.estimate_student_t(batch, 0.8).singular
+
+    def test_n_not_above_d_flagged_singular_where_the_mean_rounds(self):
+        # Two rows near 1e6, 1e-6 apart: the rounded mean leaves the centred
+        # rows off antiparallel, so the covariance has full rank in floats
+        # and make_student_t accepts it.
+        batch = af.SampleBatch(1e6 + np.random.default_rng(0).standard_normal((2, 2)) * 1e-6)
+        fit = est.estimate_student_t(batch, 0.8)
+        af.make_student_t(0.8, fit.mu_hat, fit.sigma_hat)
+        assert fit.singular
+
+    @given(st.integers(1, 3), st.integers(1, 6), st.sampled_from([0.0, 1e6]), st.floats(-150.0, 150.0),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    # Full rank at spread 1e-120, but the normalizer of the fitted t overflows.
+    @example(3, 6, 0.0, -120.0, False, 0)
+    def test_singular_where_n_is_not_above_d_or_make_student_t_refuses(self, d, n, centre, log_spread, collinear,
+                                                                       seed):
+        rng = np.random.default_rng(seed)
+        data = centre + rng.standard_normal((n, d)) * 10.0**log_spread
+        if collinear and d > 1:
+            data[:, -1] = 2.0 * data[:, 0]
+        fit = est.estimate_student_t(af.SampleBatch(data), 0.9)
+        try:
+            af.make_student_t(0.9, fit.mu_hat, fit.sigma_hat)
+            refused = False
+        except core.ParameterError:
+            refused = True
+        assert fit.singular == (n <= d or refused)
 
     @given(
         st.floats(min_value=-50.0, max_value=50.0),
