@@ -12,8 +12,6 @@ their temporaries stay small.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .core import _split
@@ -292,13 +290,12 @@ def _read_block(block: bytes, other: bytes):
     if width * rows != n or not row_ends[width - 1::width].all():
         return None
     places = np.where(has_dot, ends - marks[last - 1] - 1, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on a malformed string
-        try:
-            # A cell without digits leaves an empty field, which is declined.
-            mantissa = np.fromstring(block.translate(_LINES_TO_COMMAS, b".-+eE"), dtype=np.int64, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
+    # A cell without digits leaves an empty field, which is declined here, so
+    # that numpy's reader sees only runs of digits between commas.
+    text = block.translate(_LINES_TO_COMMAS, b".-+eE")
+    if b",," in text or text.startswith(b",") or text.endswith(b","):
+        return None
+    mantissa = np.fromstring(text, dtype=np.int64, sep=",")
     if mantissa.size != n:
         return None
 

@@ -9,19 +9,25 @@ non-numeric cells, 13 empty input, 14 output not written, 20 numerical
 failure.  Each subcommand takes only the flags it reads; a missing, unknown
 or malformed flag is a usage error and exits 2.
 
-``main`` runs one command line in-process and returns its exit code.
-``console`` is the process entry of both ``python -m alphafam.cli`` and the
-``alphafam`` script: it runs ``main``, flushes stdout, and then freezes the
-garbage collector's tracked objects, so that the interpreter's collections at
-exit skip them.
+``main`` runs one command line in-process and returns its exit code; it
+holds no state between calls, so threads may call it at once.  ``console``
+is the process entry of both ``python -m alphafam.cli`` and the ``alphafam``
+script: it runs ``main``, flushes stdout, and then freezes the garbage
+collector's tracked objects, so that the interpreter's collections at exit
+skip them.  Run as ``python -m``, the module also pauses the collector while
+its imports run.  It imports ``compact``, ``divergence``, ``estimators`` and
+``studentt`` plainly, so ``import alphafam.cli`` runs all four.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # no collections while the imports below build their objects; the bottom block enables it
+
 import argparse
 import errno
-import gc
-import importlib.util
 import io
 import json
 import math
@@ -30,6 +36,7 @@ import sys
 
 import numpy as np
 
+from . import compact, divergence, estimators, studentt
 from .core import (
     AlphaFamilyError,
     DimensionMismatchError,
@@ -41,29 +48,6 @@ from .core import (
     pack_theta,
     record,
 )
-
-
-def _lazy(name: str):
-    """The submodule ``name``, which runs on its first attribute access unless it already has.
-
-    A submodule not yet imported is placed in ``sys.modules`` and bound on its
-    package as an ``importlib.util.LazyLoader`` module, so a later import
-    finds it and a command runs only the modules it uses.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    package, _, child = name.rpartition(".")
-    setattr(sys.modules[package], child, module)
-    return module
-
-
-compact, divergence, estimators, studentt = (_lazy(f"{__package__}.{name}")
-                                             for name in ("compact", "divergence", "estimators", "studentt"))
 
 SCHEMA_VERSION = "3"
 
@@ -541,4 +525,6 @@ def console(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(console())

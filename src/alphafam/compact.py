@@ -51,9 +51,7 @@ __all__ = [
 
 # Support half-width sqrt(5) and peak density N2 of the order-2 unit-variance
 # member: the radius_sq and log_norm_const that make_student_t(2, 0, 1)
-# derives, formed the same way without building the record, so that running
-# this module calls no public function (a tracer may have wrapped those
-# before a lazily loaded module runs).
+# derives, formed the same way without building the record.
 ROOT5 = math.sqrt(-1.0 / b_alpha(2.0, 1))
 N2 = math.exp(log_norm_const(2.0, 0.0, 1))
 

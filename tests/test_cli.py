@@ -877,12 +877,12 @@ class TestScripts:
 
 
 class TestCommandsRunOnlyTheirModules:
-    """Each command executes only the alphafam modules it uses.
+    """``import alphafam`` alone runs no submodule; ``import alphafam.cli`` runs ``core`` and its four modules.
 
-    ``cli`` registers ``compact``, ``divergence``, ``estimators`` and
-    ``studentt`` as lazy modules, which run on their first attribute access;
-    until then ``sys.modules`` holds them as ``importlib.util`` lazy modules,
-    not as plain modules.  ``import alphafam`` alone runs no submodule.
+    ``cli`` imports ``compact``, ``divergence``, ``estimators`` and
+    ``studentt`` plainly, so each is a plain module, bound on the package,
+    once ``cli`` has run.  The CSV codec ``_codec`` waits for a command that
+    reads or writes CSV or reports a float array.
     """
 
     PROBE = (
@@ -894,45 +894,27 @@ class TestCommandsRunOnlyTheirModules:
         "else:\n"
         "    import alphafam\n"
         "    code = 0\n"
-        "ran = sorted(m for m, module in sys.modules.items()\n"
-        "             if m.startswith('alphafam.') and type(module) is types.ModuleType)\n"
+        "package = vars(sys.modules['alphafam'])\n"
+        "ran = sorted(m for m, module in sys.modules.items() if m.startswith('alphafam.')\n"
+        "             and type(module) is types.ModuleType and package.get(m.partition('.')[2]) is module)\n"
         "sys.stderr.write('RAN ' + ' '.join(ran) + '\\n')\n"
         "sys.exit(code)\n"
     )
 
-    def modules_run(self, tmp_path, argv, exit_code=cli.EXIT_OK):
+    def modules_run(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env, cwd=str(tmp_path),
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == exit_code, proc.stderr
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
         line = [ln for ln in proc.stderr.splitlines() if ln.startswith("RAN")][-1]
         return {m.removeprefix("alphafam.") for m in line.split()[1:]}
 
     def test_import_alphafam_runs_no_submodule(self, tmp_path):
         assert self.modules_run(tmp_path, []) == set()
 
-    @pytest.mark.parametrize("command, runs, skips", [
-        ("verify-paper-example", {"compact"}, {"divergence", "estimators", "studentt"}),
-        ("compact-fit", {"compact"}, {"divergence", "estimators"}),
-        ("divergence", {"divergence"}, {"compact", "estimators"}),
-        ("simulate", {"studentt"}, {"compact", "divergence", "estimators"}),
-        ("estimate", {"estimators"}, {"compact", "divergence"}),
-    ])
-    def test_command_runs_only_the_modules_it_uses(self, tmp_path, command, runs, skips):
-        data = reference_csv(tmp_path)
-        argv = {
-            "verify-paper-example": [command],
-            "compact-fit": [command, "--input", data],
-            "divergence": [command, "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
-            "simulate": [command, "--alpha", "0.7", "--mu", "0,1", "--sigma", "1,0;0,1", "--n", "50"],
-            "estimate": [command, "--alpha", "0.5", "--input", data],
-        }[command]
-        ran = self.modules_run(tmp_path, argv)
-        assert {"cli", "core"} | runs <= ran and not ran & skips, ran
-
-    def test_a_failing_command_runs_no_divergence(self, tmp_path):
-        argv = ["estimate", "--alpha", "1.5", "--input", reference_csv(tmp_path)]
-        assert "divergence" not in self.modules_run(tmp_path, argv, cli.EXIT_INVALID_CONFIG)
+    def test_cli_runs_its_four_modules_as_plain_modules_on_the_package(self, tmp_path):
+        assert self.modules_run(tmp_path, ["verify-paper-example"]) == {
+            "cli", "core", "compact", "divergence", "estimators", "studentt"}
 
     def test_lazy_modules_are_bound_on_the_package(self):
         assert af.divergence is sys.modules["alphafam.divergence"] is cli.divergence
@@ -940,6 +922,40 @@ class TestCommandsRunOnlyTheirModules:
         assert "kl" in dir(af) and af.kl is cli.divergence.kl
         with pytest.raises(AttributeError):
             af.no_such_name
+
+    def test_two_threads_run_main_at_once_in_a_fresh_interpreter(self, tmp_path):
+        # Each thread writes the bytes of its command run alone, and the warnings filters are left as they were.
+        data = tmp_path / "draws.csv"
+        np.savetxt(data, np.random.default_rng(5).standard_t(3.0, size=(5000, 2)), fmt="%.17g", delimiter=",")
+        commands = [["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
+                    ["estimate", "--alpha", "0.7", "--input", str(data)]]
+        probe = ("import json, sys, threading, warnings\n"
+                 "import alphafam.cli as cli\n"
+                 "commands = json.loads(sys.argv[1])\n"
+                 "filters = list(warnings.filters)\n"
+                 "barrier = threading.Barrier(len(commands))\n"
+                 "codes = [None] * len(commands)\n"
+                 "def run(i):\n"
+                 "    barrier.wait()\n"
+                 "    codes[i] = cli.main(commands[i])\n"
+                 "threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(commands))]\n"
+                 "for thread in threads:\n"
+                 "    thread.start()\n"
+                 "for thread in threads:\n"
+                 "    thread.join(60)\n"
+                 "print(json.dumps([codes, any(t.is_alive() for t in threads), warnings.filters == filters]))\n")
+        expected = []
+        for i, argv in enumerate(commands):
+            assert cli.main(argv + ["--output", str(tmp_path / f"alone{i}.json")]) == cli.EXIT_OK
+            expected.append((tmp_path / f"alone{i}.json").read_bytes())
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        for run in range(3):
+            argvs = [argv + ["--output", str(tmp_path / f"run{run}_{i}.json")] for i, argv in enumerate(commands)]
+            proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env, cwd=str(tmp_path),
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            assert json.loads(proc.stdout) == [[cli.EXIT_OK] * len(commands), False, True]
+            assert [(tmp_path / f"run{run}_{i}.json").read_bytes() for i in range(len(commands))] == expected
 
 
 def run_entry(tmp_path, argv, unbuffered=False, **popen):
@@ -978,6 +994,26 @@ class TestProcessEntry:
         assert proc.stdout.endswith("PASS\n")
         (line,) = proc.stderr.splitlines()
         assert line.startswith("FROZEN ") and int(line.split()[1]) > 0, line
+
+    def test_module_run_collects_nothing_while_it_imports(self, tmp_path):
+        # No collection starts from numpy's import until ``console`` is defined, that is, until the imports are done.
+        probe = ("import gc, runpy, sys\n"
+                 "early = []\n"
+                 "def hook(phase, info):\n"
+                 "    importing = 'numpy' in sys.modules and not hasattr(sys.modules['__main__'], 'console')\n"
+                 "    if phase == 'start' and importing:\n"
+                 "        early.append(info['generation'])\n"
+                 "gc.callbacks.append(hook)\n"
+                 "sys.argv = ['alphafam', 'verify-paper-example']\n"
+                 "try:\n"
+                 "    runpy.run_module('alphafam.cli', run_name='__main__', alter_sys=True)\n"
+                 "finally:\n"
+                 "    sys.stderr.write(f'EARLY {len(early)} ENABLED {gc.isenabled()}\\n')\n")
+        env = dict(os.environ, PYTHONPATH=TestScipyOffTheColdPath.SRC)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=str(tmp_path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr == "EARLY 0 ENABLED True\n"
 
     @pytest.mark.parametrize("argv, text, code", [
         (["verify-paper-example"], None, cli.EXIT_OK),
