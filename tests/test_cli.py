@@ -912,9 +912,25 @@ class TestCommandsRunOnlyTheirModules:
     def test_import_alphafam_runs_no_submodule(self, tmp_path):
         assert self.modules_run(tmp_path, []) == set()
 
-    def test_cli_runs_its_four_modules_as_plain_modules_on_the_package(self, tmp_path):
-        assert self.modules_run(tmp_path, ["verify-paper-example"]) == {
-            "cli", "core", "compact", "divergence", "estimators", "studentt"}
+    @pytest.mark.parametrize("command, runs_codec", [
+        ("verify-paper-example", False),
+        ("compact-fit", True),
+        ("divergence", False),
+        ("simulate", True),
+        ("estimate", True),
+    ])
+    def test_command_runs_only_the_modules_it_uses(self, tmp_path, command, runs_codec):
+        data = reference_csv(tmp_path)
+        argv = {
+            "verify-paper-example": [command],
+            "compact-fit": [command, "--input", data],
+            "divergence": [command, "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
+            "simulate": [command, "--alpha", "0.7", "--mu", "0,1", "--sigma", "1,0;0,1", "--n", "50"],
+            "estimate": [command, "--alpha", "0.5", "--input", data],
+        }[command]
+        codec = {"_codec"} if runs_codec else set()
+        assert self.modules_run(tmp_path, argv) == {
+            "cli", "core", "compact", "divergence", "estimators", "studentt"} | codec
 
     def test_lazy_modules_are_bound_on_the_package(self):
         assert af.divergence is sys.modules["alphafam.divergence"] is cli.divergence
