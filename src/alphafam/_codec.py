@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _split
+from .core import _two_prod
 
 _ROWS_PER_BLOCK = 8192
 _BYTES_PER_BLOCK = 1 << 18
 
-# 10^k for k <= 22, all exact doubles, and their Veltkamp halves.
+# 10^k for k <= 22, all exact doubles.
 _POW10 = np.cumprod(np.concatenate(([1.0], np.full(22, 10.0))))
 _POW10_INT = np.cumprod(np.concatenate(([1], np.full(17, 10))), dtype=np.int64)  # 10^0 .. 10^17
 _TEN16, _TEN17 = 1e16, 1e17
 _INT_TEN16, _INT_TEN17 = _POW10_INT[16], _POW10_INT[17]
 _TWO53 = 2**53
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
 
 # The four ASCII digits of every 0..9999, one uint32 per number, and the
 # number of trailing zeros of each (four for 0).
@@ -67,12 +64,8 @@ _KEEP = _keep_tables()
 
 
 def _scaled(ax, e):
-    """ax * 10^(16 - e) as hi + lo exactly (Dekker's product), with 0 <= 16 - e <= 22."""
-    k = 16 - e
-    hi = ax * _POW10[k]
-    a_hi, a_lo = _split(ax)
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    """ax * 10^(16 - e) as hi + lo exactly, with 0 <= 16 - e <= 22, and where hi + lo is below 10^16 or from 10^17."""
+    hi, lo = _two_prod(ax, _POW10[16 - e])
     below = (hi < _TEN16) | ((hi == _TEN16) & (lo < 0))
     above = (hi > _TEN17) | ((hi == _TEN17) & (lo >= 0))
     return hi, lo, below, above

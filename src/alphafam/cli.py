@@ -303,11 +303,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     est = estimators.estimate_student_t(batch, args.alpha)
     residual_norm = None
     if not est.singular:
-        params = make_student_t(args.alpha, est.mu_hat, est.sigma_hat)
-        desc = studentt.decompose(params)
+        desc = studentt.decompose(est.params)
         stats = estimators.sufficient_stats(batch, desc, args.alpha)
-        pop = estimators.student_t_population_moments(params)
-        theta = pack_theta(est.mu_hat, params.sigma_inv)
+        pop = estimators.student_t_population_moments(est.params)
+        theta = pack_theta(est.mu_hat, est.params.sigma_inv)
         residual_norm = estimators.residual_regular_malpha(desc, theta, stats, pop).norm
     return _report(args, batch, alpha=args.alpha, n=batch.n, d=batch.dim, mu_hat=est.mu_hat,
                    sigma_hat=est.sigma_hat, singular_flag=est.singular, residual_norm=residual_norm)

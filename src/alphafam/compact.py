@@ -36,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import ParameterError, SampleBatch, _split, b_alpha, log_norm_const, record
+from .core import ParameterError, SampleBatch, _two_prod, _two_sum, b_alpha, log_norm_const, record
 
 __all__ = [
     "ROOT5",
@@ -145,21 +145,8 @@ def _as_scalars(batch) -> np.ndarray:
 
 
 # Double-double arithmetic: a value is an unevaluated sum (hi, lo) of two
-# float arrays, good to about eps^2 relative.  Error-free transformations
-# after Knuth (sum) and Dekker (product, without FMA).
-
-
-def _two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+# float arrays, good to about eps^2 relative, built on the error-free
+# transformations ``core._two_sum`` and ``core._two_prod``.
 
 
 def _dd_add(x, y):

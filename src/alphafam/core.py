@@ -308,11 +308,28 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
+# Error-free transformations of floats or float arrays, after Knuth (sum) and Dekker (product, without FMA):
+# (s, e) with s the rounded result and s + e the exact one, barring overflow and, for a product, underflow.
+
+
 def _split(a):
     """Veltkamp's split: a = hi + lo with hi holding the upper 26 bits, so hi*hi is exact."""
     t = a * 134217729.0  # 2^27 + 1
     hi = t - (t - a)
     return hi, a - hi
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def check_mean_covariance(

@@ -337,15 +337,16 @@ def _max_radius_sq(p: StudentTParams, q: StudentTParams) -> float:
     return hi + float(delta @ q.sigma_inv @ delta) + float(np.sum(g2 / (hi - s)))
 
 
-def _support_within(p, q) -> bool:
-    """Whether supp p lies in supp q: atoms of positive mass, R^d, or the ellipsoid of a t of order > 1."""
+def _support_within(p, q, reach=None) -> bool:
+    """Whether supp p lies in supp q: atoms of positive mass, R^d, or the ellipsoid of a t of order > 1;
+    ``reach``, where given, is ``_max_radius_sq(p, q)``."""
     if isinstance(p, DiscreteDistribution):
         return not np.any(q.probs[p.probs > 0.0] == 0.0)
     if _full_support(q):
         return True
     if _full_support(p):
         return False
-    return _max_radius_sq(p, q) <= q.radius_sq * (1.0 + SUPPORT_RTOL)
+    return (_max_radius_sq(p, q) if reach is None else reach) <= q.radius_sq * (1.0 + SUPPORT_RTOL)
 
 
 def _log_t_cross(p: Record, q: StudentTParams) -> float:
@@ -413,10 +414,11 @@ def _log_pdf(r: Record, res: np.ndarray) -> np.ndarray:
 
 
 def _overlap(p: Record, q: Record, integral: str) -> tuple:
-    """The overlap of two d = 1 supports as (lo, hi, a, b), empty exactly where not a < b.
+    """The overlap of two d = 1 supports as (lo, hi, a, b, scale, offset), empty exactly where not a < b.
 
-    a and b are its ends in p's u, from each support's half-width about its own mean; lo and hi, its ends in x
-    rounded at the means' spacing, only name it.  An end of q's support, offset +- r_q, rounds at the spacing of
+    a and b are its ends in p's u = (x - mu_p) / scale, scale = sqrt(sigma_p), from each support's half-width
+    about its own mean, and offset = mu_q - mu_p; lo and hi, its ends in x rounded at the means' spacing, only
+    name it.  An end of q's support, offset +- r_q, rounds at the spacing of
     |offset| + r_q: an overlap it bounds no wider than 4 such spacings is not decided, and is a NumericalError.
     """
     if p.dim != 1:
@@ -430,31 +432,30 @@ def _overlap(p: Record, q: Record, integral: str) -> tuple:
     if (offset - rq > -rp or offset + rq < rp) and abs(b - a) <= 4.0 * math.ulp(abs(offset) + rq) / scale:
         raise NumericalError(f"the {integral} overlap [{lo}, {hi}] is within rounding of empty",
                              {"integral": integral, "interval": [lo, hi]})
-    return lo, hi, a, b
+    return lo, hi, a, b, scale, offset
 
 
-def _log_densities(p: Record, q: Record, u: np.ndarray) -> tuple:
-    """log p and log q at x = mu_p + sqrt(sigma_p) u, each from its own residual, and where both are finite."""
-    res = math.sqrt(p.sigma[0, 0]) * u
-    log_p, log_q = _log_pdf(p, res), _log_pdf(q, float(p.mu[0] - q.mu[0]) + res)
+def _log_densities(p: Record, q: Record, u: np.ndarray, scale: float, offset: float) -> tuple:
+    """log p and log q at x = mu_p + scale u, from the residuals scale u and scale u - offset, and where both are finite."""
+    res = scale * u
+    log_p, log_q = _log_pdf(p, res), _log_pdf(q, res - offset)
     return log_p, log_q, (log_p > -math.inf) & (log_q > -math.inf)
 
 
-def _integrate(p: Record, q: Record, term, integral: str, tol: tuple) -> float:
-    """Int p(x) term(log p(x), log q(x)) dx over the overlap of the supports, for d = 1.
+def _integrate(p: Record, q: Record, overlap: tuple, term, integral: str, tol: tuple) -> float:
+    """Int p(x) term(log p(x), log q(x)) dx over ``overlap``, ``_overlap(p, q, integral)``, for d = 1.
 
-    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u = (x - mu_p) / s, s = sqrt(sigma_p), split at p's mean (or
-    the end nearest it).  No x is formed: p reads the residual s u, q (mu_p - mu_q) + s u.  An overlap empty in u
-    gives 0.  A node counts where both are finite (not on a compact end, where q^(alpha-1) can be +inf).  A failure
-    of ``quad`` gains the integral's name and the overlap.
+    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u, split at p's mean (or the end nearest it).  No x is
+    formed: p reads the residual scale u, q scale u - offset.  An overlap empty in u gives 0.  A node counts where
+    both are finite (not on a compact end, where q^(alpha-1) can be +inf).  A failure of ``quad`` gains the
+    integral's name and the overlap.
     """
-    lo, hi, a, b = _overlap(p, q, integral)
+    lo, hi, a, b, scale, offset = overlap
     if not a < b:
         return 0.0
-    scale = math.sqrt(p.sigma[0, 0])
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        log_p, log_q, on = _log_densities(p, q, u)
+        log_p, log_q, on = _log_densities(p, q, u, scale, offset)
         out = np.zeros(u.shape)
         out[on] = scale * term(log_p[on], log_q[on])
         return out
@@ -482,20 +483,10 @@ def _tail_excess(p: Record, q: Record, alpha: float) -> float:
     return tail_p - (q.nu + q.dim) * (1.0 - alpha) - q.dim
 
 
-def _shared_end_diverges(p: Record, q: Record, alpha: float) -> bool:
-    """For alpha < 1 and supp p in a compact supp q, d = 1: whether the supports share an end where p q^(alpha-1) is not integrable."""
-    return (
-        isinstance(q, StudentTParams)
-        and q.alpha > 1.0
-        and p.dim == 1
-        and _max_radius_sq(p, q) >= q.radius_sq * (1.0 - SUPPORT_RTOL)
-        and 1.0 / (p.alpha - 1.0) + (alpha - 1.0) / (q.alpha - 1.0) <= -1.0 + EXPONENT_ATOL
-    )
-
-
 def _log_cross(p, q, alpha: float) -> float:
     """log Int p q^(alpha-1); -inf for an empty overlap, +inf where it diverges."""
-    within = _support_within(p, q)
+    reach = _max_radius_sq(p, q) if all(isinstance(r, StudentTParams) and r.alpha > 1.0 for r in (p, q)) else None
+    within = _support_within(p, q, reach)
     if alpha < 1.0 and not within:
         return math.inf
     if isinstance(p, DiscreteDistribution):
@@ -509,7 +500,10 @@ def _log_cross(p, q, alpha: float) -> float:
         return _log_gaussian_cross(p, q, alpha)
     if alpha < 1.0:
         excess = _tail_excess(p, q, alpha)
-        if excess <= EXPONENT_ATOL or _shared_end_diverges(p, q, alpha):
+        # Compact supports (reach is set) that share an end, d = 1, where p q^(alpha-1) is not integrable.
+        shared_end = (reach is not None and p.dim == 1 and reach >= q.radius_sq * (1.0 - SUPPORT_RTOL)
+                      and 1.0 / (p.alpha - 1.0) + (alpha - 1.0) / (q.alpha - 1.0) <= -1.0 + EXPONENT_ATOL)
+        if excess <= EXPONENT_ATOL or shared_end:
             return math.inf
         if excess < MIN_TAIL_EXCESS:
             raise NumericalError(
@@ -528,21 +522,21 @@ def _log_cross_quad(p: Record, q: Record, alpha: float) -> float:
     0.  Where their peak P leaves [-300, 100], the integrand is divided by exp(shift), the least that brings P
     into it.  A zero under a finite probe is a NumericalError.
     """
-    lo, hi, a, b = _overlap(p, q, "cross")
+    overlap = _overlap(p, q, "cross")
+    lo, hi, a, b, scale, offset = overlap
     if not a < b:
         return -math.inf
-    scale = math.sqrt(p.sigma[0, 0])
     ends = [(e, o if math.isfinite(o) and not a <= 0.0 <= b else 0.0) for e, o in ((a, b), (b, a)) if math.isfinite(e)]
     probes = np.concatenate([np.sinh(np.linspace(max(math.asinh(a), -40.0), min(math.asinh(b), 40.0), 257)),
-                             [0.0, float(q.mu[0] - p.mu[0]) / scale],
+                             [0.0, offset / scale],
                              *(o + (e - o) * (1.0 - 10.0 ** np.linspace(-16.0, 0.0, 49)) for e, o in ends)])
     with np.errstate(over="ignore"):  # a Gaussian squares the residuals of the farthest probes
-        log_p, log_q, on = _log_densities(p, q, probes)
+        log_p, log_q, on = _log_densities(p, q, probes, scale, offset)
     values = log_p[on] + (alpha - 1.0) * log_q[on]
     peak = float(np.max(values, initial=-math.inf))
     shift = max(peak - 100.0, 0.0) + min(peak + 300.0, 0.0) if peak > -math.inf else 0.0
     tol = (0.0, max(CROSS_EPSREL, I_ALPHA_TOL * abs(1.0 - alpha) / alpha))
-    cross = _integrate(p, q, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q - shift), "cross", tol)
+    cross = _integrate(p, q, overlap, lambda log_p, log_q: np.exp(log_p + (alpha - 1.0) * log_q - shift), "cross", tol)
     if cross > 0.0 or peak == -math.inf:
         return shift + math.log(cross) if cross > 0.0 else -math.inf
     x = float(p.mu[0]) + scale * float(probes[on][np.argmax(values)])
@@ -602,7 +596,7 @@ def kl(p: DistributionHandle, q: DistributionHandle) -> float:
         return float(np.sum(p.probs[mass] * np.log(p.probs[mass] / q.probs[mass])))
     if isinstance(q, Gaussian):
         return _gaussian_cross_entropy(p, q) - _entropy(p)
-    return _integrate(p, q, lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", KL_TOL)
+    return _integrate(p, q, _overlap(p, q, "kl"), lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", KL_TOL)
 
 
 def generalized_log_likelihood(params: StudentTParams, batch: SampleBatch) -> float:

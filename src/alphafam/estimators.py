@@ -114,16 +114,21 @@ def residual_general_malpha(desc, theta, stats: SufficientStats, pop: Sufficient
 class StudentTEstimate:
     """Closed-form estimate: sample mean and 1/n sample covariance.
 
-    ``singular`` flags n <= d and any estimate ``make_student_t`` refuses: a
-    covariance without full rank (constant batches, data in an affine
-    subspace) or whose inverse or normalizer overflows; downstream
+    ``params`` is the fitted ``StudentTParams``, None where n <= d or
+    ``make_student_t`` refuses the estimate: a covariance without full rank
+    (constant batches, data in an affine subspace) or whose inverse or
+    normalizer overflows.  ``singular`` says it is None; downstream
     Sigma^{-1} uses must be skipped when it is set.
     """
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
     alpha: float
-    singular: bool
+    params: StudentTParams | None
+
+    @property
+    def singular(self) -> bool:
+        return self.params is None
 
 
 def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
@@ -131,9 +136,9 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
 
     The formulas contain no alpha, so the result is identical across the
     whole valid range (d/(d+2), 1); alpha is validated and recorded only.
-    The covariance divisor is 1/n.  ``singular`` is set where n <= d (rank
-    below d, though rounding can hide it) or where ``make_student_t(alpha,
-    mu_hat, sigma_hat)`` raises ParameterError.
+    The covariance divisor is 1/n.  ``params`` is ``make_student_t(alpha,
+    mu_hat, sigma_hat)``, and None (``singular``) where n <= d (rank below
+    d, though rounding can hide it) or where that raises ParameterError.
 
     A mean or covariance beyond the float range raises ParameterError
     ``sigma_not_finite``, without numpy's overflow warning.
@@ -147,13 +152,13 @@ def estimate_student_t(batch: SampleBatch, alpha: float) -> StudentTEstimate:
         sigma_hat = _symmetrize((centered.T @ centered) / batch.n)
     if not np.isfinite(sigma_hat).all():  # also where mu_hat overflowed: centered then holds an inf or nan
         raise ParameterError(SIGMA_NOT_FINITE, "sigma must be finite")
-    singular = batch.n <= batch.dim
-    if not singular:
+    params = None
+    if batch.n > batch.dim:
         try:
-            make_student_t(alpha, mu_hat, sigma_hat)
+            params = make_student_t(alpha, mu_hat, sigma_hat)
         except ParameterError:
-            singular = True
-    return StudentTEstimate(mu_hat=mu_hat, sigma_hat=sigma_hat, alpha=alpha, singular=singular)
+            pass
+    return StudentTEstimate(mu_hat=mu_hat, sigma_hat=sigma_hat, alpha=alpha, params=params)
 
 
 def student_t_population_moments(params: StudentTParams) -> SufficientStats:
