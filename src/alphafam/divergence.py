@@ -49,7 +49,8 @@ integrated in p's standardized coordinate from each record's residuals, so
 the result does not depend on how narrow p is, nor, for an exact offset,
 on where the pair sits; a probe pre-pass scales each cross integrand into
 the float range for its one ``quad`` call.  A divergence with an infinite
-term is +inf; a failed integral raises NumericalError naming it.  The
+term is +inf; a failed integral raises NumericalError naming it, and so
+does an I_alpha whose terms cancel to within their rounding.  The
 generalized likelihood takes a t model of its own order, whose power
 integral is closed form, so it never integrates.  No scipy is used.
 """
@@ -95,6 +96,13 @@ QUAD_LIMIT = 200
 # KL can be near 0, so KL_TOL, its (epsabs, epsrel), has an absolute floor.
 I_ALPHA_TOL = 5e-11
 CROSS_EPSREL = 5e-14
+# Weighting and summing I_alpha's three terms rounds by a few eps times the
+# sum of their magnitudes, bounded here by 4 eps.  Where that bound exceeds
+# I_ALPHA_TOL plus ASSEMBLY_RTOL of the result, as far from alpha = 1,
+# where terms of size O(alpha) leave one of size O(1/alpha), I_alpha raises
+# NumericalError rather than print the rounding.  Errors inside the terms
+# are not seen here.
+ASSEMBLY_RTOL = 1e-12
 KL_TOL = (1e-13, 1e-12)
 LOG_2PI = math.log(2.0 * math.pi)
 # Relative slack for one ellipsoid inside another; an overhang this small
@@ -338,8 +346,10 @@ def _max_radius_sq(p: StudentTParams, q: StudentTParams) -> float:
 
 
 def _support_within(p, q, reach=None) -> bool:
-    """Whether supp p lies in supp q: atoms of positive mass, R^d, or the ellipsoid of a t of order > 1;
-    ``reach``, where given, is ``_max_radius_sq(p, q)``."""
+    """Whether supp p lies in supp q: atoms of positive mass, R^d, or the ellipsoid of a t of order > 1.
+
+    ``reach``, where given, is ``_max_radius_sq(p, q)``.
+    """
     if isinstance(p, DiscreteDistribution):
         return not np.any(q.probs[p.probs > 0.0] == 0.0)
     if _full_support(q):
@@ -399,7 +409,15 @@ def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
 
 
 def _log_sum(total: float, w: np.ndarray, x: np.ndarray, beta: float) -> float:
-    """log of total = sum w x^beta; within 1/16 of 1, log1p((sum w - 1) + sum w expm1(beta log x)), to keep digits."""
+    """log of total = sum w x^beta; within 1/16 of 1, log1p((sum w - 1) + sum w expm1(beta log x)), to keep digits.
+
+    Where total is 0 or inf, outside the float range, the log is taken in the log domain, shifted by the largest
+    log term; -inf for no terms.
+    """
+    if total == 0.0 or total == math.inf:
+        logs = np.log(w) + beta * np.log(x)
+        top = float(np.max(logs, initial=-math.inf))
+        return top + math.log(float(np.sum(np.exp(logs - top)))) if top > -math.inf else -math.inf
     if abs(total - 1.0) > 0.0625:
         return math.log(total)
     return math.log1p(float(np.sum(w)) - 1.0 + float(np.sum(w * np.expm1(beta * np.log(x)))))
@@ -492,8 +510,9 @@ def _log_cross(p, q, alpha: float) -> float:
     if isinstance(p, DiscreteDistribution):
         both = (p.probs > 0.0) & (q.probs > 0.0)
         w, x = p.probs[both], q.probs[both]
-        cross = float(np.sum(w * x ** (alpha - 1.0)))
-        return _log_sum(cross, w, x, alpha - 1.0) if 0.0 < cross < math.inf else math.inf
+        with np.errstate(over="ignore"):  # past the float range the sum is taken in the log domain
+            cross = float(np.sum(w * x ** (alpha - 1.0)))
+        return _log_sum(cross, w, x, alpha - 1.0)
     if isinstance(q, StudentTParams) and q.alpha == alpha and within:
         return _log_t_cross(p, q)
     if isinstance(q, Gaussian) and isinstance(p, Gaussian):
@@ -568,7 +587,9 @@ def i_alpha(p: DistributionHandle, q: DistributionHandle, alpha: float) -> float
     is closed form where the arguments allow (see the module docstring),
     and integrated otherwise, to a relative tolerance that shrinks with
     |1 - alpha| / alpha so that the error in the result stays near
-    ``I_ALPHA_TOL``, down to ``CROSS_EPSREL``.
+    ``I_ALPHA_TOL``, down to ``CROSS_EPSREL``.  Where the rounding bound of
+    the three weighted terms' sum exceeds ``I_ALPHA_TOL`` plus
+    ``ASSEMBLY_RTOL`` of it, it raises NumericalError naming the assembly.
     """
     check_alpha(alpha)
     _check_pair(p, q)
@@ -579,7 +600,13 @@ def i_alpha(p: DistributionHandle, q: DistributionHandle, alpha: float) -> float
     log_cross = _log_cross(p, q, alpha)
     if math.isinf(log_cross):
         return math.inf
-    return alpha / (1.0 - alpha) * log_cross - 1.0 / (1.0 - alpha) * log_power_p + log_power_q
+    terms = (alpha / (1.0 - alpha) * log_cross, -1.0 / (1.0 - alpha) * log_power_p, log_power_q)
+    value = terms[0] + terms[1] + terms[2]
+    bound = 4.0 * _EPS * sum(map(abs, terms))
+    if bound > I_ALPHA_TOL + ASSEMBLY_RTOL * abs(value):
+        raise NumericalError(f"the I_alpha assembly cancels: its three terms sum to {value!r}, within their rounding "
+                             f"bound {bound!r}", {"integral": "assembly", "terms": list(terms), "bound": bound})
+    return value
 
 
 def kl(p: DistributionHandle, q: DistributionHandle) -> float:

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import alphafam as af
-from alphafam import cli, compact
+from alphafam import _codec, cli, compact
 
 
 def write(tmp_path, name, text):
@@ -152,6 +152,25 @@ class TestIngest:
         path = tmp_path / "gen.csv"
         path.write_bytes(text.encode("utf-8"))
         assert parse_outcome(cli.ingest_csv, str(path)) == parse_outcome(per_cell_ingest_csv, str(path))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cells=st.data(), width=st.integers(1, 3), empty=st.sampled_from(["-", ".", "-.", ""]))
+    def test_a_digitless_cell_anywhere_reads_as_float_reads_it(self, tmp_path, cells, width, empty):
+        # Plain cells, and in half the files "+"-signed and exponent cells too: blocks with and without "e", "E"
+        # and "+" are read.
+        kinds = [st.one_of(st.integers(-10**17, 10**17).map(str), st.floats(-1e6, 1e6).map(lambda v: "%.9f" % v))]
+        if cells.draw(st.booleans()):
+            kinds += [_FLOATS.map(lambda v: "%+.3e" % v), st.floats(0.0, 1e6).map(lambda v: "+%r" % v)]
+        rows = cells.draw(st.lists(st.lists(st.one_of(kinds), min_size=width, max_size=width), min_size=1, max_size=8))
+        row, column = cells.draw(st.integers(0, len(rows) - 1)), cells.draw(st.integers(0, width - 1))
+        rows[row][column] = empty
+        raw = "".join(",".join(r) + "\n" for r in rows).encode("ascii")
+        path = tmp_path / "digitless.csv"
+        path.write_bytes(raw)
+        want = parse_outcome(per_cell_ingest_csv, str(path))
+        assert parse_outcome(cli.ingest_csv, str(path)) == want
+        values = _codec.parse_rows(raw)
+        assert values is None or ("ok", values.shape, values.tobytes()) == want
 
     def test_unquoted_ascii_file_skips_the_csv_module(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -317,6 +336,19 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["singular_flag"] is True
         assert report["residual_norm"] is None
+
+    def test_estimate_builds_its_fitted_record_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, real=af.core.make_student_t):
+            calls.append(args)
+            return real(*args)
+
+        for module in (af.estimators, cli):
+            monkeypatch.setattr(module, "make_student_t", counted)
+        assert cli.main(["estimate", "--alpha", "0.5", "--input", reference_csv(tmp_path)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["residual_norm"] <= 1e-8
+        assert len(calls) == 1
 
     def test_estimate_rejects_bad_alpha(self, tmp_path):
         assert cli.main(["estimate", "--alpha", "1.5", "--input", reference_csv(tmp_path)]) == cli.EXIT_INVALID_CONFIG
@@ -801,6 +833,24 @@ class TestScipyOffTheColdPath:
         assert line.startswith("numerical failure: cross quadrature on [-inf, inf] gave 0")
         assert "'integral': 'cross'" in line
 
+    @pytest.mark.parametrize("argv,want", [
+        (["--alpha", "2000", "--p", "bernoulli:0.3", "--q", "bernoulli:0.6"], 0.84772172124782750),
+        (["--alpha", "1e3", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5332990616796188e-4),
+    ], ids=["sums-below-the-float-range", "gaussians-far-from-one"])
+    def test_i_alpha_far_from_one_matches_mpmath(self, capsys, argv, want):
+        # 80-digit mpmath values.
+        assert cli.main(["divergence", *argv]) == cli.EXIT_OK
+        assert abs(json.loads(capsys.readouterr().out)["i_alpha"] - want) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", ["1e9", "1e15", "1e100"])
+    def test_i_alpha_within_its_rounding_exits_20_with_one_line(self, capsys, alpha):
+        # mpmath gives 1.5342640962345375e-10 at 1e9; the float terms, of size 1e9, cannot carry it.
+        assert cli.main(["divergence", "--alpha", alpha, "--p", "normal:0,1", "--q", "normal:0,2"]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("numerical failure: the I_alpha assembly cancels") and "'integral': 'assembly'" in line
+
     @pytest.mark.parametrize("argv", _DIVERGENT_CROSS_TERMS)
     def test_divergent_cross_term_prints_infinity(self, capsys, argv):
         assert cli.main(argv) == cli.EXIT_OK
@@ -839,7 +889,8 @@ class TestDevelopmentMode:
         ["loglik", "--alpha", "0.7", "--mu", "0", "--sigma", "1", "--input", "draws.csv"],
         ["compact-fit", "--input", "draws.csv"],
         ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
-    ], ids=["verify", "simulate-json", "estimate", "loglik", "compact-fit", "divergence"])
+        ["divergence", "--alpha", "2000", "--p", "bernoulli:0.3", "--q", "bernoulli:0.6"],
+    ], ids=["verify", "simulate-json", "estimate", "loglik", "compact-fit", "divergence", "divergence-discrete"])
     def test_command_exits_0_with_nothing_on_stderr(self, workdir, argv):
         proc = run_dev(workdir, argv)
         assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "") and proc.stdout

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -419,6 +419,26 @@ class TestExportTable:
             sub = importlib.import_module(f"alphafam.{module}")
             missing += [f"{module}.{name}" for name in sub.__all__ if not hasattr(sub, name)]
         assert missing == []
+
+
+class TestErrorFreeTransformations:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+           st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+    def test_two_sum_is_exact(self, a, b):
+        s, e = core._two_sum(np.array([a]), np.array([b]))
+        assert float(s[0]) == a + b
+        assert Fraction(float(s[0])) + Fraction(float(e[0])) == Fraction(a) + Fraction(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+           st.floats(min_value=-1e150, max_value=1e150, allow_nan=False))
+    def test_two_prod_is_exact(self, a, b):
+        # Exact where no product of halves underflows, as for the codec's and the compact sums' operands.
+        assume(a == 0.0 or b == 0.0 or abs(a * b) >= 1e-250)
+        p, e = core._two_prod(np.array([a]), np.array([b]))
+        assert float(p[0]) == a * b
+        assert Fraction(float(p[0])) + Fraction(float(e[0])) == Fraction(a) * Fraction(b)
 
 
 class TestSplit:

@@ -78,6 +78,25 @@ class TestIAlpha:
         gaps = [max(abs(dv.i_alpha(p, q, 1.0 + side * eps) - kl) for side in (-1.0, 1.0)) for eps in (1e-3, 1e-4)]
         assert gaps[1] <= gaps[0] / 5.0
 
+    def test_discrete_sums_outside_the_float_range_are_logged_in_the_log_domain(self):
+        # 80-digit mpmath values.  At alpha = 2000 every power sum underflows to 0; at alpha = 0.001 the cross sum
+        # overflows, without a warning.
+        assert abs(dv.i_alpha(dv.bernoulli(0.3), dv.bernoulli(0.6), 2000.0) - 0.84772172124782750) <= 1e-12
+        assert abs(dv.i_alpha(dv.bernoulli(0.5), dv.bernoulli(5e-324), 0.001) - 0.43925716991972611) <= 1e-12
+        # Atoms without shared mass leave no cross terms: log 0, so I_alpha is +inf for alpha > 1.
+        assert dv._log_cross(dv.bernoulli(0.0), dv.bernoulli(1.0), 3.0) == -math.inf
+        assert dv.i_alpha(dv.bernoulli(0.0), dv.bernoulli(1.0), 3.0) == math.inf
+
+    def test_gaussians_far_from_one_keep_their_digits_or_fail(self):
+        p, q = dv.Gaussian(0.0, 1.0), dv.Gaussian(0.0, 2.0)
+        assert abs(dv.i_alpha(p, q, 1e3) - 1.5332990616796188e-4) <= 1e-12  # 80-digit mpmath
+        # Terms of size O(alpha) leave a result of size O(1/alpha): past I_ALPHA_TOL it is only rounding.
+        for alpha in (1e5, 1e9, 1e15, 1e100):
+            with pytest.raises(core.NumericalError) as info:
+                dv.i_alpha(p, q, alpha)
+            assert info.value.diagnostics["integral"] == "assembly"
+            assert info.value.diagnostics["bound"] > dv.I_ALPHA_TOL
+
     def test_infinite_when_q_misses_p_mass(self):
         p = dv.DiscreteDistribution(np.array([0.5, 0.5]))
         q = dv.DiscreteDistribution(np.array([1.0, 0.0]))
@@ -807,6 +826,22 @@ class TestOverflowingCrossTerm:
         got = _outcome(dv._log_cross, p, q, alpha)
         assert got is core.NumericalError or (isinstance(got, float) and got > -math.inf), got
         assert got != math.inf or alpha < 1.0  # for alpha > 1 q^(alpha-1) is bounded
+
+
+class TestOneDerivation:
+    def test_a_compact_pair_derives_its_overlap_and_reach_once(self, monkeypatch):
+        counts = {"_overlap": 0, "_max_radius_sq": 0}
+        for name in counts:
+            def counted(*args, real=getattr(dv, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(dv, name, counted)
+        # Nested compact supports at an order of neither: both the containment test and the shared-end rule
+        # read the reach, and the cross term is integrated.
+        p, q = af.make_student_t(2.0, 0.0, 1.0), af.make_student_t(3.0, 0.5, 4.0)
+        assert math.isfinite(dv._log_cross(p, q, 0.8))
+        assert counts == {"_overlap": 1, "_max_radius_sq": 1}
 
 
 class TestTouchingSupports:
