@@ -284,13 +284,9 @@ def _read_block(block: bytes, other: bytes):
         return None
     places = np.where(has_dot, ends - marks[last - 1] - 1, 0)
     # A cell without digits leaves an empty field, which is declined here, so
-    # that numpy's reader sees only runs of digits between commas.  Without
-    # "e", "E" and "+" every other byte is a digit or a mark, so such a cell
-    # is exactly one whose bytes are all the marks between its separators.
-    if not other and (ends - starts == np.diff(seps) - 1).any():
-        return None
+    # that numpy's reader sees only runs of digits between commas.
     text = block.translate(_LINES_TO_COMMAS, b".-+eE")
-    if other and (b",," in text or text.startswith(b",") or text.endswith(b",")):
+    if b",," in text or text.startswith(b",") or text.endswith(b","):
         return None
     mantissa = np.fromstring(text, dtype=np.int64, sep=",")
     if mantissa.size != n:

@@ -144,6 +144,7 @@ _NODES = np.concatenate([-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_KRONROD_WEIGHTS_HALF[:-1], _KRONROD_WEIGHTS_HALF[::-1]])
 _GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF[:-1], _GAUSS_WEIGHTS_HALF[::-1]])
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 @record
@@ -345,18 +346,19 @@ def _max_radius_sq(p: StudentTParams, q: StudentTParams) -> float:
     return hi + float(delta @ q.sigma_inv @ delta) + float(np.sum(g2 / (hi - s)))
 
 
-def _support_within(p, q, reach=None) -> bool:
-    """Whether supp p lies in supp q: atoms of positive mass, R^d, or the ellipsoid of a t of order > 1.
+def _reach(p, q) -> float | None:
+    """``_max_radius_sq(p, q)`` where both supports are compact ellipsoids, else None."""
+    compact = not (isinstance(p, DiscreteDistribution) or _full_support(p) or _full_support(q))
+    return _max_radius_sq(p, q) if compact else None
 
-    ``reach``, where given, is ``_max_radius_sq(p, q)``.
-    """
+
+def _support_within(p, q, reach) -> bool:
+    """Whether supp p lies in supp q, reach = ``_reach(p, q)``: atoms of positive mass, R^d, or a compact ellipsoid."""
     if isinstance(p, DiscreteDistribution):
         return not np.any(q.probs[p.probs > 0.0] == 0.0)
-    if _full_support(q):
-        return True
-    if _full_support(p):
-        return False
-    return (_max_radius_sq(p, q) if reach is None else reach) <= q.radius_sq * (1.0 + SUPPORT_RTOL)
+    if reach is None:
+        return _full_support(q)
+    return reach <= q.radius_sq * (1.0 + SUPPORT_RTOL)
 
 
 def _log_t_cross(p: Record, q: StudentTParams) -> float:
@@ -411,10 +413,10 @@ def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
 def _log_sum(total: float, w: np.ndarray, x: np.ndarray, beta: float) -> float:
     """log of total = sum w x^beta; within 1/16 of 1, log1p((sum w - 1) + sum w expm1(beta log x)), to keep digits.
 
-    Where total is 0 or inf, outside the float range, the log is taken in the log domain, shifted by the largest
-    log term; -inf for no terms.
+    Where total is below the normal range (subnormal or 0, with few digits or none) or inf, the log is taken in the
+    log domain, shifted by the largest log term; -inf for no terms.
     """
-    if total == 0.0 or total == math.inf:
+    if not _TINY <= total < math.inf:
         logs = np.log(w) + beta * np.log(x)
         top = float(np.max(logs, initial=-math.inf))
         return top + math.log(float(np.sum(np.exp(logs - top)))) if top > -math.inf else -math.inf
@@ -503,7 +505,7 @@ def _tail_excess(p: Record, q: Record, alpha: float) -> float:
 
 def _log_cross(p, q, alpha: float) -> float:
     """log Int p q^(alpha-1); -inf for an empty overlap, +inf where it diverges."""
-    reach = _max_radius_sq(p, q) if all(isinstance(r, StudentTParams) and r.alpha > 1.0 for r in (p, q)) else None
+    reach = _reach(p, q)
     within = _support_within(p, q, reach)
     if alpha < 1.0 and not within:
         return math.inf
@@ -616,7 +618,7 @@ def kl(p: DistributionHandle, q: DistributionHandle) -> float:
     ``KL_TOL``, absolute as well as relative since KL can be near 0.
     """
     _check_pair(p, q)
-    if not _support_within(p, q):
+    if not _support_within(p, q, _reach(p, q)):
         return math.inf
     if isinstance(p, DiscreteDistribution):
         mass = p.probs > 0.0

@@ -79,9 +79,13 @@ class TestIAlpha:
         assert gaps[1] <= gaps[0] / 5.0
 
     def test_discrete_sums_outside_the_float_range_are_logged_in_the_log_domain(self):
-        # 80-digit mpmath values.  At alpha = 2000 every power sum underflows to 0; at alpha = 0.001 the cross sum
-        # overflows, without a warning.
+        # 80-digit mpmath values.  At alpha = 2000 q's sums underflow to 0 and p's power sum is subnormal; at
+        # alpha = 0.001 the cross sum overflows, without a warning.
         assert abs(dv.i_alpha(dv.bernoulli(0.3), dv.bernoulli(0.6), 2000.0) - 0.84772172124782750) <= 1e-12
+        # Subnormal sums, which keep few digits: the cross sum and q's power sum at 1450 (once 3.6e-6 off), p's
+        # power sum at 2050 (once 3.5e-10 off).
+        assert abs(dv.i_alpha(dv.bernoulli(0.3), dv.bernoulli(0.6), 1450.0) - 0.84788260701272969) <= 1e-12
+        assert abs(dv.i_alpha(dv.bernoulli(0.3), dv.bernoulli(0.6), 2050.0) - 0.84771137813263422) <= 1e-12
         assert abs(dv.i_alpha(dv.bernoulli(0.5), dv.bernoulli(5e-324), 0.001) - 0.43925716991972611) <= 1e-12
         # Atoms without shared mass leave no cross terms: log 0, so I_alpha is +inf for alpha > 1.
         assert dv._log_cross(dv.bernoulli(0.0), dv.bernoulli(1.0), 3.0) == -math.inf
