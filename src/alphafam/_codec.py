@@ -64,11 +64,11 @@ _KEEP = _keep_tables()
 
 
 def _scaled(ax, e):
-    """ax * 10^(16 - e) as hi + lo exactly, with 0 <= 16 - e <= 22, and where hi + lo is below 10^16 or from 10^17."""
+    """ax * 10^(16 - e) = hi + lo exactly, 0 <= 16 - e <= 22, as (hi + rint(lo) in int64, hi + lo < 10^16, >= 10^17)."""
     hi, lo = _two_prod(ax, _POW10[16 - e])
     below = (hi < _TEN16) | ((hi == _TEN16) & (lo < 0))
     above = (hi > _TEN17) | ((hi == _TEN17) & (lo >= 0))
-    return hi, lo, below, above
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), below, above
 
 
 def digits17(x):
@@ -86,14 +86,13 @@ def digits17(x):
     ok = (ax >= 1e-5) & (ax < _TEN17)
     ax = np.where(ok, ax, 1.0)
     e = np.clip(np.floor(np.log10(ax)).astype(np.int64), -5, 16)
-    hi, lo, below, above = _scaled(ax, e)
+    digits, below, above = _scaled(ax, e)
     off = below | above
     if off.any():
         i = np.flatnonzero(off)
         e[i] += above[i].astype(np.int64) - below[i]
-        hi[i], lo[i], below_i, above_i = _scaled(ax[i], e[i])
+        digits[i], below_i, above_i = _scaled(ax[i], e[i])
         ok[i] &= ~(below_i | above_i)
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carry = digits == _INT_TEN17
     digits[carry] = _INT_TEN16
     e += carry
@@ -300,14 +299,13 @@ def _read_block(block: bytes, other: bytes):
     own_e = 15 + (mantissa >= _INT_TEN16) - places
     check = plain & ~decided & (mantissa < _INT_TEN17) & (own_e >= -6)
     own = np.where(mantissa >= _INT_TEN16, mantissa, mantissa * 10)
-    hi, lo, below, above = _scaled(np.where(check, values, 1.0), np.where(check, own_e, 0))
-    got = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    got, below, above = _scaled(np.where(check, values, 1.0), np.where(check, own_e, 0))
     decided |= check & ~below & ~above & (got == own)
     near = np.flatnonzero(check & ~decided)
     if near.size:
         value = np.nextafter(values[near], np.where(below[near] | (got[near] < own[near]), np.inf, 0.0))
-        hi, lo, below, above = _scaled(value, own_e[near])
-        hit = ~below & ~above & (hi.astype(np.int64) + np.rint(lo).astype(np.int64) == own[near])
+        got, below, above = _scaled(value, own_e[near])
+        hit = ~below & ~above & (got == own[near])
         values[near[hit]] = value[hit]
         decided[near[hit]] = True
     np.copysign(values, 0.5 - negative, out=values)  # values are >= 0 here

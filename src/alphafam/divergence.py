@@ -12,8 +12,8 @@ statistic f = (x, xx^T), so Int p q^(alpha-1) depends on p only through
 its mean and covariance when supp p lies in supp q.  The closed forms are
 
 - the cross term Int p q^(alpha-1) when q is a t of order alpha and
-  supp p lies in supp q (always so for alpha < 1), and when p and q are
-  Gaussians, +inf unless Sigma_q + (alpha-1) Sigma_p is positive definite;
+  supp p lies in supp q (always so for alpha < 1);
+- I_alpha of two Gaussians, as one sum rather than its three terms;
 - the power integral Int p^alpha of a Gaussian and of any t (see
   ``studentt.log_power_integral``), +inf where it diverges;
 - KL(p || q) for a Gaussian q and p a Gaussian or any t, as the
@@ -98,10 +98,9 @@ I_ALPHA_TOL = 5e-11
 CROSS_EPSREL = 5e-14
 # Weighting and summing I_alpha's three terms rounds by a few eps times the
 # sum of their magnitudes, bounded here by 4 eps.  Where that bound exceeds
-# I_ALPHA_TOL plus ASSEMBLY_RTOL of the result, as far from alpha = 1,
-# where terms of size O(alpha) leave one of size O(1/alpha), I_alpha raises
-# NumericalError rather than print the rounding.  Errors inside the terms
-# are not seen here.
+# I_ALPHA_TOL plus ASSEMBLY_RTOL of the result, as for t pairs far from
+# alpha = 1, whose terms grow like alpha, I_alpha raises NumericalError
+# rather than print the rounding.  Errors inside the terms are not seen here.
 ASSEMBLY_RTOL = 1e-12
 KL_TOL = (1e-13, 1e-12)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -372,20 +371,21 @@ def _log_t_cross(p: Record, q: StudentTParams) -> float:
     return (q.alpha - 1.0) * q.log_norm_const + math.log(bracket)
 
 
-def _log_gaussian_cross(p: Gaussian, q: Gaussian, alpha: float) -> float:
-    """log Int p q^(alpha-1) for two Gaussians; +inf unless Sigma_q + (alpha-1) Sigma_p is positive definite."""
-    beta = alpha - 1.0
-    mix = q.sigma + beta * p.sigma
-    eigvals = np.linalg.eigvalsh(mix)
-    if eigvals[0] <= 0.0:
+def _gaussian_i_alpha(p: Gaussian, q: Gaussian, alpha: float) -> float:
+    """I_alpha of two Gaussians, the sum over the eigenpairs (lambda, v) of L^-1 Sigma_p L^-T (L L^T = Sigma_q) of
+    -log(lambda)/2 + alpha/(2(alpha-1)) log1p(r) + (v^T L^-1 (mu_p - mu_q))^2/(2(1+r)), r = (alpha-1)(lambda-1)/alpha,
+    its logs regrouped for alpha > 1; +inf unless Sigma_q + (alpha-1) Sigma_p > 0.  No log 2 pi or log-det is left."""
+    beta, chol = alpha - 1.0, np.linalg.cholesky(q.sigma)
+    white = np.linalg.solve(chol, np.linalg.solve(chol, p.sigma).T) if (p.sigma != q.sigma).any() else np.eye(p.dim)
+    lam, vecs = np.linalg.eigh(white)
+    r = (lam - 1.0) * (beta / alpha)
+    one_r = np.where(lam < 1.0, lam + (1.0 - lam) / alpha, 1.0 + r)  # 1 + r, a sum of positive parts where lambda < 1
+    if np.linalg.eigvalsh(q.sigma + beta * p.sigma)[0] <= 0.0 or one_r.min() <= 0.0:
         return math.inf
-    delta = p.mu - q.mu
-    return (
-        -0.5 * beta * p.dim * LOG_2PI
-        + 0.5 * (1.0 - beta) * q.logdet
-        - 0.5 * float(np.sum(np.log(eigvals)))
-        - 0.5 * beta * float(delta @ np.linalg.solve(mix, delta))
-    )
+    log_r = np.log1p(r, out=np.log(one_r), where=one_r >= 0.5)
+    logs = (log_r / (2.0 * beta) + 0.5 * np.log1p((1.0 - lam) / lam / alpha) if beta > 0.0
+            else alpha / (2.0 * beta) * log_r - 0.5 * np.log(lam))
+    return float(np.sum(logs + 0.5 * (vecs.T @ np.linalg.solve(chol, p.mu - q.mu))**2 / one_r))
 
 
 def _entropy(r: Record) -> float:
@@ -411,18 +411,20 @@ def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
 
 
 def _log_sum(total: float, w: np.ndarray, x: np.ndarray, beta: float) -> float:
-    """log of total = sum w x^beta; within 1/16 of 1, log1p((sum w - 1) + sum w expm1(beta log x)), to keep digits.
+    """log of total = sum w exp(y), y = beta log x; within 1/16 of 1, log1p(sum w - 1 + sum w expm1(y)), to keep digits.
 
-    Where total is below the normal range (subnormal or 0, with few digits or none) or inf, the log is taken in the
-    log domain, shifted by the largest log term; -inf for no terms.
+    There a term with y > 1, at a subnormal atom, is exp(log w + y) - w, lest expm1 overflow.  Where total is subnormal,
+    0 (few digits or none) or inf, its log is taken in the log domain, shifted by the largest; -inf for no terms.
     """
+    y = beta * np.log(x)
     if not _TINY <= total < math.inf:
-        logs = np.log(w) + beta * np.log(x)
+        logs = np.log(w) + y
         top = float(np.max(logs, initial=-math.inf))
         return top + math.log(float(np.sum(np.exp(logs - top)))) if top > -math.inf else -math.inf
     if abs(total - 1.0) > 0.0625:
         return math.log(total)
-    return math.log1p(float(np.sum(w)) - 1.0 + float(np.sum(w * np.expm1(beta * np.log(x)))))
+    near = np.where(y > 1.0, np.exp(np.log(w) + y) - w, w * np.expm1(np.minimum(y, 1.0)))
+    return math.log1p(float(np.sum(w)) - 1.0 + float(np.sum(near)))
 
 
 def _log_pdf(r: Record, res: np.ndarray) -> np.ndarray:
@@ -444,10 +446,9 @@ def _overlap(p: Record, q: Record, integral: str) -> tuple:
     if p.dim != 1:
         raise DimensionMismatchError(f"the {integral} integral has no closed form here, and quadrature needs d = 1, "
                                      f"got d = {p.dim}")
-    (plo, phi), (qlo, qhi) = (getattr(r, "support_interval", (-math.inf, math.inf)) for r in (p, q))
     rp, rq = (math.sqrt(getattr(r, "radius_sq", math.inf) * r.sigma[0, 0]) for r in (p, q))
     offset, scale = float(q.mu[0] - p.mu[0]), math.sqrt(p.sigma[0, 0])
-    lo, hi = float(max(plo, qlo)), float(min(phi, qhi))
+    lo, hi = float(max(p.mu[0] - rp, q.mu[0] - rq)), float(min(p.mu[0] + rp, q.mu[0] + rq))
     a, b = max(-rp, offset - rq) / scale, min(rp, offset + rq) / scale
     if (offset - rq > -rp or offset + rq < rp) and abs(b - a) <= 4.0 * math.ulp(abs(offset) + rq) / scale:
         raise NumericalError(f"the {integral} overlap [{lo}, {hi}] is within rounding of empty",
@@ -517,8 +518,6 @@ def _log_cross(p, q, alpha: float) -> float:
         return _log_sum(cross, w, x, alpha - 1.0)
     if isinstance(q, StudentTParams) and q.alpha == alpha and within:
         return _log_t_cross(p, q)
-    if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-        return _log_gaussian_cross(p, q, alpha)
     if alpha < 1.0:
         excess = _tail_excess(p, q, alpha)
         # Compact supports (reach is set) that share an end, d = 1, where p q^(alpha-1) is not integrable.
@@ -584,19 +583,19 @@ def i_alpha(p: DistributionHandle, q: DistributionHandle, alpha: float) -> float
     failure, which raises NumericalError).  A -inf reading would need
     Int p^alpha infinite with the other terms finite for alpha < 1, or the
     cross term infinite with the power terms finite for alpha > 1; Hoelder's
-    inequality rules out both.  The power terms are closed form and come
-    first, so a divergence they decide integrates nothing; the cross term
-    is closed form where the arguments allow (see the module docstring),
-    and integrated otherwise, to a relative tolerance that shrinks with
-    |1 - alpha| / alpha so that the error in the result stays near
-    ``I_ALPHA_TOL``, down to ``CROSS_EPSREL``.  Where the rounding bound of
-    the three weighted terms' sum exceeds ``I_ALPHA_TOL`` plus
-    ``ASSEMBLY_RTOL`` of it, it raises NumericalError naming the assembly.
+    inequality rules out both.  Two Gaussians take one closed form.  For
+    other pairs the power terms are closed form and come first, so a
+    divergence they decide integrates nothing; the cross term is closed form
+    where the arguments allow, else integrated to a relative tolerance
+    shrinking with |1 - alpha| / alpha, down to ``CROSS_EPSREL``, to keep
+    the result's error near ``I_ALPHA_TOL``.  Terms summing to within their
+    rounding (``ASSEMBLY_RTOL``) raise NumericalError naming the assembly.
     """
     check_alpha(alpha)
     _check_pair(p, q)
-    log_power_p = _log_power(p, alpha)
-    log_power_q = _log_power(q, alpha)
+    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
+        return _gaussian_i_alpha(p, q, alpha)
+    log_power_p, log_power_q = _log_power(p, alpha), _log_power(q, alpha)
     if math.isinf(log_power_p) or math.isinf(log_power_q):
         return math.inf
     log_cross = _log_cross(p, q, alpha)
@@ -622,7 +621,7 @@ def kl(p: DistributionHandle, q: DistributionHandle) -> float:
         return math.inf
     if isinstance(p, DiscreteDistribution):
         mass = p.probs > 0.0
-        return float(np.sum(p.probs[mass] * np.log(p.probs[mass] / q.probs[mass])))
+        return float(np.sum(p.probs[mass] * (np.log(p.probs[mass]) - np.log(q.probs[mass]))))
     if isinstance(q, Gaussian):
         return _gaussian_cross_entropy(p, q) - _entropy(p)
     return _integrate(p, q, _overlap(p, q, "kl"), lambda log_p, log_q: np.exp(log_p) * (log_p - log_q), "kl", KL_TOL)

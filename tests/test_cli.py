@@ -836,16 +836,21 @@ class TestScipyOffTheColdPath:
     @pytest.mark.parametrize("argv,want", [
         (["--alpha", "2000", "--p", "bernoulli:0.3", "--q", "bernoulli:0.6"], 0.84772172124782750),
         (["--alpha", "1e3", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5332990616796188e-4),
-    ], ids=["sums-below-the-float-range", "gaussians-far-from-one"])
+        (["--alpha", "0.999999999", "--p", "normal:0,1", "--q", "normal:0.5,2"], 0.15907359031122265385),
+        (["--alpha", "1e9", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5342640962345375508e-10),
+        (["--alpha", "1e15", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5342640972002724872e-16),
+        (["--alpha", "1e100", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5342640972002734285e-101),
+    ], ids=["sums-below-the-float-range", "gaussians-far-from-one", "gaussians-near-one", "gaussians-at-1e9",
+            "gaussians-at-1e15", "gaussians-at-1e100"])
     def test_i_alpha_far_from_one_matches_mpmath(self, capsys, argv, want):
-        # 80-digit mpmath values.
+        # 80-digit mpmath values (300 digits for the Gaussians far from 1), within 1e-15 + 1e-12 |I_alpha|.
         assert cli.main(["divergence", *argv]) == cli.EXIT_OK
-        assert abs(json.loads(capsys.readouterr().out)["i_alpha"] - want) <= 1e-12
+        assert abs(json.loads(capsys.readouterr().out)["i_alpha"] - want) <= 1e-15 + 1e-12 * want
 
-    @pytest.mark.parametrize("alpha", ["1e9", "1e15", "1e100"])
-    def test_i_alpha_within_its_rounding_exits_20_with_one_line(self, capsys, alpha):
-        # mpmath gives 1.5342640962345375e-10 at 1e9; the float terms, of size 1e9, cannot carry it.
-        assert cli.main(["divergence", "--alpha", alpha, "--p", "normal:0,1", "--q", "normal:0,2"]) == cli.EXIT_NUMERICAL
+    def test_i_alpha_within_its_rounding_exits_20_with_one_line(self, capsys):
+        # Two t's of order 1e5: the three terms, of size 1.6e5, cannot carry a result of size 0.1 to I_ALPHA_TOL.
+        argv = ["divergence", "--alpha", "1e5", "--p", "t:1e5,0,1", "--q", "t:1e5,0,2"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
@@ -890,7 +895,13 @@ class TestDevelopmentMode:
         ["compact-fit", "--input", "draws.csv"],
         ["divergence", "--alpha", "0.8", "--p", "t:0.8,0,1", "--q", "t:0.8,0.5,2"],
         ["divergence", "--alpha", "2000", "--p", "bernoulli:0.3", "--q", "bernoulli:0.6"],
-    ], ids=["verify", "simulate-json", "estimate", "loglik", "compact-fit", "divergence", "divergence-discrete"])
+        ["divergence", "--alpha", "0.999999999", "--p", "normal:0,1", "--q", "normal:0.5,2"],
+        ["divergence", "--alpha", "1e9", "--p", "normal:0,1", "--q", "normal:0,2"],
+        ["divergence", "--alpha", "0.01", "--p", "bernoulli:1e-300", "--q", "bernoulli:5e-324"],
+        ["divergence", "--alpha", "0.001", "--p", "bernoulli:0.5", "--q", "bernoulli:5e-324"],
+    ], ids=["verify", "simulate-json", "estimate", "loglik", "compact-fit", "divergence", "divergence-discrete",
+            "divergence-gaussians-near-one", "divergence-gaussians-far-from-one", "divergence-subnormal-atom",
+            "divergence-subnormal-kl"])
     def test_command_exits_0_with_nothing_on_stderr(self, workdir, argv):
         proc = run_dev(workdir, argv)
         assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "") and proc.stdout

@@ -39,6 +39,15 @@ class TestIAlpha:
         b = dv.bernoulli(0.3)
         assert abs(dv.i_alpha(b, b, 0.5)) <= 1e-9
 
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.sampled_from([0.3, 0.999999, 1.000001, 1.5, 1e5, 1e100]))
+    @settings(max_examples=40, deadline=None)
+    def test_identical_gaussians_give_exactly_zero(self, d, seed, alpha):
+        # Whitening Sigma_q by its own Cholesky factor would leave eigenvalues a few ulps from 1.
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(d, d))
+        mu, sigma = rng.uniform(-1.0, 1.0, size=d), a @ a.T + rng.uniform(0.3, 2.0) * np.eye(d)
+        assert dv.i_alpha(dv.Gaussian(mu, sigma), dv.Gaussian(mu.copy(), sigma.copy()), alpha) == 0.0
+
     def test_two_atom_hand_computation(self):
         # direct evaluation of the three sums for Bernoulli(0.3), Bernoulli(0.5)
         p, q, alpha = np.array([0.7, 0.3]), np.array([0.5, 0.5]), 2.0
@@ -87,19 +96,84 @@ class TestIAlpha:
         assert abs(dv.i_alpha(dv.bernoulli(0.3), dv.bernoulli(0.6), 1450.0) - 0.84788260701272969) <= 1e-12
         assert abs(dv.i_alpha(dv.bernoulli(0.3), dv.bernoulli(0.6), 2050.0) - 0.84771137813263422) <= 1e-12
         assert abs(dv.i_alpha(dv.bernoulli(0.5), dv.bernoulli(5e-324), 0.001) - 0.43925716991972611) <= 1e-12
+        # A subnormal atom: q's power sum is within 1/16 of 1, but its w x^(alpha-1) is past expm1's range (once
+        # +inf), and KL's p/q overflows (once +inf).  50-digit mpmath.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dv.i_alpha(dv.bernoulli(1e-300), dv.bernoulli(5e-324), 0.01)
+            assert got == pytest.approx(0.46644507361188478, rel=1e-12, abs=0.0)
+            got = dv.kl(dv.bernoulli(0.5), dv.bernoulli(5e-324))
+            assert got == pytest.approx(371.52688878013069, rel=1e-12, abs=0.0)
         # Atoms without shared mass leave no cross terms: log 0, so I_alpha is +inf for alpha > 1.
         assert dv._log_cross(dv.bernoulli(0.0), dv.bernoulli(1.0), 3.0) == -math.inf
         assert dv.i_alpha(dv.bernoulli(0.0), dv.bernoulli(1.0), 3.0) == math.inf
 
-    def test_gaussians_far_from_one_keep_their_digits_or_fail(self):
-        p, q = dv.Gaussian(0.0, 1.0), dv.Gaussian(0.0, 2.0)
-        assert abs(dv.i_alpha(p, q, 1e3) - 1.5332990616796188e-4) <= 1e-12  # 80-digit mpmath
-        # Terms of size O(alpha) leave a result of size O(1/alpha): past I_ALPHA_TOL it is only rounding.
-        for alpha in (1e5, 1e9, 1e15, 1e100):
-            with pytest.raises(core.NumericalError) as info:
-                dv.i_alpha(p, q, alpha)
-            assert info.value.diagnostics["integral"] == "assembly"
-            assert info.value.diagnostics["bound"] > dv.I_ALPHA_TOL
+    # I_alpha of Gaussian pairs, by 80-digit mpmath (300 digits and more far from 1) from the
+    # product-of-Gaussians three-term sum, at the float orders given.
+    D2_P, D2_Q = ([0.3, -0.2], [[1.0, 0.3], [0.3, 2.0]]), ([0.0, 0.5], [[1.5, -0.4], [-0.4, 0.8]])
+    GAUSSIAN_PINS = [
+        ((0.0, 1.0), (0.5, 2.0), 1e-3, 0.34358755069075605016),
+        ((0.0, 1.0), (0.5, 2.0), 0.999, 0.15910486634248907389),
+        ((0.0, 1.0), (0.5, 2.0), 1.5, 0.14809125508904071539),
+        ((0.0, 1.0), (0.5, 2.0), 0.999999, 0.15907362152999869729),
+        ((0.0, 1.0), (0.5, 2.0), 1.000001, 0.15907355902999869893),
+        ((0.0, 1.0), (0.5, 2.0), 0.999999999, 0.15907359031122265385),
+        ((0.0, 1.0), (0.5, 2.0), 1.000000001, 0.15907359024872265215),
+        ((0.0, 1.0), (0.5, 2.0), 0.999999999999, 0.15907359028000390402),
+        ((0.0, 1.0), (0.5, 2.0), 1.000000000001, 0.15907359027994140193),
+        ((0.0, 1.0), (0.0, 2.0), 1e3, 1.5332990616796188e-4),
+        ((0.0, 1.0), (0.0, 2.0), 1e5, 1.534254439911337983e-6),
+        ((0.0, 1.0), (0.0, 2.0), 1e9, 1.5342640962345375508e-10),
+        ((0.0, 1.0), (0.0, 2.0), 1e15, 1.5342640972002724872e-16),
+        ((0.0, 1.0), (0.0, 2.0), 1e100, 1.5342640972002734285e-101),
+        ((0.0, 1e-300), (0.0, 2e-300), 100.0, 0.0015246762866508231081),
+        # 1 + (alpha-1)(lambda-1)/alpha near 0 (lambda = 1e-12), and rounding to 0 (lambda = 1e-300).
+        ((0.0, 1e-12), (1.0, 1.0), 1e9, 499500502.9553758813),
+        ((0.0, 1e-300), (0.0, 1.0), 1e100, 230.25850929940456838),
+        (D2_P, D2_Q, 0.9, 1.2119224731573399592),
+        (D2_P, D2_Q, 1.5, 0.53582139319080655967),
+        (D2_P, D2_Q, 0.999999999, 0.94557796823207913444),
+        (D2_P, D2_Q, 1e6, 0.20837725978286063317),
+    ]
+
+    @pytest.mark.parametrize("p,q,alpha,want", GAUSSIAN_PINS)
+    def test_gaussians_keep_their_digits_at_any_order(self, monkeypatch, p, q, alpha, want):
+        # Near 1 the three terms once lost digits (8.7e-5 off at 1 - 1e-12); far from 1 they refused from about
+        # 2.2e4 (89 at variances near 1e-300).  The closed form is neither integrated nor assembled from terms,
+        # and keeps its relative digits however small I_alpha is.
+        monkeypatch.setattr(dv, "quad", _refuse_quad)
+        got = dv.i_alpha(dv.Gaussian(*map(np.array, p)), dv.Gaussian(*map(np.array, q)), alpha)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.floats(-2.0, 1.0), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_closed_form_matches_the_three_term_sum(self, d, seed, log_gap, below):
+        # Where the three terms keep their digits, |1 - alpha| from 1e-2 to 10, they and the closed form agree
+        # to a few eps of the terms' magnitudes, with the same +inf decisions.
+        gap = 10.0**log_gap
+        assume(not (below and gap >= 0.99))
+        alpha = 1.0 - gap if below else 1.0 + gap
+        rng = np.random.default_rng(seed)
+
+        def moments():
+            a = rng.uniform(-1.0, 1.0, size=(d, d))
+            return rng.uniform(-1.0, 1.0, size=d), a @ a.T + rng.uniform(0.3, 2.0) * np.eye(d)
+
+        p, q = dv.Gaussian(*moments()), dv.Gaussian(*moments())
+        terms = _three_gaussian_terms(p, q, alpha)
+        got = dv.i_alpha(p, q, alpha)
+        if terms is None:
+            assert got == math.inf
+        else:
+            assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
+
+    def test_t_pairs_far_from_one_fail_in_the_assembly(self):
+        # Terms of size 1.6e5 leave a result of size 0.1: past I_ALPHA_TOL it is only rounding.
+        p, q = af.make_student_t(1e5, 0.0, 1.0), af.make_student_t(1e5, 0.0, 2.0)
+        with pytest.raises(core.NumericalError) as info:
+            dv.i_alpha(p, q, 1e5)
+        assert info.value.diagnostics["integral"] == "assembly"
+        assert info.value.diagnostics["bound"] > dv.I_ALPHA_TOL
 
     def test_infinite_when_q_misses_p_mass(self):
         p = dv.DiscreteDistribution(np.array([0.5, 0.5]))
@@ -218,6 +292,23 @@ def _normal_i_alpha(m, v, m2, v2, alpha):
                  + 0.5 * math.log(2 * math.pi / precision) - 0.5 * quadratic)
     log_pow = lambda var: 0.5 * (1.0 - alpha) * math.log(2 * math.pi * var) - 0.5 * math.log(alpha)
     return alpha / (1 - alpha) * log_cross - log_pow(v) / (1 - alpha) + log_pow(v2)
+
+
+def _three_gaussian_terms(p, q, alpha):
+    """The weighted terms alpha/(1-alpha) log Int p q^(alpha-1), -log Int p^alpha/(1-alpha) and log Int q^alpha.
+
+    For two Gaussians, each in closed form; None where the cross term is +inf (Sigma_q + (alpha-1) Sigma_p is not
+    positive definite).
+    """
+    beta, d, delta = alpha - 1.0, p.dim, p.mu - q.mu
+    mix = q.sigma + beta * p.sigma
+    eigvals = np.linalg.eigvalsh(mix)
+    if eigvals[0] <= 0.0:
+        return None
+    log_cross = (-0.5 * beta * d * dv.LOG_2PI + 0.5 * (1.0 - beta) * q.logdet - 0.5 * float(np.sum(np.log(eigvals)))
+                 - 0.5 * beta * float(delta @ np.linalg.solve(mix, delta)))
+    log_power = [-0.5 * beta * (d * dv.LOG_2PI + r.logdet) - 0.5 * d * math.log(alpha) for r in (p, q)]
+    return alpha / (1.0 - alpha) * log_cross, -log_power[0] / (1.0 - alpha), log_power[1]
 
 
 def _refuse_quad(*args, **kwargs):
