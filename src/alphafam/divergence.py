@@ -37,7 +37,9 @@ density falls like |x|^-(nu+d) when a < 1:
   two supports share an end, the cross term is +inf iff 1/(a_p-1) +
   (alpha-1)/(a_q-1) <= -1.
 - For alpha > 1, q^(alpha-1) is bounded, so the cross term is finite.
-- KL between records is +inf iff supp p leaves supp q.
+- KL between records is +inf iff supp p leaves supp q.  That, and a shared
+  end, are judged at rounding (``SUPPORT_ULPS``): a p past q's end by more
+  than rounding has KL = +inf.
 
 An exponent within ``EXPONENT_ATOL`` of a rule's border counts as on it.
 The terms left, KL into a t and the cross term against a t of another
@@ -104,9 +106,8 @@ CROSS_EPSREL = 5e-14
 ASSEMBLY_RTOL = 1e-12
 KL_TOL = (1e-13, 1e-12)
 LOG_2PI = math.log(2.0 * math.pi)
-# Relative slack for one ellipsoid inside another; an overhang this small
-# changes the cross term by far less than rounding does.
-SUPPORT_RTOL = 1e-9
+# Rounding of an end of a compact support, in ulps: it decides containment, a shared end and an empty overlap.
+SUPPORT_ULPS = 4
 # Slack on the finiteness rules' exponents.  Rounding of the orders moves
 # them by about 1e-14 at order 0.95, far less than this.
 EXPONENT_ATOL = 1e-9
@@ -323,26 +324,31 @@ def _full_support(r: Record) -> bool:
 def _max_radius_sq(p: StudentTParams, q: StudentTParams) -> float:
     """Largest (x - mu_q)^T Sigma_q^-1 (x - mu_q) over the ellipsoid supp p.
 
-    With x = mu_p + L u over the unit ball, L L^T = R_p^2 Sigma_p, the
-    radius is u^T M u + 2 g^T u + c.  Its maximum is the least value of
-    lambda + c + sum_i g_i^2 / (lambda - s_i) over lambda > max_i s_i, with
-    s the eigenvalues of M and g in its eigenbasis (trust-region duality);
-    that function is convex, and bisection finds where its slope is zero.
+    With L L^T = Sigma, X = L_q^-1 L_p (I where Sigma_p = Sigma_q, so p = q reaches R_p^2 exactly) and z = L_q^-1
+    (mu_p - mu_q), the radius at x = mu_p + R_p L_p u is u^T M u + 2 g^T u + c, M = R_p^2 X^T X, g = R_p X^T z, c =
+    z^T z.  Its maximum over |u| <= 1 is the least value of lambda + c + sum_i g_i^2 / (lambda - s_i) over lambda >
+    max_i s_i, with s the eigenvalues of M and g in its eigenbasis (trust-region duality); that function is convex,
+    and bisection finds where its slope is zero from the ratios g_i / (lambda - s_i), lest a tiny g_i^2 or (lambda
+    - s_i)^2 underflow.  Where every g_i^2 underflows, the maximum is max_i s_i + c to rounding.
     """
-    chol = np.linalg.cholesky(p.radius_sq * p.sigma)
-    delta = p.mu - q.mu
-    s, vecs = np.linalg.eigh(chol.T @ q.sigma_inv @ chol)
-    g2 = (vecs.T @ (chol.T @ (q.sigma_inv @ delta))) ** 2
-    lo, hi = s[-1], s[-1] * (1.0 + 1e-12) + math.sqrt(float(g2.sum()))
+    chol = np.linalg.cholesky(q.sigma)
+    x = np.linalg.solve(chol, np.linalg.cholesky(p.sigma)) if (p.sigma != q.sigma).any() else np.eye(p.dim)
+    z = np.linalg.solve(chol, p.mu - q.mu)
+    s, vecs = np.linalg.eigh(x.T @ x)
+    s, g, c = p.radius_sq * s, math.sqrt(p.radius_sq) * (vecs.T @ (x.T @ z)), float(z @ z)
+    if not np.any(g * g):
+        return float(s[-1]) + c
+    lo, hi = float(s[-1]), float(np.nextafter(s[-1] + math.sqrt(g.size) * np.max(np.abs(g)), math.inf))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if float(np.sum(g2 / (mid - s) ** 2)) > 1.0:
+        gap = mid - s
+        if np.any(np.abs(g) > gap) or float(np.sum((g / gap) ** 2)) > 1.0:
             lo = mid
         else:
             hi = mid
-    return hi + float(delta @ q.sigma_inv @ delta) + float(np.sum(g2 / (hi - s)))
+    return hi + c + float(g @ (g / (hi - s)))
 
 
 def _reach(p, q) -> float | None:
@@ -357,7 +363,7 @@ def _support_within(p, q, reach) -> bool:
         return not np.any(q.probs[p.probs > 0.0] == 0.0)
     if reach is None:
         return _full_support(q)
-    return reach <= q.radius_sq * (1.0 + SUPPORT_RTOL)
+    return reach <= q.radius_sq * (1.0 + SUPPORT_ULPS * _EPS)
 
 
 def _log_t_cross(p: Record, q: StudentTParams) -> float:
@@ -365,22 +371,33 @@ def _log_t_cross(p: Record, q: StudentTParams) -> float:
 
     q^(alpha-1) = N_q^(alpha-1) [1 + b (x - mu_q)^T Sigma_q^-1 (x - mu_q)] is
     affine in f = (x, xx^T), so the integral is that bracket at p's moments
-    (a t's Sigma is its covariance, as a Gaussian's is).
+    (a t's Sigma is its covariance, as a Gaussian's is).  A bracket that
+    rounds to <= 0, for p within rounding of q's end, is a NumericalError.
     """
     bracket = 1.0 + q.b_alpha * float(q.sigma_inv.ravel() @ _vec_second_moment(p.sigma, p.mu - q.mu))
+    if not bracket > 0.0:
+        raise NumericalError(f"the cross term's bracket 1 + b E_p r_q^2 is {bracket!r}, within rounding of q's end",
+                             {"integral": "cross", "bracket": bracket})
     return (q.alpha - 1.0) * q.log_norm_const + math.log(bracket)
 
 
 def _gaussian_i_alpha(p: Gaussian, q: Gaussian, alpha: float) -> float:
     """I_alpha of two Gaussians, the sum over the eigenpairs (lambda, v) of L^-1 Sigma_p L^-T (L L^T = Sigma_q) of
-    -log(lambda)/2 + alpha/(2(alpha-1)) log1p(r) + (v^T L^-1 (mu_p - mu_q))^2/(2(1+r)), r = (alpha-1)(lambda-1)/alpha,
-    its logs regrouped for alpha > 1; +inf unless Sigma_q + (alpha-1) Sigma_p > 0.  No log 2 pi or log-det is left."""
+    -log(lambda)/2 + alpha/(2(alpha-1)) log1p(r) + (v^T L^-1 (mu_p - mu_q))^2/(2(1+r)), r = (lambda-1)(alpha-1)/alpha,
+    its logs regrouped for alpha > 1; +inf unless (Sigma_q - Sigma_p) + alpha Sigma_p > 0, a form in which a tiny
+    alpha keeps its digits.  No log 2 pi or log-det is left.  Whitened variances lambda that leave the float range,
+    for a finite I_alpha, are a NumericalError."""
     beta, chol = alpha - 1.0, np.linalg.cholesky(q.sigma)
+    if np.linalg.eigvalsh((q.sigma - p.sigma) + alpha * p.sigma)[0] <= 0.0:
+        return math.inf
     white = np.linalg.solve(chol, np.linalg.solve(chol, p.sigma).T) if (p.sigma != q.sigma).any() else np.eye(p.dim)
-    lam, vecs = np.linalg.eigh(white)
-    r = (lam - 1.0) * (beta / alpha)
+    lam, vecs = np.linalg.eigh(white) if np.isfinite(white).all() else (np.full(p.dim, math.inf), None)
+    if not (lam[0] > 0.0 and lam[-1] < math.inf):
+        raise NumericalError(f"the Gaussian I_alpha's whitened variances {lam.tolist()!r} leave the float range",
+                             {"integral": "gaussian", "eigenvalues": lam.tolist()})
+    r = (lam - 1.0) * beta / alpha
     one_r = np.where(lam < 1.0, lam + (1.0 - lam) / alpha, 1.0 + r)  # 1 + r, a sum of positive parts where lambda < 1
-    if np.linalg.eigvalsh(q.sigma + beta * p.sigma)[0] <= 0.0 or one_r.min() <= 0.0:
+    if one_r.min() <= 0.0:
         return math.inf
     log_r = np.log1p(r, out=np.log(one_r), where=one_r >= 0.5)
     logs = (log_r / (2.0 * beta) + 0.5 * np.log1p((1.0 - lam) / lam / alpha) if beta > 0.0
@@ -406,7 +423,8 @@ def _entropy(r: Record) -> float:
 
 def _gaussian_cross_entropy(p: Record, q: Gaussian) -> float:
     """-E_p log q, from p's second moment about q's mean."""
-    second = float(q.sigma_inv.ravel() @ _vec_second_moment(p.sigma, p.mu - q.mu))
+    with np.errstate(over="ignore"):  # a second moment past the float range makes KL +inf
+        second = float(q.sigma_inv.ravel() @ _vec_second_moment(p.sigma, p.mu - q.mu))
     return 0.5 * (q.dim * LOG_2PI + q.logdet + second)
 
 
@@ -440,8 +458,8 @@ def _overlap(p: Record, q: Record, integral: str) -> tuple:
 
     a and b are its ends in p's u = (x - mu_p) / scale, scale = sqrt(sigma_p), from each support's half-width
     about its own mean, and offset = mu_q - mu_p; lo and hi, its ends in x rounded at the means' spacing, only
-    name it.  An end of q's support, offset +- r_q, rounds at the spacing of
-    |offset| + r_q: an overlap it bounds no wider than 4 such spacings is not decided, and is a NumericalError.
+    name it.  An end of q's support, offset +- r_q, rounds at the spacing of |offset| + r_q: an overlap it
+    bounds no wider than ``SUPPORT_ULPS`` such spacings is not decided, and is a NumericalError.
     """
     if p.dim != 1:
         raise DimensionMismatchError(f"the {integral} integral has no closed form here, and quadrature needs d = 1, "
@@ -450,7 +468,7 @@ def _overlap(p: Record, q: Record, integral: str) -> tuple:
     offset, scale = float(q.mu[0] - p.mu[0]), math.sqrt(p.sigma[0, 0])
     lo, hi = float(max(p.mu[0] - rp, q.mu[0] - rq)), float(min(p.mu[0] + rp, q.mu[0] + rq))
     a, b = max(-rp, offset - rq) / scale, min(rp, offset + rq) / scale
-    if (offset - rq > -rp or offset + rq < rp) and abs(b - a) <= 4.0 * math.ulp(abs(offset) + rq) / scale:
+    if (offset - rq > -rp or offset + rq < rp) and abs(b - a) <= SUPPORT_ULPS * math.ulp(abs(offset) + rq) / scale:
         raise NumericalError(f"the {integral} overlap [{lo}, {hi}] is within rounding of empty",
                              {"integral": integral, "interval": [lo, hi]})
     return lo, hi, a, b, scale, offset
@@ -466,14 +484,13 @@ def _log_densities(p: Record, q: Record, u: np.ndarray, scale: float, offset: fl
 def _integrate(p: Record, q: Record, overlap: tuple, term, integral: str, tol: tuple) -> float:
     """Int p(x) term(log p(x), log q(x)) dx over ``overlap``, ``_overlap(p, q, integral)``, for d = 1.
 
-    ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u, split at p's mean (or the end nearest it).  No x is
-    formed: p reads the residual scale u, q scale u - offset.  An overlap empty in u gives 0.  A node counts where
-    both are finite (not on a compact end, where q^(alpha-1) can be +inf).  A failure of ``quad`` gains the
+    The overlap is not empty: the cross term takes an empty one for -inf, and supports judged nested meet except
+    within ``_overlap``'s band, which raises.  ``quad`` runs at ``tol`` = (epsabs, epsrel) in p's u, split at p's
+    mean (or the end nearest it).  No x is formed: p reads the residual scale u, q scale u - offset.  A node counts
+    where both are finite (not on a compact end, where q^(alpha-1) can be +inf).  A failure of ``quad`` gains the
     integral's name and the overlap.
     """
     lo, hi, a, b, scale, offset = overlap
-    if not a < b:
-        return 0.0
 
     def integrand(u: np.ndarray) -> np.ndarray:
         log_p, log_q, on = _log_densities(p, q, u, scale, offset)
@@ -521,7 +538,7 @@ def _log_cross(p, q, alpha: float) -> float:
     if alpha < 1.0:
         excess = _tail_excess(p, q, alpha)
         # Compact supports (reach is set) that share an end, d = 1, where p q^(alpha-1) is not integrable.
-        shared_end = (reach is not None and p.dim == 1 and reach >= q.radius_sq * (1.0 - SUPPORT_RTOL)
+        shared_end = (reach is not None and p.dim == 1 and reach >= q.radius_sq * (1.0 - SUPPORT_ULPS * _EPS)
                       and 1.0 / (p.alpha - 1.0) + (alpha - 1.0) / (q.alpha - 1.0) <= -1.0 + EXPONENT_ATOL)
         if excess <= EXPONENT_ATOL or shared_end:
             return math.inf

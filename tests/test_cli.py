@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -840,12 +841,49 @@ class TestScipyOffTheColdPath:
         (["--alpha", "1e9", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5342640962345375508e-10),
         (["--alpha", "1e15", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5342640972002724872e-16),
         (["--alpha", "1e100", "--p", "normal:0,1", "--q", "normal:0,2"], 1.5342640972002734285e-101),
+        # alpha - 1 rounds to -1: once Infinity, and a warning at 1e-320.
+        (["--alpha", "1e-20", "--p", "normal:0,1", "--q", "normal:0.1,1"], 0.0050000000000000005551),
+        (["--alpha", "1e-320", "--p", "normal:0,1", "--q", "normal:0.1,1"], 0.0050000000000000005551),
     ], ids=["sums-below-the-float-range", "gaussians-far-from-one", "gaussians-near-one", "gaussians-at-1e9",
-            "gaussians-at-1e15", "gaussians-at-1e100"])
+            "gaussians-at-1e15", "gaussians-at-1e100", "gaussians-at-1e-20", "gaussians-at-1e-320"])
     def test_i_alpha_far_from_one_matches_mpmath(self, capsys, argv, want):
         # 80-digit mpmath values (300 digits for the Gaussians far from 1), within 1e-15 + 1e-12 |I_alpha|.
         assert cli.main(["divergence", *argv]) == cli.EXIT_OK
         assert abs(json.loads(capsys.readouterr().out)["i_alpha"] - want) <= 1e-15 + 1e-12 * want
+
+    @pytest.mark.parametrize("argv,want", [
+        # p 1e-10 past q's end at sqrt(5): once exit 2 ("math domain error") and "kl":0.
+        (["--alpha", "2", "--p", "t:2,2.23606797759979,1e-22", "--q", "t:2,0,1"], {"i_alpha": math.inf, "kl": math.inf}),
+        (["--alpha", "0.5", "--p", "t:2,2.23606797759979,1e-22", "--q", "t:2,0,1"], {"i_alpha": math.inf, "kl": math.inf}),
+        # p tiny in q's metric (50-digit mpmath): the reach once divided 0 by 0, for a kl of Infinity or a warning.
+        (["--alpha", "2", "--p", "t:2,0,1e-300", "--q", "t:2,0,1e300"],
+         {"i_alpha": 690.32924079553609154, "kl": 690.49515559266692917}),
+        (["--alpha", "2", "--p", "t:2,0,1e-160", "--q", "t:2,0,1"],
+         {"i_alpha": 183.76052033689523522, "kl": 183.92643513397687868}),
+    ], ids=["past-q-end", "past-q-end-below-one", "tiny-in-huge", "tiny-in-unit"])
+    def test_ends_of_supports_and_of_the_float_range(self, capsys, argv, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["divergence", *argv]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for key, value in want.items():
+            assert report[key] == value if value == math.inf else abs(report[key] - value) <= 1e-13 * value, key
+
+    @pytest.mark.parametrize("argv,message", [
+        # p's mean is q's end as rounded, so the closed form's bracket is -2.2e-16: once exit 2.
+        (["--alpha", "2", "--p", "t:2,2.23606797749979,1e-40", "--q", "t:2,0,1"], "the cross term's bracket"),
+        # A whitened variance of 1e+-600: I_alpha (690.08238071765376 by mpmath) once read NaN, and Infinity.
+        (["--alpha", "2", "--p", "normal:0,1e300", "--q", "normal:0,1e-300"], "the Gaussian I_alpha's whitened"),
+        (["--alpha", "2", "--p", "normal:0,1e-300", "--q", "normal:0,1e300"], "the Gaussian I_alpha's whitened"),
+    ], ids=["bracket-at-q-end", "gaussians-1e300-1e-300", "gaussians-1e-300-1e300"])
+    def test_terms_past_rounding_exit_20_with_one_line(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["divergence", *argv]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"numerical failure: {message}")
 
     def test_i_alpha_within_its_rounding_exits_20_with_one_line(self, capsys):
         # Two t's of order 1e5: the three terms, of size 1.6e5, cannot carry a result of size 0.1 to I_ALPHA_TOL.
@@ -899,9 +937,13 @@ class TestDevelopmentMode:
         ["divergence", "--alpha", "1e9", "--p", "normal:0,1", "--q", "normal:0,2"],
         ["divergence", "--alpha", "0.01", "--p", "bernoulli:1e-300", "--q", "bernoulli:5e-324"],
         ["divergence", "--alpha", "0.001", "--p", "bernoulli:0.5", "--q", "bernoulli:5e-324"],
+        ["divergence", "--alpha", "0.5", "--p", "t:2,2.23606797759979,1e-22", "--q", "t:2,0,1"],
+        ["divergence", "--alpha", "1e-320", "--p", "normal:0,1", "--q", "normal:0.1,1"],
+        ["divergence", "--alpha", "2", "--p", "t:2,0,1e-160", "--q", "t:2,0,1"],
     ], ids=["verify", "simulate-json", "estimate", "loglik", "compact-fit", "divergence", "divergence-discrete",
             "divergence-gaussians-near-one", "divergence-gaussians-far-from-one", "divergence-subnormal-atom",
-            "divergence-subnormal-kl"])
+            "divergence-subnormal-kl", "divergence-past-q-end", "divergence-gaussians-at-1e-320",
+            "divergence-tiny-in-q-metric"])
     def test_command_exits_0_with_nothing_on_stderr(self, workdir, argv):
         proc = run_dev(workdir, argv)
         assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "") and proc.stdout

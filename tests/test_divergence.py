@@ -167,6 +167,13 @@ class TestIAlpha:
         else:
             assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("var_p, var_q", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_gaussian_kl_at_the_ends_of_the_float_range(self, var_p, var_q):
+        # KL = (lambda - 1 - log lambda)/2, lambda = 1e+-600: past the float maximum, or (600 log 10 - 1)/2.
+        assert dv.kl(dv.Gaussian(0.0, var_p), dv.Gaussian(0.0, var_q)) == (
+            math.inf if var_p > var_q else pytest.approx(0.5 * (600.0 * math.log(10.0) - 1.0), rel=1e-14))
+
     def test_t_pairs_far_from_one_fail_in_the_assembly(self):
         # Terms of size 1.6e5 leave a result of size 0.1: past I_ALPHA_TOL it is only rounding.
         p, q = af.make_student_t(1e5, 0.0, 1.0), af.make_student_t(1e5, 0.0, 2.0)
@@ -973,6 +980,72 @@ class TestTouchingSupports:
             assert got is core.NumericalError or (isinstance(got, float) and math.isfinite(got)), got
         else:
             assert got is core.NumericalError or got == math.inf, got
+
+
+def _hangs_out(p, q, margin):
+    """Whether supp p passes supp q's end by more than ``margin`` of q's radius^2, exactly on d = 1 records' floats."""
+    if p.alpha < 1.0:
+        return True
+    a = Fraction(p.radius_sq) * Fraction(float(p.sigma[0, 0]))
+    t = Fraction(q.radius_sq) * Fraction(float(q.sigma[0, 0])) * (1 + Fraction(margin))
+    delta = abs(Fraction(float(p.mu[0])) - Fraction(float(q.mu[0])))
+    # delta + sqrt(a) > sqrt(t), squared twice where both sides are nonnegative.
+    rest = t + delta**2 - a
+    return delta**2 > t or rest < 0 or 4 * delta**2 * t > rest**2
+
+
+class TestEndsAtRounding:
+    """Whether supp p lies in supp q, or shares its end, is judged at rounding, as the overlap's band is."""
+
+    @given(st.floats(1.1, 5.0), st.sampled_from([0.0, 1.0, -3e4, 1e6]), st.floats(-6.0, 2.0),
+           st.one_of(st.floats(0.8, 0.99), st.floats(1.01, 5.0)), st.floats(-30.0, 0.0), st.sampled_from([0, 1]),
+           st.sampled_from([1.0, 0.5, 1.5, 0.0, 2.0]),
+           st.sampled_from([0.0, 1.0, -1.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9]),
+           st.sampled_from([0.5, 0.9, None, 2.0, 1.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_near_touching_pairs_are_infinite_or_integrated_over_an_overlap(
+            self, order_q, centre, log_var_q, order_p, log_ratio, side, inward, nudge, alpha):
+        # p at one end of supp q, moved inward by a multiple of its half-width (its scale for a full support) and a
+        # fraction of the end.  A kl of 0 once came from an empty overlap, and a ValueError from the closed form.
+        q = af.make_student_t(order_q, centre, 10.0**log_var_q)
+        alpha = order_q if alpha is None else alpha
+        end, var_p = q.support_interval[side], float(q.sigma[0, 0]) * 10.0**log_ratio
+        radius_sq_p = af.make_student_t(order_p, 0.0, 1.0).radius_sq
+        half_p = math.sqrt((radius_sq_p if radius_sq_p < math.inf else 1.0) * var_p)
+        p = af.make_student_t(order_p, end - (2 * side - 1) * (inward * half_p + nudge * abs(end)), var_p)
+
+        def integrate(p, q, overlap, *args, real=dv._integrate):
+            assert overlap[2] < overlap[3], overlap
+            return real(p, q, overlap, *args)
+
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patch.setattr(dv, "_integrate", integrate)
+            got_kl, got = _outcome(dv.kl, p, q), _outcome(dv.i_alpha, p, q, alpha)
+        assert all(v is core.NumericalError or isinstance(v, float) for v in (got_kl, got)), (got_kl, got)
+        if _hangs_out(p, q, 16 * dv._EPS):
+            assert got_kl == math.inf
+
+    @given(st.integers(2, 3), st.floats(1.05, 6.0), st.floats(1.05, 6.0), st.integers(0, 10**6),
+           st.sampled_from([0.0, 1.0, -3e4]))
+    @settings(max_examples=60, deadline=None)
+    def test_higher_dimensions_judge_containment_at_rounding(self, d, order_q, order_p, seed, centre):
+        # At a 1e-9 slack an ellipsoid 1e-10 of q's radius past its boundary counted as inside, and kl then
+        # asked for quadrature in d > 1.
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(d, d))
+        cov = a @ a.T + rng.uniform(0.3, 2.0) * np.eye(d)
+        q = af.make_student_t(order_q, centre + rng.normal(size=d), cov)
+        assert dv._support_within(q, q, dv._reach(q, q))
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        # p's support is mu_p + R_p' L v, |v| <= 1 (L L^T = cov), so its farthest point lies at 1 + 1e-10 of q's radius.
+        radius_p = rng.uniform(0.05, 0.5) * math.sqrt(q.radius_sq)
+        scale = radius_p / math.sqrt(af.make_student_t(order_p, np.zeros(d), cov).radius_sq)
+        step = math.sqrt(q.radius_sq) * (1.0 + 1e-10) - radius_p
+        p = af.make_student_t(order_p, q.mu + step * (np.linalg.cholesky(cov) @ u), scale**2 * cov)
+        assert not dv._support_within(p, q, dv._reach(p, q))
+        assert dv.kl(p, q) == math.inf
 
 
 class TestKL:
